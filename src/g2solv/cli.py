@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .coflow import (
     soliton_candidates,
     soliton_solve,
 )
-from .g2core import closed_triple, erp_residual, laplacians, structure, torsion_class, torsion_forms
-from .liealg import BracketTriple, check_compatible, ricci_report
+from .g2core import closed_triple, erp_residual, laplacians, torsion_class, torsion_forms
+from .liealg import BracketTriple, ce_differential, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
 
 
@@ -117,11 +116,9 @@ def _cmd_verify_lattice(args) -> int:
 
 def _cmd_torsion(args) -> int:
     t = _triple_from_args(args)
-    s = structure(t)
-    tf = torsion_forms(s)
-    cls = torsion_class(s)
+    tf = torsion_forms(t)
+    cls = torsion_class(t)
     rep = ricci_report(t)
-    dphi = s.d(s.phi)
     payload = {
         "tau0": tf.tau0,
         "tau1_norm": tf.tau1.norm(),
@@ -131,13 +128,13 @@ def _cmd_torsion(args) -> int:
         "norm_sq_tau": tf.norm_sq_tau,
         "scal": rep["scal"],
         "F": rep["F"],
-        "closed": dphi.is_zero(),
+        "closed": ce_differential(t, forms.PHI).is_zero(),
         "compatible": check_compatible(t).compatible,
     }
     if payload["closed"]:
-        payload["erp_residual"] = erp_residual(s)["residual_norm"]
+        payload["erp_residual"] = erp_residual(t)["residual_norm"]
     if args.format == "text":
-        lap = laplacians(s)
+        lap = laplacians(t)
         lines = [f"{k}: {v}" for k, v in payload.items()]
         lines.append("tau2 = " + forms.format_form(tf.tau2))
         lines.append("tau3 = " + forms.format_form(tf.tau3))
@@ -150,9 +147,8 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_erp_check(args) -> int:
     t = _triple_from_args(args)
-    s = structure(t)
     try:
-        res = erp_residual(s)
+        res = erp_residual(t)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -212,13 +208,9 @@ def _cmd_flow(args) -> int:
                 for line in fh.read().splitlines()
                 if line.strip() and not line.startswith("#")
             ]
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(
-                lambda s: _flow_rows(CoclosedParams(*s), args.t_max, args.samples),
-                starts,
-            ))
         blocks, worst = [], 0
-        for (traj, rows), s in zip(results, starts):
+        for s in starts:
+            traj, rows = _flow_rows(CoclosedParams(*s), args.t_max, args.samples)
             blocks.append(f"# start {','.join(str(x) for x in s)} status {traj.status}")
             blocks.append(_format_csv(rows))
             worst = max(worst, 1 if traj.status == "diverged" else 0)
@@ -318,7 +310,7 @@ def _cmd_audit(args) -> int:
 
     # (v) sign convention linking the flow generator to the Laplacian
     p = CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 0.9)
-    lap_psi = laplacians(structure(p.to_triple()))["psi"]
+    lap_psi = laplacians(p.to_triple())["psi"]
     plus = (lap_psi - forms.theta(-flow_generator(p), forms.PSI)).norm()
     minus = (lap_psi - forms.theta(flow_generator(p), forms.PSI)).norm()
     claims.append({
@@ -340,17 +332,34 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
+    """--tol, --format and --out, accepted before and after the subcommand.
+
+    Only the top level has defaults: a subcommand leaves an absent option
+    unset, so it keeps a value given before the subcommand."""
+    def default(value):
+        return value if top_level else argparse.SUPPRESS
+
+    p.add_argument("--tol", type=float, default=default(1e-9),
+                   help="verdict threshold where one applies (default 1e-9)")
+    p.add_argument("--format", choices=["json", "csv", "text"], default=default(None),
+                   help="json for reports, csv for flow unless overridden")
+    p.add_argument("--out", default=default(None),
+                   help="write output to this file instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="g2solv", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--tol", type=float, default=1e-9,
-                    help="verdict threshold where one applies (default 1e-9)")
-    ap.add_argument("--format", choices=["json", "csv", "text"], default=None,
-                    help="json for reports, csv for flow unless overridden")
-    ap.add_argument("--out", help="write output to this file instead of stdout")
+    _add_global_options(ap, top_level=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    vl = sub.add_parser("verify-lattice", help="certify a quartic + three units")
+    def add_parser(name, **kw):
+        p = sub.add_parser(name, **kw)
+        _add_global_options(p, top_level=False)
+        return p
+
+    vl = add_parser("verify-lattice", help="certify a quartic + three units")
     vl.add_argument("--example", choices=sorted(BUILTIN_EXAMPLES))
     vl.add_argument("--poly", help="a0,a1,a2,a3 for monic t^4+a3 t^3+a2 t^2+a1 t+a0")
     vl.add_argument("--unit", action="append", help="q0,q1,q2,q3 (repeat three times)")
@@ -363,29 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--triple", nargs=3, metavar="MAT",
                        help="three 4x4 matrices, rows ';', entries ','")
 
-    to = sub.add_parser("torsion", help="torsion forms, class and curvature")
+    to = add_parser("torsion", help="torsion forms, class and curvature")
     add_triple_args(to)
     to.set_defaults(func=_cmd_torsion)
 
-    ec = sub.add_parser("erp-check", help="extremal-pinching residual (closed case)")
+    ec = add_parser("erp-check", help="extremal-pinching residual (closed case)")
     add_triple_args(ec, closed_only=True)
     ec.set_defaults(func=_cmd_erp_check)
 
-    so = sub.add_parser("soliton", help="solve the coclosed soliton equations")
+    so = add_parser("soliton", help="solve the coclosed soliton equations")
     so.add_argument("--base", required=True, help="a1,a2,b1,b2")
     so.add_argument("--modified-m", type=float, default=0.0,
                     help="also report the modified-flow residual at this m")
     so.set_defaults(func=_cmd_soliton)
 
-    fl = sub.add_parser("flow", help="integrate the coflow parameter ODE")
+    fl = add_parser("flow", help="integrate the coflow parameter ODE")
     fl.add_argument("--init", help="a1,a2,b1,b2,c1,c2 starting parameters")
     fl.add_argument("--t-max", type=float, default=50.0)
     fl.add_argument("--samples", type=int, default=501)
     fl.add_argument("--sweep", help="file with one 6-tuple start per line")
-    fl.add_argument("--workers", type=int, default=4)
     fl.set_defaults(func=_cmd_flow)
 
-    au = sub.add_parser("audit", help="re-derive source claims and report agreement")
+    au = add_parser("audit", help="re-derive source claims and report agreement")
     au.set_defaults(func=_cmd_audit)
     return ap
 

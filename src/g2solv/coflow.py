@@ -24,16 +24,14 @@ below; with the opposite sign the same identity produces -lap psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import TOL
-from . import forms
-from .forms import KForm, hodge, theta, wedge
-from .liealg import BracketTriple, homothety_invariant, ricci_operator
-from .g2core import laplacians, structure, trace_torsion
+from .forms import PSI, KForm, theta
+from .liealg import BracketTriple, homothety_invariant
+from .g2core import laplacians, modified_laplacian_psi
 
 _BLOWUP = 1e8
 
@@ -107,17 +105,6 @@ def ode_rhs(p: CoclosedParams) -> np.ndarray:
     kb = -(b1 * b1 + b2 * b2) + 2 * a1 * a2 - 2 * c1 * c2
     kc = -(c1 * c1 + c2 * c2) - 2 * a1 * a2 - 2 * b1 * b2
     return np.array([ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2])
-
-
-def bracket_flow_rhs(p: CoclosedParams) -> np.ndarray:
-    """Independent oracle for ode_rhs: evolve the structure constants by
-    theta_plus(Q) directly and read the parameter derivatives back off."""
-    q = flow_generator(p)
-    qa, qb, qc = q[6, 6], q[0, 0], q[1, 1]
-    a1, a2, b1, b2, c1, c2 = p.as_array()
-    # mu' = Q mu(.,.) - mu(Q., .) - mu(., Q.): with Q zero on n and diagonal
-    # on a this contracts to A' = -qa A, B' = -qb B, C' = -qc C.
-    return np.array([-qa * a1, -qa * a2, -qb * b1, -qb * b2, -qc * c1, -qc * c2])
 
 
 @dataclass
@@ -232,30 +219,31 @@ class SolitonSolution:
     residual: float
 
 
-def _theta_plus_psi(D4: np.ndarray) -> KForm:
-    return theta(-np.asarray(D4, dtype=float), forms.PSI)
+# psi and theta_plus(E_k) psi = theta(-E_k) psi for the diagonal units
+# E_3..E_6: the right-hand side lam psi + theta_plus(D) psi of the soliton
+# equation is linear in them.
+_SOLITON_BASIS = (PSI, *(theta(-np.diag(e), PSI) for e in np.eye(4)))
+
+
+def _soliton_fit(target: KForm) -> dict:
+    """Least-squares fit of target by lam psi + theta_plus(D) psi over the
+    symmetric derivations D = Diag(0,0,0,d3..d6)."""
+    keys = sorted(set().union(target.coeffs, *(b.coeffs for b in _SOLITON_BASIS)))
+    M = np.array([[b.coeffs.get(I, 0.0) for b in _SOLITON_BASIS] for I in keys])
+    y = np.array([target.coeffs.get(I, 0.0) for I in keys])
+    x, *_ = np.linalg.lstsq(M, y, rcond=None)
+    return {
+        "residual": float(np.linalg.norm(M @ x - y)),
+        "best_lambda": float(x[0]),
+        "best_D": x[1:].copy(),
+    }
 
 
 def soliton_residual(p: CoclosedParams) -> dict:
-    """Least-squares residual of lap psi = lam psi + theta_plus(D) psi over
-    the symmetric derivations D = Diag(0,0,0,d3..d6)."""
-    lap = laplacians(structure(p.to_triple()))["psi"]
-    basis = [forms.PSI]
-    for k in range(4):
-        E = np.zeros((4, 4))
-        E[k, k] = 1.0
-        basis.append(_theta_plus_psi(E))
-    keys = sorted(set().union(lap.coeffs, *(b.coeffs for b in basis)))
-    M = np.array([[b.coeffs.get(I, 0.0) for b in basis] for I in keys])
-    y = np.array([lap.coeffs.get(I, 0.0) for I in keys])
-    x, *_ = np.linalg.lstsq(M, y, rcond=None)
-    res = float(np.linalg.norm(M @ x - y))
-    return {
-        "residual": res,
-        "best_lambda": float(x[0]),
-        "best_D": x[1:].copy(),
-        "flat": p.norm_sq() < 1e-20,
-    }
+    """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
+    fit = _soliton_fit(laplacians(p.to_triple())["psi"])
+    fit["flat"] = p.norm_sq() < 1e-20
+    return fit
 
 
 def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
@@ -266,24 +254,7 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
     with m != 0.  tr T and dphi are taken from the structure itself."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
-    s = structure(p.to_triple())
-    lap = laplacians(s)["psi"]
-    extra = 2.0 * (m - trace_torsion(s)) * s.d(s.phi)
-    target = lap + extra
-    basis = [forms.PSI]
-    for k in range(4):
-        E = np.zeros((4, 4))
-        E[k, k] = 1.0
-        basis.append(_theta_plus_psi(E))
-    keys = sorted(set().union(target.coeffs, *(b.coeffs for b in basis)))
-    M = np.array([[b.coeffs.get(I, 0.0) for b in basis] for I in keys])
-    y = np.array([target.coeffs.get(I, 0.0) for I in keys])
-    x, *_ = np.linalg.lstsq(M, y, rcond=None)
-    return {
-        "residual": float(np.linalg.norm(M @ x - y)),
-        "best_lambda": float(x[0]),
-        "best_D": x[1:].copy(),
-    }
+    return _soliton_fit(modified_laplacian_psi(p.to_triple(), m))
 
 
 def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
@@ -324,11 +295,10 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     pairs = soliton_candidates(a1, a2, b1, b2)
     lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)
     d = -lam / 4.0
+    rhs = lam * PSI + d * sum(_SOLITON_BASIS[2:], _SOLITON_BASIS[1])
     out = []
-    D = np.diag([d, d, d, d])
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        lap = laplacians(structure(p.to_triple()))["psi"]
-        res = (lap - lam * forms.PSI - _theta_plus_psi(D)).norm()
+        res = (laplacians(p.to_triple())["psi"] - rhs).norm()
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=res))
     return out

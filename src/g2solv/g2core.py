@@ -27,31 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from . import forms
-from .forms import KForm, hodge, inner, wedge
+from .forms import PHI, PSI, KForm, hodge, inner, wedge
 from .liealg import BracketTriple, ce_differential, homothety_invariant
-
-
-@dataclass
-class G2Structure:
-    """A bracket triple together with the fixed pair (phi, psi)."""
-
-    triple: BracketTriple
-
-    @property
-    def phi(self) -> KForm:
-        return forms.PHI
-
-    @property
-    def psi(self) -> KForm:
-        return forms.PSI
-
-    def d(self, alpha: KForm) -> KForm:
-        return ce_differential(self.triple, alpha)
-
-
-def structure(triple: BracketTriple) -> G2Structure:
-    return G2Structure(triple)
 
 
 @dataclass
@@ -64,15 +41,23 @@ class TorsionForms:
     norm_sq_tau: float
 
 
-def torsion_forms(s: G2Structure) -> TorsionForms:
-    phi, psi = s.phi, s.psi
-    dphi = s.d(phi)
-    dpsi = s.d(psi)
-    tau0 = hodge(wedge(dphi, phi)).scalar() / 7.0
-    tau1 = hodge(wedge(hodge(dphi), phi)) * (-1.0 / 12.0)
-    tau2 = -hodge(dpsi) + 4.0 * hodge(wedge(tau1, psi))
-    tau3 = hodge(dphi) - tau0 * phi - 3.0 * hodge(wedge(tau1, phi))
-    tau = -hodge(s.d(hodge(phi)))
+def _tau0(dphi: KForm) -> float:
+    return hodge(wedge(dphi, PHI)).scalar() / 7.0
+
+
+def _lap_phi(t: BracketTriple, dphi: KForm, dpsi: KForm) -> KForm:
+    """lap phi = *d*dphi - d*dpsi; d has no codifferential shortcut here."""
+    return hodge(ce_differential(t, hodge(dphi))) - ce_differential(t, hodge(dpsi))
+
+
+def torsion_forms(t: BracketTriple) -> TorsionForms:
+    dphi = ce_differential(t, PHI)
+    dpsi = ce_differential(t, PSI)
+    tau0 = _tau0(dphi)
+    tau1 = hodge(wedge(hodge(dphi), PHI)) * (-1.0 / 12.0)
+    tau2 = -hodge(dpsi) + 4.0 * hodge(wedge(tau1, PSI))
+    tau3 = hodge(dphi) - tau0 * PHI - 3.0 * hodge(wedge(tau1, PHI))
+    tau = -hodge(dpsi)  # -*d*phi, as psi = *phi
     return TorsionForms(
         tau0=tau0,
         tau1=tau1,
@@ -83,50 +68,52 @@ def torsion_forms(s: G2Structure) -> TorsionForms:
     )
 
 
-def torsion_class(s: G2Structure, tol: float | None = None) -> dict:
+def torsion_class(t: BracketTriple, tol: float | None = None) -> dict:
     """Flags for the four torsion components, by norm against `tol`."""
     cut = TOL.zero_form if tol is None else tol
-    t = torsion_forms(s)
+    tf = torsion_forms(t)
     return {
-        "W1": abs(t.tau0) > cut,
-        "W2": t.tau2.norm() > cut,
-        "W3": t.tau3.norm() > cut,
-        "W4": t.tau1.norm() > cut,
+        "W1": abs(tf.tau0) > cut,
+        "W2": tf.tau2.norm() > cut,
+        "W3": tf.tau3.norm() > cut,
+        "W4": tf.tau1.norm() > cut,
     }
 
 
-def trace_torsion(s: G2Structure) -> float:
+def trace_torsion(t: BracketTriple) -> float:
     """Trace of the full torsion endomorphism, (7/4) tau0."""
-    dphi = s.d(s.phi)
-    return 1.75 * hodge(wedge(dphi, s.phi)).scalar() / 7.0
+    return 1.75 * _tau0(ce_differential(t, PHI))
 
 
-def laplacians(s: G2Structure) -> dict:
-    """Hodge Laplacians of phi and psi.
-
-    On this algebra d has no codifferential shortcut, so both are assembled
-    from the star: lap_phi = *d*dphi - d*dpsi and lap_psi = *lap_phi.
-    """
-    dphi = s.d(s.phi)
-    dpsi = s.d(s.psi)
-    lap_phi = hodge(s.d(hodge(dphi))) - s.d(hodge(dpsi))
+def laplacians(t: BracketTriple) -> dict:
+    """Hodge Laplacians of phi and psi: lap_phi = *d*dphi - d*dpsi and
+    lap_psi = *lap_phi."""
+    lap_phi = _lap_phi(t, ce_differential(t, PHI), ce_differential(t, PSI))
     return {"phi": lap_phi, "psi": hodge(lap_phi)}
 
 
-def erp_residual(s: G2Structure) -> dict:
+def modified_laplacian_psi(t: BracketTriple, m: float) -> KForm:
+    """Velocity of the modified coflow, lap psi + 2 d((m - tr T) phi).
+
+    On a left-invariant structure m - tr T is constant, so the second term
+    is 2 (m - tr T) dphi."""
+    dphi = ce_differential(t, PHI)
+    lap_psi = hodge(_lap_phi(t, dphi, ce_differential(t, PSI)))
+    return lap_psi + 2.0 * (m - 1.75 * _tau0(dphi)) * dphi
+
+
+def erp_residual(t: BracketTriple) -> dict:
     """Residual of the extremal pinching identity for a closed structure:
 
         d tau = (1/6)|tau|^2 phi + (1/6) * (tau ^ tau),   tau = -*d*phi.
 
     Raises when dphi != 0, since tau is only the full torsion there.
     """
-    phi = s.phi
-    dphi = s.d(phi)
-    if not dphi.is_zero():
+    if not ce_differential(t, PHI).is_zero():
         raise ValueError("extremal pinching residual needs a closed structure")
-    tau = -hodge(s.d(hodge(phi)))
+    tau = -hodge(ce_differential(t, PSI))
     nsq = inner(tau, tau)
-    res = s.d(tau) - (nsq / 6.0) * phi - hodge(wedge(tau, tau)) / 6.0
+    res = ce_differential(t, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
     return {"residual_norm": res.norm(), "tau_norm_sq": nsq}
 
 

@@ -16,6 +16,7 @@ test, both of which are certified against explicit tolerances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,41 +119,39 @@ class UnitSpec:
         return ((q3 * x + q2) * x + q1) * x + q0
 
 
+def _divisors(n: int):
+    """The divisors 1 <= d <= sqrt|n| of a nonzero integer n."""
+    d = 1
+    while d * d <= abs(n):
+        if n % d == 0:
+            yield d
+        d += 1
+
+
 def _rational_roots(p: QuarticPoly):
     """Integer roots of a monic integer polynomial divide the constant term."""
     a0 = p.a0
     if a0 == 0:
         return [0]
     cands = set()
-    d = 1
-    while d * d <= abs(a0):
-        if a0 % d == 0:
-            cands.update({d, -d, abs(a0) // d, -abs(a0) // d})
-        d += 1
+    for d in _divisors(a0):
+        cands.update({d, -d, abs(a0) // d, -abs(a0) // d})
     return [r for r in sorted(cands) if p(r) == 0]
 
 
 def _quadratic_factorization(p: QuarticPoly):
     """Search integer factorizations (t^2+bt+c)(t^2+dt+e); None if none exist."""
     a0, a1, a2, a3 = p.coeffs()
-    divisors = []
-    d = 1
-    while d * d <= abs(a0):
-        if a0 % d == 0:
-            divisors.extend([(d, a0 // d), (-d, -(a0 // d))])
-        d += 1
-    for c, e in divisors:
-        # b + d = a3, bd = a2 - c - e, be + cd = a1
-        s = a3
-        q = a2 - c - e
-        disc = s * s - 4 * q
-        if disc < 0:
-            continue
-        root = int(round(disc ** 0.5))
-        for rt in (root - 1, root, root + 1):
-            if rt >= 0 and rt * rt == disc and (s + rt) % 2 == 0:
-                b = (s + rt) // 2
-                dd = s - b
+    for d in _divisors(a0):
+        for c, e in ((d, a0 // d), (-d, -(a0 // d))):
+            # b + d = a3, bd = a2 - c - e, be + cd = a1
+            disc = a3 * a3 - 4 * (a2 - c - e)
+            if disc < 0:
+                continue
+            rt = math.isqrt(disc)
+            if rt * rt == disc and (a3 + rt) % 2 == 0:
+                b = (a3 + rt) // 2
+                dd = a3 - b
                 for bb, ddd in ((b, dd), (dd, b)):
                     if bb * e + c * ddd == a1:
                         return (1, bb, c), (1, ddd, e)
@@ -165,6 +164,38 @@ def is_irreducible(p: QuarticPoly) -> bool:
     if _rational_roots(p):
         return False
     return _quadratic_factorization(p) is None
+
+
+def _poly_rem(a: list, b: list) -> list:
+    """A positive multiple of the remainder of a by b, for integer coefficient
+    lists with the leading term first; positive factors keep every sign."""
+    sign, scale = (1 if b[0] > 0 else -1), abs(b[0])
+    while len(a) >= len(b):
+        a = ([scale * x - sign * a[0] * y for x, y in zip(a[1:], b[1:])]
+             + [scale * x for x in a[len(b):]])
+    while a and a[0] == 0:
+        a = a[1:]
+    g = math.gcd(*a) if a else 1
+    return [x // g for x in a]
+
+
+def is_totally_real(p: QuarticPoly) -> bool:
+    """Whether every root of p is real, repeated roots included; exact.
+
+    The Sturm chain p, p', -rem, ... ends at gcd(p, p').  Sign changes at
+    -inf and +inf count the distinct real roots, and p has 4 - deg gcd
+    distinct roots in all.
+    """
+    a0, a1, a2, a3 = p.coeffs()
+    chain = [[1, a3, a2, a1, a0], [4, 3 * a3, 2 * a2, a1]]
+    while r := _poly_rem(chain[-2], chain[-1]):
+        chain.append([-x for x in r])
+
+    def sign_changes(at_minus_inf: bool) -> int:
+        signs = [(f[0] > 0) != (at_minus_inf and len(f) % 2 == 0) for f in chain]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return sign_changes(True) - sign_changes(False) == 5 - len(chain[-1])
 
 
 def roots(p: QuarticPoly) -> np.ndarray:
@@ -331,12 +362,7 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     try:
         checks["irreducible"] = is_irreducible(p)
         checks["unit_constant_term"] = p.a0 in (1, -1)
-        try:
-            u = roots(p)
-            checks["totally_real"] = True
-            cert.roots = [float(x) for x in u]
-        except ValueError:
-            checks["totally_real"] = False
+        checks["totally_real"] = is_totally_real(p)
 
         mats = []
         dets = []
@@ -364,6 +390,7 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
                 for Y in mats[i + 1:]
             )
             diag = diagonalize(p, mats)
+            cert.roots = [float(x) for x in diag["roots"]]
             cert.vandermonde = diag["vandermonde"].tolist()
             checks["diag_residual"] = diag["residual"]
             checks["diagonalized"] = diag["residual"] < TOL.diag_residual

@@ -4,11 +4,13 @@ Everything here was derived once by hand from the derivation action of the
 triple on the self-dual 2-forms and is kept frozen as an independent check
 against the combinatorial differential in the package.  General formulas
 take arbitrary commuting traceless matrices; the diagonal versions take the
-four diagonal entries of each matrix.
+four diagonal entries of each matrix.  `bracket_flow_rhs` is the oracle
+for the coflow parameter ODE.
 """
 
 import numpy as np
 
+from g2solv.coflow import flow_generator
 from g2solv.forms import (
     OMEGA1,
     OMEGA1_BAR,
@@ -174,3 +176,14 @@ def coclosed_lap_psi(p):
     t = (p.c1 - p.c2) ** 2 + (p.a1 + p.a2) ** 2
     return (wedge(r * OMEGA7, _e(1, 2)) - wedge(s * OMEGA2, _e(1, 7))
             + wedge(t * OMEGA1, _e(2, 7)))
+
+
+def bracket_flow_rhs(p):
+    """Independent oracle for coflow.ode_rhs: evolve the structure constants
+    by theta_plus(Q) directly and read the parameter derivatives back off."""
+    q = flow_generator(p)
+    qa, qb, qc = q[6, 6], q[0, 0], q[1, 1]
+    a1, a2, b1, b2, c1, c2 = p.as_array()
+    # mu' = Q mu(.,.) - mu(Q., .) - mu(., Q.): with Q zero on n and diagonal
+    # on a this contracts to A' = -qa A, B' = -qb B, C' = -qc C.
+    return np.array([-qa * a1, -qa * a2, -qb * b1, -qb * b2, -qc * c1, -qc * c2])

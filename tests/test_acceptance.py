@@ -23,9 +23,9 @@ from g2solv.coflow import (
     normalized_limit,
     soliton_solve,
 )
-from g2solv.forms import hodge
-from g2solv.g2core import closed_triple, erp_residual, laplacians, structure, torsion_forms
-from g2solv.liealg import BracketTriple, homothety_invariant
+from g2solv.forms import PHI, PSI, hodge
+from g2solv.g2core import closed_triple, erp_residual, laplacians, torsion_forms
+from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES, mult_independence
 
 
@@ -115,14 +115,14 @@ def test_criterion_2_torsion_class_property():
             d = rng.uniform(-2.0, 2.0, size=4)
             d -= d.mean()
             mats.append(np.diag(d))
-        s = structure(BracketTriple(*mats))
-        tf = torsion_forms(s)
+        t = BracketTriple(*mats)
+        tf = torsion_forms(t)
         if tf.tau0 != 0.0:
             failures.append(f"sample {k}: tau0 = {tf.tau0} != 0")
         if tf.tau1.norm() >= 1e-12:
             failures.append(f"sample {k}: |tau1| = {tf.tau1.norm()}")
-        tau2_ref = -1.0 * hodge(s.d(s.psi))
-        tau3_ref = hodge(s.d(s.phi))
+        tau2_ref = -1.0 * hodge(ce_differential(t, PSI))
+        tau3_ref = hodge(ce_differential(t, PHI))
         if (tf.tau2 - tau2_ref).norm() >= 1e-11:
             failures.append(f"sample {k}: tau2 != -*dpsi")
         if (tf.tau3 - tau3_ref).norm() >= 1e-11:
@@ -153,17 +153,17 @@ def test_criterion_3_formula_cross_check():
     rng = np.random.default_rng(31415)
     for k in range(25):
         A, B, C = _commuting_triple(rng)
-        s = structure(BracketTriple(A, B, C))
-        lap = laplacians(s)
-        dphi = s.d(s.phi)
-        dpsi = s.d(s.psi)
+        t = BracketTriple(A, B, C)
+        lap = laplacians(t)
+        dphi = ce_differential(t, PHI)
+        dpsi = ce_differential(t, PSI)
         pairs = [
             ("dphi", dphi, ref.general_dphi(A, B, C)),
             ("*dphi", hodge(dphi), ref.general_star_dphi(A, B, C)),
-            ("*d*dphi", hodge(s.d(hodge(dphi))), ref.general_star_d_star_dphi(A, B, C)),
+            ("*d*dphi", hodge(ce_differential(t, hodge(dphi))), ref.general_star_d_star_dphi(A, B, C)),
             ("dpsi", dpsi, ref.general_dpsi(A, B, C)),
             ("*dpsi", hodge(dpsi), ref.general_star_dpsi(A, B, C)),
-            ("d*dpsi", s.d(hodge(dpsi)), ref.general_d_star_dpsi(A, B, C)),
+            ("d*dpsi", ce_differential(t, hodge(dpsi)), ref.general_d_star_dpsi(A, B, C)),
         ]
         lap_ref = ref.general_star_d_star_dphi(A, B, C) - ref.general_d_star_dpsi(A, B, C)
         pairs.append(("lap phi", lap["phi"], lap_ref))
@@ -175,17 +175,17 @@ def test_criterion_3_formula_cross_check():
     for k in range(25):
         a, b, c = (rng.uniform(-2.0, 2.0, size=4) for _ in range(3))
         a, b, c = (v - v.mean() for v in (a, b, c))
-        s = structure(BracketTriple(np.diag(a), np.diag(b), np.diag(c)))
-        lap = laplacians(s)
-        dphi = s.d(s.phi)
-        dpsi = s.d(s.psi)
+        t = BracketTriple(np.diag(a), np.diag(b), np.diag(c))
+        lap = laplacians(t)
+        dphi = ce_differential(t, PHI)
+        dpsi = ce_differential(t, PSI)
         pairs = [
             ("dphi", dphi, ref.diagonal_dphi(a, b, c)),
             ("*dphi", hodge(dphi), ref.diagonal_star_dphi(a, b, c)),
-            ("*d*dphi", hodge(s.d(hodge(dphi))), ref.diagonal_star_d_star_dphi(a, b, c)),
+            ("*d*dphi", hodge(ce_differential(t, hodge(dphi))), ref.diagonal_star_d_star_dphi(a, b, c)),
             ("dpsi", dpsi, ref.diagonal_dpsi(a, b, c)),
             ("*dpsi", hodge(dpsi), ref.diagonal_star_dpsi(a, b, c)),
-            ("d*dpsi", s.d(hodge(dpsi)), ref.diagonal_d_star_dpsi(a, b, c)),
+            ("d*dpsi", ce_differential(t, hodge(dpsi)), ref.diagonal_d_star_dpsi(a, b, c)),
             ("lap phi", lap["phi"], ref.diagonal_lap_phi(a, b, c)),
             ("lap psi", lap["psi"], ref.diagonal_lap_psi(a, b, c)),
         ]
@@ -197,8 +197,7 @@ def test_criterion_3_formula_cross_check():
 
 def test_criterion_4_pinched_compact_example():
     failures = []
-    s = structure(closed_triple(1.0, 1.0, 1.0))
-    res = erp_residual(s)
+    res = erp_residual(closed_triple(1.0, 1.0, 1.0))
     if res["residual_norm"] >= 1e-9:
         failures.append(f"residual {res['residual_norm']} >= 1e-9 at (1,1,1)")
     if abs(res["tau_norm_sq"] - 24.0) > 1e-9:
@@ -206,8 +205,7 @@ def test_criterion_4_pinched_compact_example():
     F1 = homothety_invariant(closed_triple(1.0, 1.0, 1.0))
     if abs(F1 - 3.0) > 1e-9:
         failures.append(f"F = {F1} != 3 at (1,1,1)")
-    s2 = structure(closed_triple(2.0, 1.0, 1.0))
-    res2 = erp_residual(s2)
+    res2 = erp_residual(closed_triple(2.0, 1.0, 1.0))
     F2 = homothety_invariant(closed_triple(2.0, 1.0, 1.0))
     if abs(F2 - 2.0) > 1e-9:
         failures.append(f"F = {F2} != 2 at (2,1,1)")

@@ -154,6 +154,15 @@ def test_erp_check_rejects_unbalanced_points(capsys):
     assert payload["residual_norm"] > 0.1
 
 
+def test_erp_check_tol_after_the_subcommand(capsys):
+    code, payload = run_json(capsys, ["erp-check", "--closed", "1,1,1", "--tol", "1e-6"])
+    assert code == 0
+    assert payload["threshold"] == 1e-6
+    # a value before the subcommand is kept when none follows it
+    _, payload = run_json(capsys, ["--tol", "1e-7", "erp-check", "--closed", "1,1,1"])
+    assert payload["threshold"] == 1e-7
+
+
 def test_erp_check_requires_a_closed_structure(capsys):
     code = cli.run(["erp-check", "--triple", *COCLOSED_MATS])
     assert code == 2
@@ -226,6 +235,15 @@ def test_flow_json_output(capsys):
     assert payload["status"] in ("max_time", "converged")
 
 
+def test_flow_format_after_the_subcommand(capsys):
+    code, payload = run_json(capsys, [
+        "flow", "--init", "2,2,1,-1,0.5,0.5", "--t-max", "1", "--samples", "3",
+        "--format", "json"])
+    assert code == 0
+    assert len(payload["rows"]) == 3
+    assert payload["rows"][0][1:7] == [2.0, 2.0, 1.0, -1.0, 0.5, 0.5]
+
+
 def test_flow_requires_a_start(capsys):
     code = cli.run(["flow"])
     assert code == 2
@@ -239,7 +257,7 @@ def test_flow_sweep(tmp_path, capsys):
         "1,1,2,2,1,1\n"
         "1,1,1,-1,1,1\n")
     code = cli.run(["flow", "--sweep", str(sweep),
-                    "--t-max", "2", "--samples", "11", "--workers", "2"])
+                    "--t-max", "2", "--samples", "11"])
     out = capsys.readouterr().out
     assert code == 0
     starts = [ln for ln in out.splitlines() if ln.startswith("# start ")]
@@ -258,6 +276,15 @@ def test_flow_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("t,a1,a2,")
     assert text.endswith("\n")
+
+
+def test_flow_out_file_after_the_subcommand(tmp_path, capsys):
+    target = tmp_path / "traj.csv"
+    code = cli.run(["flow", "--init", "1,1,2,2,1,1", "--t-max", "2",
+                    "--samples", "11", "--out", str(target)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text().startswith("t,a1,a2,")
 
 
 # -- audit --------------------------------------------------------------------------

@@ -7,163 +7,150 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
-from g2solv import forms
-from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, hodge, inner, wedge
+from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, hodge, inner, wedge
 from g2solv.g2core import (
-    G2Structure,
     closed_family_invariant,
     closed_triple,
     erp_residual,
     laplacians,
-    structure,
     torsion_class,
     torsion_forms,
     trace_torsion,
 )
-from g2solv.liealg import BracketTriple
-
-
-def make_structure(mats):
-    return structure(BracketTriple(*mats))
+from g2solv.liealg import BracketTriple, ce_differential
 
 
 @st.composite
-def commuting_structures(draw):
+def commuting_triples(draw):
     seed = draw(st.integers(0, 100_000))
     rng = np.random.default_rng(seed)
-    return make_structure(dz.commuting_triple(rng))
+    return BracketTriple(*dz.commuting_triple(rng))
 
 
 @st.composite
-def diagonal_structures(draw):
+def diagonal_triples(draw):
     seed = draw(st.integers(0, 100_000))
     rng = np.random.default_rng(seed)
-    return make_structure(dz.diagonal_triple(rng))
-
-
-def test_structure_exposes_fixed_forms():
-    s = make_structure(dz.diagonal_triple(np.random.default_rng(0)))
-    assert s.phi is forms.PHI
-    assert s.psi is forms.PSI
+    return BracketTriple(*dz.diagonal_triple(rng))
 
 
 # -- torsion decomposition -------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
-@given(commuting_structures())
-def test_torsion_reconstructs_dphi(s):
-    tf = torsion_forms(s)
-    rebuilt = tf.tau0 * s.psi + 3.0 * wedge(tf.tau1, s.phi) + hodge(tf.tau3)
-    assert (rebuilt - s.d(s.phi)).norm() < 1e-11
+@given(commuting_triples())
+def test_torsion_reconstructs_dphi(t):
+    tf = torsion_forms(t)
+    rebuilt = tf.tau0 * PSI + 3.0 * wedge(tf.tau1, PHI) + hodge(tf.tau3)
+    assert (rebuilt - ce_differential(t, PHI)).norm() < 1e-11
 
 
 @settings(max_examples=30, deadline=None)
-@given(commuting_structures())
-def test_torsion_reconstructs_dpsi(s):
-    tf = torsion_forms(s)
-    rebuilt = 4.0 * wedge(tf.tau1, s.psi) + wedge(tf.tau2, s.phi)
-    assert (rebuilt - s.d(s.psi)).norm() < 1e-11
+@given(commuting_triples())
+def test_torsion_reconstructs_dpsi(t):
+    tf = torsion_forms(t)
+    rebuilt = 4.0 * wedge(tf.tau1, PSI) + wedge(tf.tau2, PHI)
+    assert (rebuilt - ce_differential(t, PSI)).norm() < 1e-11
 
 
 @settings(max_examples=30, deadline=None)
-@given(commuting_structures())
-def test_torsion_component_types(s):
-    tf = torsion_forms(s)
+@given(commuting_triples())
+def test_torsion_component_types(t):
+    tf = torsion_forms(t)
     assert tf.tau1.degree == 1
     assert tf.tau2.degree == 2
     assert tf.tau3.degree == 3
     # the scalar and vector parts see only the self-dual content, and the
     # 3-form part is orthogonal to the fixed 3-form
-    assert abs(inner(tf.tau3, s.phi)) < 1e-10
+    assert abs(inner(tf.tau3, PHI)) < 1e-10
     # tau2 lives in the 14-dimensional type component: psi ^ tau2 = 0
-    assert wedge(tf.tau2, s.psi).norm() < 1e-10
+    assert wedge(tf.tau2, PSI).norm() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
-@given(diagonal_structures())
-def test_diagonal_triples_have_pure_two_three_torsion(s):
-    tf = torsion_forms(s)
+@given(diagonal_triples())
+def test_diagonal_triples_have_pure_two_three_torsion(t):
+    tf = torsion_forms(t)
     assert tf.tau0 == pytest.approx(0.0, abs=1e-13)
     assert tf.tau1.norm() < 1e-13
-    assert (tf.tau2 + hodge(s.d(s.psi))).norm() < 1e-12
-    assert (tf.tau3 - hodge(s.d(s.phi))).norm() < 1e-12
+    assert (tf.tau2 + hodge(ce_differential(t, PSI))).norm() < 1e-12
+    assert (tf.tau3 - hodge(ce_differential(t, PHI))).norm() < 1e-12
 
 
 def test_torsion_class_flags():
     rng = np.random.default_rng(8)
-    diag = make_structure(dz.diagonal_triple(rng))
+    diag = BracketTriple(*dz.diagonal_triple(rng))
     cls = torsion_class(diag)
     assert cls == {"W1": False, "W2": True, "W3": True, "W4": False}
 
-    closed = structure(closed_triple(1.0, 1.0, 1.0))
+    closed = closed_triple(1.0, 1.0, 1.0)
     assert torsion_class(closed) == {
         "W1": False, "W2": True, "W3": False, "W4": False}
 
     from g2solv.coflow import CoclosedParams
-    coclosed = structure(CoclosedParams(1, 1, 1, -1, 1, 1).to_triple())
+    coclosed = CoclosedParams(1, 1, 1, -1, 1, 1).to_triple()
     assert torsion_class(coclosed) == {
         "W1": False, "W2": False, "W3": True, "W4": False}
 
 
 def test_torsion_class_of_flat_structure_is_empty():
-    s = make_structure([np.zeros((4, 4))] * 3)
-    assert torsion_class(s) == {
+    t = BracketTriple(*[np.zeros((4, 4))] * 3)
+    assert torsion_class(t) == {
         "W1": False, "W2": False, "W3": False, "W4": False}
 
 
 @settings(max_examples=25, deadline=None)
-@given(commuting_structures())
-def test_trace_torsion_matches_scalar_component(s):
-    tf = torsion_forms(s)
-    assert trace_torsion(s) == pytest.approx(1.75 * tf.tau0, abs=1e-12)
+@given(commuting_triples())
+def test_trace_torsion_matches_scalar_component(t):
+    tf = torsion_forms(t)
+    assert trace_torsion(t) == pytest.approx(1.75 * tf.tau0, abs=1e-12)
 
 
 def test_trace_torsion_vanishes_for_diagonal_triples():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        s = make_structure(dz.diagonal_triple(rng))
-        assert abs(trace_torsion(s)) < 1e-13
+        t = BracketTriple(*dz.diagonal_triple(rng))
+        assert abs(trace_torsion(t)) < 1e-13
 
 
 # -- Laplacians --------------------------------------------------------------------
 
 
 @settings(max_examples=20, deadline=None)
-@given(commuting_structures())
-def test_laplacians_match_dense_oracle(s):
-    A, B, C = s.triple.matrices()
+@given(commuting_triples())
+def test_laplacians_match_dense_oracle(t):
+    A, B, C = t.matrices()
     c = dz.structure_tensor(A, B, C)
-    Tphi = dz.from_kform(s.phi)
-    Tpsi = dz.from_kform(s.psi)
+    Tphi = dz.from_kform(PHI)
+    Tpsi = dz.from_kform(PSI)
     dphi = dz.d(c, Tphi, 3)
     dpsi = dz.d(c, Tpsi, 4)
     lap = dz.hodge(dz.d(c, dz.hodge(dphi, 4), 3), 4) - dz.d(c, dz.hodge(dpsi, 5), 2)
-    got = laplacians(s)
+    got = laplacians(t)
     assert dz.max_dev(lap, 3, got["phi"]) < 1e-11
     assert dz.max_dev(dz.hodge(lap, 3), 4, got["psi"]) < 1e-11
 
 
 @settings(max_examples=20, deadline=None)
-@given(commuting_structures())
-def test_laplacian_duality(s):
-    got = laplacians(s)
+@given(commuting_triples())
+def test_laplacian_duality(t):
+    got = laplacians(t)
     assert (hodge(got["phi"]) - got["psi"]).norm() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
-@given(diagonal_structures())
-def test_diagonal_laplacians_match_reference_formulas(s):
-    A, B, C = s.triple.matrices()
+@given(diagonal_triples())
+def test_diagonal_laplacians_match_reference_formulas(t):
+    A, B, C = t.matrices()
     a, b, c = np.diag(A), np.diag(B), np.diag(C)
-    got = laplacians(s)
+    got = laplacians(t)
     assert (got["phi"] - rf.diagonal_lap_phi(a, b, c)).norm() < 1e-11
     assert (got["psi"] - rf.diagonal_lap_psi(a, b, c)).norm() < 1e-11
 
 
 def test_flat_structure_is_harmonic():
-    s = make_structure([np.zeros((4, 4))] * 3)
-    got = laplacians(s)
+    t = BracketTriple(*[np.zeros((4, 4))] * 3)
+    got = laplacians(t)
     assert got["phi"].norm() == 0.0
     assert got["psi"].norm() == 0.0
 
@@ -181,8 +168,8 @@ def test_closed_triple_sign_patterns():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
 def test_closed_triple_is_closed(a, b, c):
-    s = structure(closed_triple(a, b, c))
-    assert s.d(s.phi).norm() < 1e-12
+    t = closed_triple(a, b, c)
+    assert ce_differential(t, PHI).norm() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,22 +202,22 @@ def test_closed_family_invariant_examples():
 
 
 def test_pinching_residual_vanishes_on_the_distinguished_point():
-    s = structure(closed_triple(1.0, 1.0, 1.0))
-    res = erp_residual(s)
+    t = closed_triple(1.0, 1.0, 1.0)
+    res = erp_residual(t)
     assert res["residual_norm"] < 1e-13
     assert res["tau_norm_sq"] == pytest.approx(24.0)
 
 
 def test_pinching_residual_scales_and_vanishes_on_the_ray():
-    s = structure(closed_triple(0.5, 0.5, 0.5))
-    res = erp_residual(s)
+    t = closed_triple(0.5, 0.5, 0.5)
+    res = erp_residual(t)
     assert res["residual_norm"] < 1e-13
     assert res["tau_norm_sq"] == pytest.approx(6.0)
 
 
 def test_torsion_two_form_on_the_distinguished_point():
-    s = structure(closed_triple(1.0, 1.0, 1.0))
-    tf = torsion_forms(s)
+    t = closed_triple(1.0, 1.0, 1.0)
+    tf = torsion_forms(t)
     expect = -2.0 * (OMEGA7_BAR + OMEGA1_BAR + OMEGA2_BAR)
     assert (tf.tau_two_form - expect).norm() < 1e-13
     assert (tf.tau2 - expect).norm() < 1e-13
@@ -238,21 +225,21 @@ def test_torsion_two_form_on_the_distinguished_point():
 
 
 def test_pinching_residual_positive_off_the_ray():
-    s = structure(closed_triple(2.0, 1.0, 1.0))
-    assert erp_residual(s)["residual_norm"] > 0.1
+    t = closed_triple(2.0, 1.0, 1.0)
+    assert erp_residual(t)["residual_norm"] > 0.1
 
 
 def test_pinching_residual_requires_closed():
     from g2solv.coflow import CoclosedParams
-    s = structure(CoclosedParams(1, 1, 1, -1, 1, 1).to_triple())
+    t = CoclosedParams(1, 1, 1, -1, 1, 1).to_triple()
     with pytest.raises(ValueError):
-        erp_residual(s)
+        erp_residual(t)
 
 
 def test_closed_laplacian_equals_derivative_of_torsion_form():
     # with dphi = 0 the 3-form Laplacian collapses to d of the torsion 2-form
     for abc in ((1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.5, -0.5, 1.0)):
-        s = structure(closed_triple(*abc))
-        tf = torsion_forms(s)
-        lhs = laplacians(s)["phi"]
-        assert (lhs - s.d(tf.tau_two_form)).norm() < 1e-12
+        t = closed_triple(*abc)
+        tf = torsion_forms(t)
+        lhs = laplacians(t)["phi"]
+        assert (lhs - ce_differential(t, tf.tau_two_form)).norm() < 1e-12

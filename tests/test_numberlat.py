@@ -13,6 +13,7 @@ from g2solv.numberlat import (
     companion,
     diagonalize,
     is_irreducible,
+    is_totally_real,
     mult_independence,
     poly_square_mod,
     roots,
@@ -61,6 +62,17 @@ def test_irreducibility_detects_quadratic_split():
     # (t^2 - 2)(t^2 - 3) and (t^2 - 1)^2
     assert not is_irreducible(QuarticPoly(6, 0, -5, 0))
     assert not is_irreducible(QuarticPoly(1, 0, -2, 0))
+
+
+def test_irreducibility_detects_a_quadratic_split_beyond_float_precision():
+    # (t^2 + b t + 1)(t^2 + 3 t + 1); the discriminant (b - 3)^2 exceeds 2^53
+    # here, and overflows a float sqrt for b = 10^160
+    for b in (2**60 + 100, 10**160):
+        p = QuarticPoly(1, b + 3, 3 * b + 2, b + 3)
+        assert not is_irreducible(p)
+        cert = certify_lattice(p, BUILTIN_EXAMPLES["kl-2015"]["units"])
+        assert cert.checks["irreducible"] is False
+        assert cert.reason == "polynomial or unit validation failed"
 
 
 def test_irreducibility_accepts_the_builtin_fields():
@@ -231,6 +243,26 @@ def test_certification_fails_on_complex_field():
                            BUILTIN_EXAMPLES["kl-2015"]["units"])
     assert not cert.verdict
     assert not cert.checks["totally_real"]
+
+
+def test_totally_real_counts_repeated_roots():
+    assert is_totally_real(P15) and is_totally_real(PS3)
+    assert is_totally_real(QuarticPoly(1, 0, -2, 0))  # (t^2 - 1)^2
+    assert is_totally_real(QuarticPoly(0, 0, 0, 0))  # t^4
+    assert not is_totally_real(QuarticPoly(1, 1, 1, 1))  # 5th cyclotomic
+    assert not is_totally_real(QuarticPoly(1, 0, 2, 0))  # (t^2 + 1)^2
+    assert not is_totally_real(QuarticPoly(-1, 0, 0, 0))  # t^4 - 1
+
+
+def test_certification_reports_a_square_as_totally_real_but_reducible():
+    units = [UnitSpec(0, 0, 1, 0)] * 3
+    square = certify_lattice(QuarticPoly(1, -6, 11, -6), units)  # (t^2 - 3t + 1)^2
+    assert square.checks["totally_real"] is True
+    assert square.checks["irreducible"] is False
+    assert square.verdict is False
+    cyclotomic = certify_lattice(QuarticPoly(1, 1, 1, 1), units)
+    assert cyclotomic.checks["totally_real"] is False
+    assert cyclotomic.verdict is False
 
 
 def test_certification_fails_on_non_unit():
