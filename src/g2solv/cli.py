@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -348,14 +349,22 @@ def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
                    help="write output to this file instead of stdout")
 
 
+# No option name starts with a digit or '.', so a token such as -0.5,1,1 or
+# "-1,0,0,0;..." is always a value; by default argparse reads only plain
+# numbers such as -1 or -.5 as values and rejects the rest.
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="g2solv", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap._negative_number_matcher = _NEGATIVE_VALUE
     _add_global_options(ap, top_level=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
         p = sub.add_parser(name, **kw)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         _add_global_options(p, top_level=False)
         return p
 

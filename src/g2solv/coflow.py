@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .forms import PSI, KForm, theta
 from .liealg import BracketTriple, homothety_invariant
@@ -113,6 +112,9 @@ class FlowOptions:
     atol: float = 1e-12
     samples: int = 1001
     window: float = 10.0
+    # a run is "converged" when drift * t_end / window stays below this, with
+    # drift the largest change of p/|p| over the trailing window; that product
+    # is the distance still to go when the approach is no faster than 1/t
     drift_tol: float = 1e-6
 
 
@@ -145,6 +147,8 @@ class FlowTrajectory:
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:
     """Integrate the coflow ODE with an adaptive RK45 pair."""
+    from scipy.integrate import solve_ivp  # imported here: it dominates `import g2solv`
+
     opts = opts or FlowOptions()
 
     def rhs(_t, y):
@@ -179,7 +183,7 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         if norms.min() > 0:
             dirs = pts / norms[:, None]
             drift = np.abs(dirs - dirs[-1]).max()
-            if drift < opts.drift_tol:
+            if drift * sol.t[-1] / opts.window < opts.drift_tol:
                 status = "converged"
     return FlowTrajectory(times=sol.t, params=sol.y.T, status=status, window=opts.window)
 
@@ -219,21 +223,19 @@ class SolitonSolution:
     residual: float
 
 
-# psi and theta_plus(E_k) psi = theta(-E_k) psi for the diagonal units
-# E_3..E_6: the right-hand side lam psi + theta_plus(D) psi of the soliton
-# equation is linear in them.
-_SOLITON_BASIS = (PSI, *(theta(-np.diag(e), PSI) for e in np.eye(4)))
+# Columns psi and theta_plus(E_k) psi = theta(-E_k) psi for the diagonal
+# units E_3..E_6: the right-hand side lam psi + theta_plus(D) psi of the
+# soliton equation is this matrix times (lam, d3..d6).
+_SOLITON_MATRIX = np.column_stack(
+    [PSI.vec, *(theta(-np.diag(e), PSI).vec for e in np.eye(4))])
 
 
 def _soliton_fit(target: KForm) -> dict:
     """Least-squares fit of target by lam psi + theta_plus(D) psi over the
     symmetric derivations D = Diag(0,0,0,d3..d6)."""
-    keys = sorted(set().union(target.coeffs, *(b.coeffs for b in _SOLITON_BASIS)))
-    M = np.array([[b.coeffs.get(I, 0.0) for b in _SOLITON_BASIS] for I in keys])
-    y = np.array([target.coeffs.get(I, 0.0) for I in keys])
-    x, *_ = np.linalg.lstsq(M, y, rcond=None)
+    x, *_ = np.linalg.lstsq(_SOLITON_MATRIX, target.vec, rcond=None)
     return {
-        "residual": float(np.linalg.norm(M @ x - y)),
+        "residual": float(np.linalg.norm(_SOLITON_MATRIX @ x - target.vec)),
         "best_lambda": float(x[0]),
         "best_D": x[1:].copy(),
     }
@@ -295,10 +297,10 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     pairs = soliton_candidates(a1, a2, b1, b2)
     lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)
     d = -lam / 4.0
-    rhs = lam * PSI + d * sum(_SOLITON_BASIS[2:], _SOLITON_BASIS[1])
+    rhs = _SOLITON_MATRIX @ [lam, d, d, d, d]
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        res = (laplacians(p.to_triple())["psi"] - rhs).norm()
+        res = float(np.linalg.norm(laplacians(p.to_triple())["psi"].vec - rhs))
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=res))
     return out

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 @dataclass
 class Tolerances:
-    # coefficient pruning applied after every floating-point form operation
+    # coefficients of at most this size are left out of KForm.coeffs and printing
     prune: float = 1e-14
     # a form counts as zero when its norm is below this (forms here have O(1) scale)
     zero_form: float = 1e-10

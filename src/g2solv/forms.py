@@ -1,18 +1,24 @@
 """Exterior algebra on a 7-dimensional oriented inner-product space.
 
-Forms are stored sparsely: a k-form is a map from strictly increasing index
-tuples (entries in 1..7) to real coefficients.  The basis covectors e^1..e^7
-are declared orthonormal and e^1234567 is the unit volume form, so the Hodge
-star, the pointwise inner product and interior products are all combinatorial.
+A k-form is one float vector over the C(7, k) increasing index tuples of
+degree k, in `itertools.combinations(range(1, 8), k)` order (`BASIS[k]`).
+The basis covectors e^1..e^7 are orthonormal and e^1234567 is the unit
+volume form, so every operation is a fixed linear map built once from index
+tables: wedge an index-and-sign table per degree pair, the Hodge star a
+signed permutation per degree, e^v ^ (.) a signed 0/1 matrix whose transpose
+is the interior product, and theta(D) = -sum D[k, m] e^m ^ i(e_k).
 
-The degree-0 case is the empty tuple ().  Wedging past top degree returns the
-zero form (clamped to degree 7) rather than raising; this keeps derivations
-and antiderivations uniform at the boundary.
+`KForm(degree, {I: c})` is the validated entry point; `.coeffs` is a
+read-only {I: c} view that leaves out entries of size at most `TOL.prune`.
+Wedging past top degree returns the zero 7-form rather than raising; this
+keeps derivations and antiderivations uniform at the boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,82 +26,67 @@ from .config import TOL
 
 DIM = 7
 _FULL = tuple(range(1, DIM + 1))
+BASIS = tuple(tuple(combinations(_FULL, k)) for k in range(DIM + 1))
+_INDEX = tuple({I: n for n, I in enumerate(b)} for b in BASIS)
 
 
-def _merge(I: tuple, J: tuple):
-    """Merge two strictly increasing tuples, tracking the permutation sign.
-
-    Returns (sign, merged) with sign in {+1, -1}, or (0, None) when the
-    tuples share an index (the wedge of repeated covectors vanishes).
-    """
-    sign = 1
-    out = []
-    i = j = 0
-    while i < len(I) and j < len(J):
-        a, b = I[i], J[j]
-        if a == b:
-            return 0, None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining entries of I
-            if (len(I) - i) % 2:
-                sign = -sign
-            out.append(b)
-            j += 1
-    out.extend(I[i:])
-    out.extend(J[j:])
-    return sign, tuple(out)
+def _sign(seq) -> int:
+    """Sign of the permutation sorting a tuple of distinct integers."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
-def _prune(coeffs: dict) -> dict:
-    return {I: c for I, c in coeffs.items() if abs(c) > TOL.prune}
-
-
-@dataclass(frozen=True)
 class KForm:
-    """Sparse k-form with a canonical coefficient map."""
+    """A k-form: its degree and its coefficient vector over BASIS[degree]."""
 
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("degree", "vec")
 
-    def __post_init__(self):
-        if not 0 <= self.degree <= DIM:
-            raise ValueError(f"degree must lie in 0..{DIM}, got {self.degree}")
-        clean = {}
-        for I, c in self.coeffs.items():
-            I = tuple(int(i) for i in I)
-            if len(I) != self.degree:
-                raise ValueError(f"index {I} does not match degree {self.degree}")
-            if any(not 1 <= i <= DIM for i in I):
-                raise ValueError(f"index {I} out of range 1..{DIM}")
-            if any(I[k] >= I[k + 1] for k in range(len(I) - 1)):
-                raise ValueError(f"index {I} must be strictly increasing")
-            c = float(c)
-            if abs(c) > TOL.prune:
-                clean[I] = c
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, degree: int, coeffs=None):
+        if not 0 <= degree <= DIM:
+            raise ValueError(f"degree must lie in 0..{DIM}, got {degree}")
+        vec = np.zeros(len(BASIS[degree]))
+        for I, c in (coeffs or {}).items():
+            n = _INDEX[degree].get(tuple(int(i) for i in I))
+            if n is None:
+                raise ValueError(f"index {I} is not an increasing {degree}-tuple "
+                                 f"from 1..{DIM}")
+            vec[n] = float(c)
+        self._set(degree, vec)
+
+    def _set(self, degree: int, vec: np.ndarray):
+        vec.flags.writeable = False
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "vec", vec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KForm is immutable")
+
+    @classmethod
+    def _of(cls, degree: int, vec: np.ndarray) -> "KForm":
+        out = cls.__new__(cls)
+        out._set(degree, vec)
+        return out
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        basis = BASIS[self.degree]
+        return MappingProxyType({basis[n]: c for n, c in enumerate(self.vec.tolist())
+                                 if abs(c) > TOL.prune})
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "KForm") -> "KForm":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for I, c in other.coeffs.items():
-            out[I] = out.get(I, 0.0) + c
-        return KForm(self.degree, _prune(out))
+        return KForm._of(self.degree, self.vec + other.vec)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.degree, {I: -c for I, c in self.coeffs.items()})
+        return KForm._of(self.degree, -self.vec)
 
     def __mul__(self, scalar: float) -> "KForm":
-        s = float(scalar)
-        return KForm(self.degree, _prune({I: s * c for I, c in self.coeffs.items()}))
+        return KForm._of(self.degree, float(scalar) * self.vec)
 
     __rmul__ = __mul__
 
@@ -105,18 +96,19 @@ class KForm:
     # -- queries -------------------------------------------------------------
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
+        return float(np.sqrt(self.vec @ self.vec))
 
     def is_zero(self, tol: float | None = None) -> bool:
         return self.norm() <= (TOL.zero_form if tol is None else tol)
 
     def scalar(self) -> float:
         """Coefficient of a 0- or 7-form as a plain number."""
-        if self.degree == 0:
-            return self.coeffs.get((), 0.0)
-        if self.degree == DIM:
-            return self.coeffs.get(_FULL, 0.0)
-        raise ValueError("scalar() only applies to degree 0 or 7")
+        if self.degree not in (0, DIM):
+            raise ValueError("scalar() only applies to degree 0 or 7")
+        return float(self.vec[0])
+
+    def __repr__(self):
+        return f"KForm({self.degree}, {dict(self.coeffs)!r})"
 
     def __str__(self):
         return format_form(self)
@@ -125,49 +117,46 @@ class KForm:
 def monomial(indices, coeff: float = 1.0) -> KForm:
     """Single basis monomial coeff * e^{indices}; indices need not be sorted."""
     idx = tuple(int(i) for i in indices)
-    sign = 1
-    srt = list(idx)
-    # insertion sort, counting swaps
-    for a in range(1, len(srt)):
-        b = a
-        while b > 0 and srt[b - 1] > srt[b]:
-            srt[b - 1], srt[b] = srt[b], srt[b - 1]
-            sign = -sign
-            b -= 1
-    if len(set(srt)) != len(srt):
-        return KForm(len(idx), {})
-    return KForm(len(idx), {tuple(srt): sign * float(coeff)})
+    if len(set(idx)) != len(idx):
+        return zero_form(len(idx))
+    return KForm(len(idx), {tuple(sorted(idx)): _sign(idx) * float(coeff)})
 
 
 def zero_form(degree: int) -> KForm:
-    return KForm(degree, {})
+    return KForm(degree)
+
+
+@cache
+def _wedge_table(k: int, l: int):
+    """(out, left, right, sign) with e^I ^ e^J = sign e^K for disjoint I, J."""
+    rows = []
+    for o, K in enumerate(BASIS[k + l]):
+        for I in combinations(K, k):
+            J = tuple(x for x in K if x not in I)
+            rows.append((o, _INDEX[k][I], _INDEX[l][J], _sign(I + J)))
+    out, left, right, sign = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return out, left, right, sign.astype(float)
 
 
 def wedge(alpha: KForm, beta: KForm) -> KForm:
     """Exterior product.  Degrees beyond 7 clamp to the zero 7-form."""
     deg = alpha.degree + beta.degree
     if deg > DIM:
-        return KForm(DIM, {})
-    out: dict = {}
-    for I, x in alpha.coeffs.items():
-        for J, y in beta.coeffs.items():
-            s, K = _merge(I, J)
-            if s:
-                out[K] = out.get(K, 0.0) + s * x * y
-    return KForm(deg, _prune(out))
+        return zero_form(DIM)
+    out, left, right, sign = _wedge_table(alpha.degree, beta.degree)
+    terms = sign * alpha.vec[left] * beta.vec[right]
+    return KForm._of(deg, np.bincount(out, terms, minlength=len(BASIS[deg])))
 
 
-def _complement_sign(I: tuple):
-    """Complement J of I in 1..7 and the sign with e^I ^ e^J = sign * vol."""
-    inI = set(I)
-    J = tuple(i for i in _FULL if i not in inI)
-    # inversions between the blocks I and J of the concatenation (I, J)
-    inv = 0
-    for a in I:
-        for b in J:
-            if a > b:
-                inv += 1
-    return (-1) ** inv, J
+@cache
+def _hodge_table(k: int):
+    """(source, sign) with *e^I = sign e^J for each J of degree 7 - k."""
+    src, sign = [], []
+    for J in BASIS[DIM - k]:
+        I = tuple(i for i in _FULL if i not in J)
+        src.append(_INDEX[k][I])
+        sign.append(_sign(I + J))
+    return np.array(src), np.array(sign, dtype=float)
 
 
 def hodge(alpha: KForm) -> KForm:
@@ -175,95 +164,70 @@ def hodge(alpha: KForm) -> KForm:
 
     With this convention hodge(hodge(x)) == x in every degree (n = 7 odd).
     """
-    out = {}
-    for I, c in alpha.coeffs.items():
-        s, J = _complement_sign(I)
-        out[J] = s * c
-    return KForm(DIM - alpha.degree, _prune(out))
+    src, sign = _hodge_table(alpha.degree)
+    return KForm._of(DIM - alpha.degree, sign * alpha.vec[src])
+
+
+@cache
+def _covector_wedge(k: int) -> np.ndarray:
+    """[E_1 .. E_7] side by side, E_v the matrix of e^v ^ (.) from k-forms to
+    (k+1)-forms; the transpose of E_v is the interior product i(e_v)."""
+    out, left, right, sign = _wedge_table(1, k)
+    W = np.zeros((len(BASIS[k + 1]), DIM * len(BASIS[k])))
+    W[out, left * len(BASIS[k]) + right] = sign
+    return W
 
 
 def interior(v: int, alpha: KForm) -> KForm:
-    """Contraction with the basis vector e_v (an antiderivation)."""
+    """Contraction with the basis vector e_v, the adjoint of e^v ^ (.)."""
     v = int(v)
     if not 1 <= v <= DIM:
         raise ValueError(f"vector index must lie in 1..{DIM}")
     if alpha.degree == 0:
-        return KForm(0, {})
-    out: dict = {}
-    for I, c in alpha.coeffs.items():
-        if v in I:
-            p = I.index(v)
-            J = I[:p] + I[p + 1:]
-            out[J] = out.get(J, 0.0) + ((-1) ** p) * c
-    return KForm(alpha.degree - 1, _prune(out))
+        return zero_form(0)
+    n = len(BASIS[alpha.degree - 1])
+    E = _covector_wedge(alpha.degree - 1)[:, (v - 1) * n:v * n]
+    return KForm._of(alpha.degree - 1, E.T @ alpha.vec)
 
 
 def inner(alpha: KForm, beta: KForm) -> float:
     """Pointwise inner product; basis monomials are orthonormal in each degree."""
     if alpha.degree != beta.degree:
         raise ValueError("inner product needs equal degrees")
-    small, big = alpha.coeffs, beta.coeffs
-    if len(big) < len(small):
-        small, big = big, small
-    return float(sum(c * big.get(I, 0.0) for I, c in small.items()))
-
-
-def _theta_rows(D: np.ndarray):
-    """Normalize a 4x4 (acting on e_3..e_6) or 7x7 matrix to covector rules.
-
-    Yields the active covector indices together with (row of D, index base),
-    so that e^k transforms with coefficients -D[row(k), row(m)].
-    """
-    D = np.asarray(D, dtype=float)
-    if D.shape == (4, 4):
-        return D, {3: 0, 4: 1, 5: 2, 6: 3}
-    if D.shape == (DIM, DIM):
-        return D, {k: k - 1 for k in _FULL}
-    raise ValueError("theta expects a 4x4 or 7x7 matrix")
+    return float(alpha.vec @ beta.vec)
 
 
 def theta(D, alpha: KForm) -> KForm:
     """Representation of gl acting on forms by the dual derivation.
 
     On covectors theta(D) e^k = -sum_m D[k, m] e^m, extended to all degrees
-    as a derivation of degree zero.  A 4x4 argument acts on e^3..e^6 only and
-    leaves e^1, e^2, e^7 untouched; a 7x7 argument acts on the whole basis.
+    as the derivation -sum_{k,m} D[k, m] e^m ^ i(e_k).  A 4x4 argument acts
+    on e^3..e^6 only and leaves e^1, e^2, e^7 untouched; a 7x7 argument acts
+    on the whole basis.
     """
-    D, rows = _theta_rows(D)
-    out: dict = {}
-    for I, c in alpha.coeffs.items():
-        for slot, k in enumerate(I):
-            r = rows.get(k)
-            if r is None:
-                continue
-            for m, rm in rows.items():
-                coeff = D[r, rm]
-                if coeff == 0.0:
-                    continue
-                if m in I and m != k:
-                    continue
-                # replace the covector in this slot and resort
-                repl = I[:slot] + (m,) + I[slot + 1:]
-                mono = monomial(repl, -coeff * c)
-                for J, x in mono.coeffs.items():
-                    out[J] = out.get(J, 0.0) + x
-    return KForm(alpha.degree, _prune(out))
+    D = np.asarray(D, dtype=float)
+    if D.shape == (4, 4):
+        D, D4 = np.zeros((DIM, DIM)), D
+        D[2:6, 2:6] = D4
+    elif D.shape != (DIM, DIM):
+        raise ValueError("theta expects a 4x4 or 7x7 matrix")
+    if alpha.degree == 0:
+        return zero_form(0)
+    W = _covector_wedge(alpha.degree - 1)
+    contractions = (W.T @ alpha.vec).reshape(DIM, -1)  # row k: i(e_k) alpha
+    return KForm._of(alpha.degree, -(W @ (D.T @ contractions).ravel()))
 
 
 def format_form(alpha: KForm, precision: int = 3) -> str:
     """Render as a signed monomial sum, e.g. '+1.000 e^{127} -2.000 e^{34}'."""
-    if not alpha.coeffs:
+    coeffs = alpha.coeffs
+    if not coeffs:
         return "0"
     parts = []
-    for I in sorted(alpha.coeffs):
-        c = alpha.coeffs[I]
+    for I, c in coeffs.items():
         label = "1" if I == () else "".join(str(i) for i in I)
         parts.append(f"{c:+.{precision}f} e^{{{label}}}")
     return " ".join(parts)
-
-
-def close(alpha: KForm, beta: KForm, tol: float | None = None) -> bool:
-    return (alpha - beta).is_zero(tol)
 
 
 # Fixed forms of the model structure.  omega_7/1/2 span the self-dual 2-forms

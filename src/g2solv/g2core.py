@@ -6,8 +6,8 @@ The positive 3-form is the fixed
 
 with dual 4-form psi = *phi, and the metric is the one making e_1..e_7
 orthonormal.  Structure-dependence enters purely through the exterior
-derivative of the algebra, so every quantity here is a finite combinatorial
-computation on sparse forms.
+derivative of the algebra, so every quantity here is finite linear algebra
+on the coefficient vectors of forms.
 
 Torsion components are normalized by
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .forms import DIM, KForm, _prune, wedge, monomial
+from .forms import DIM, KForm, monomial, theta, wedge, zero_form
 
 # presentation permutation: internal order (e1..e7) -> display order (e7,e1,e2,e3..e6)
 _DISPLAY = [6, 0, 1, 2, 3, 4, 5]
@@ -62,43 +62,23 @@ class CompatibilityReport:
     reason: str
 
 
-def _covector_differentials(t: BracketTriple):
-    """de^k for k = 3..6; the a-covectors e^1, e^2, e^7 are closed.
-
-    For an n-covector f^k dual to e_{k+2}, the Chevalley-Eilenberg rule
-    de(x, y) = -e([x, y]) gives
-        df^k = -sum_j A[k,j] e^7^f^j - sum_j B[k,j] e^1^f^j - sum_j C[k,j] e^2^f^j.
-    """
-    A, B, C = t.matrices()
-    d = {}
-    for k in range(4):
-        out: dict = {}
-        for j in range(4):
-            for M, a_idx in ((A, 7), (B, 1), (C, 2)):
-                c = M[k, j]
-                if c == 0.0:
-                    continue
-                mono = monomial((a_idx, j + 3), -c)
-                for I, x in mono.coeffs.items():
-                    out[I] = out.get(I, 0.0) + x
-        d[k + 3] = KForm(2, _prune(out))
-    return d
+_A_COVECTORS = tuple(monomial((a,)) for a in (7, 1, 2))  # paired with A, B, C
 
 
 def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
-    """Chevalley-Eilenberg exterior derivative of a left-invariant form."""
+    """Chevalley-Eilenberg exterior derivative of a left-invariant form,
+
+        d = e^7 ^ theta(A) + e^1 ^ theta(B) + e^2 ^ theta(C).
+
+    Each term is an antiderivation that kills e^1, e^2, e^7 and sends an
+    n-covector f^k (dual to e_{k+2}) to its share of the rule de(x, y) =
+    -e([x, y]):  df^k = -sum_j (A[k,j] e^7 + B[k,j] e^1 + C[k,j] e^2) ^ f^j.
+    """
     if alpha.degree >= DIM:
-        return KForm(DIM, {})
-    dcov = _covector_differentials(t)
-    out = KForm(alpha.degree + 1, {})
-    for I, c in alpha.coeffs.items():
-        for slot, k in enumerate(I):
-            dk = dcov.get(k)
-            if dk is None or not dk.coeffs:
-                continue
-            rest = monomial(I[:slot] + I[slot + 1:], ((-1) ** slot) * c)
-            # dk has even degree, so it slides to the front without a sign
-            out = out + wedge(dk, rest)
+        return zero_form(DIM)
+    out = zero_form(alpha.degree + 1)
+    for e, M in zip(_A_COVECTORS, t.matrices()):
+        out = out + wedge(e, theta(M, alpha))
     return out
 
 

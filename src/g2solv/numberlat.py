@@ -360,8 +360,11 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     )
     checks = cert.checks
     try:
-        checks["irreducible"] = is_irreducible(p)
-        checks["unit_constant_term"] = p.a0 in (1, -1)
+        # the factorization search costs sqrt|a0| steps: skip it (None, "not
+        # decided") when a0 != +-1 already rules the polynomial out
+        unit = p.a0 in (1, -1)
+        checks["irreducible"] = is_irreducible(p) if unit else None
+        checks["unit_constant_term"] = unit
         checks["totally_real"] = is_totally_real(p)
 
         mats = []

@@ -1,4 +1,4 @@
-"""Brute-force dense exterior algebra used to cross-check the sparse package.
+"""Brute-force dense exterior algebra used to cross-check the package.
 
 Forms of degree p are stored as fully antisymmetric numpy arrays of shape
 (7,)*p with zero-based indices.  Every operation below works on that
@@ -53,7 +53,7 @@ def from_kform(alpha):
 
 
 def max_dev(T, degree, alpha):
-    """Largest componentwise gap between a dense tensor and a sparse form."""
+    """Largest componentwise gap between a dense tensor and a package form."""
     da = to_dict(T, degree)
     keys = set(da) | set(alpha.coeffs)
     return max((abs(da.get(I, 0.0) - alpha.coeffs.get(I, 0.0)) for I in keys),

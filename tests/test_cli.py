@@ -1,10 +1,14 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import g2solv
 from g2solv import cli
 from g2solv.numberlat import BUILTIN_EXAMPLES
 
@@ -111,6 +115,14 @@ def test_torsion_explicit_triple_matches_coclosed(capsys):
     assert p1["scal"] == pytest.approx(p2["scal"], abs=1e-12)
 
 
+def test_torsion_triple_with_a_negative_first_entry(capsys):
+    mats = ["-1,0,0,0;0,1,0,0;0,0,-1,0;0,0,0,1", *COCLOSED_MATS[1:]]
+    code1, p1 = run_json(capsys, ["torsion", "--triple", *mats])
+    code2, p2 = run_json(capsys, ["torsion", "--coclosed", "-1,-1,1,-1,1,1"])
+    assert code1 == code2 == 0
+    assert p1 == p2
+
+
 def test_torsion_matrix_from_file(tmp_path, capsys):
     paths = []
     for i, text in enumerate(COCLOSED_MATS):
@@ -198,6 +210,13 @@ def test_soliton_empty_branch(capsys):
     assert payload["solutions"] == []
 
 
+def test_soliton_base_with_a_negative_first_entry(capsys):
+    code, payload = run_json(capsys, ["soliton", "--base", "-0.5,1,1,-1"])
+    assert code == 0
+    assert payload["base"] == [-0.5, 1.0, 1.0, -1.0]
+    assert all(item["residual"] < 1e-12 for item in payload["solutions"])
+
+
 def test_soliton_malformed_base(capsys):
     assert cli.run(["soliton", "--base", "1,2,3"]) == 2
 
@@ -242,6 +261,15 @@ def test_flow_format_after_the_subcommand(capsys):
     assert code == 0
     assert len(payload["rows"]) == 3
     assert payload["rows"][0][1:7] == [2.0, 2.0, 1.0, -1.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("init", [["--init", "-0.5,1,1,-1,1,1"],
+                                  ["--init=-0.5,1,1,-1,1,1"]])
+def test_flow_init_with_a_negative_first_entry(capsys, init):
+    code, payload = run_json(capsys, [
+        "flow", *init, "--t-max", "1", "--samples", "3", "--format", "json"])
+    assert code == 0
+    assert payload["rows"][0][1:7] == [-0.5, 1.0, 1.0, -1.0, 1.0, 1.0]
 
 
 def test_flow_requires_a_start(capsys):
@@ -315,3 +343,20 @@ def test_audit_out_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert len(payload["claims"]) == 5
+
+
+# -- import cost ----------------------------------------------------------------------
+
+
+def test_lattice_and_torsion_commands_do_not_import_scipy():
+    # scipy.integrate dominates the import time and only `flow` needs it
+    code = ("import sys; from g2solv import cli; "
+            "cli.run(['verify-lattice', '--example', 'kl-2015']); "
+            "cli.run(['torsion', '--closed', '1,1,1']); "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    src = os.path.dirname(os.path.dirname(g2solv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -138,6 +138,15 @@ def test_symmetric_family_converges_to_the_split_direction():
     assert lim["window_drift"] < 1e-8
 
 
+def test_an_algebraic_approach_is_not_called_converged():
+    # On the slice (a, a, b, -b, c, c) the direction nears the soliton ray like
+    # 1/t, so at t = 2000 the window drift is small while the direction is
+    # still 5e-5 from its limit: drift * t / window is about 1.1e-4.
+    traj = integrate(CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5), 2000.0,
+                     FlowOptions(samples=2001))
+    assert traj.status == "max_time"
+
+
 def test_product_ab_is_conserved_on_the_symmetric_family():
     traj = integrate(CoclosedParams(1.0, 1.0, 2.0, 2.0, 1.0, 1.0), 50.0,
                      FlowOptions(samples=501))

@@ -1,5 +1,7 @@
 """Solvable algebra layer: differential, compatibility and curvature."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,17 @@ def test_differential_matches_koszul_oracle(seed, deg, data):
     got = ce_differential(t, a)
     T = dz.d(c, dz.from_kform(a), deg)
     assert dz.max_dev(T, deg + 1, got) < 1e-11
+
+
+def test_differential_matches_koszul_oracle_on_every_monomial():
+    A, B, C = dz.commuting_triple(seeded_rng())
+    t = BracketTriple(A, B, C)
+    c = dz.structure_tensor(A, B, C)
+    for deg in range(8):
+        for I in itertools.combinations(range(1, 8), deg):
+            e = KForm(deg, {I: 1.0})
+            got = ce_differential(t, e)
+            assert dz.max_dev(dz.d(c, dz.from_kform(e), deg), got.degree, got) < 1e-12, I
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Quartic fields, unit actions and lattice certification."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ def test_certification_fails_on_reducible_polynomial():
                            BUILTIN_EXAMPLES["kl-2015"]["units"])
     assert not cert.verdict
     assert not cert.checks["irreducible"]
+    assert cert.reason == "polynomial or unit validation failed"
+
+
+def test_certification_skips_factoring_without_a_unit_constant_term():
+    # the divisor search would take sqrt(1e19) steps; a0 != +-1 decides first
+    p = QuarticPoly(10**19 + 1, 0, -(10**10), 0)
+    start = time.perf_counter()
+    cert = certify_lattice(p, BUILTIN_EXAMPLES["kl-2015"]["units"])
+    assert time.perf_counter() - start < 1.0
+    assert cert.checks["unit_constant_term"] is False
+    assert cert.checks["irreducible"] is None
+    assert not cert.verdict
     assert cert.reason == "polynomial or unit validation failed"
 
 
