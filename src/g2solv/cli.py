@@ -184,21 +184,17 @@ def _cmd_soliton(args) -> int:
 
 def _flow_rows(p0: CoclosedParams, t_max: float, samples: int):
     traj = integrate(p0, t_max, FlowOptions(samples=samples))
-    rows = []
-    for t, prm, F in zip(traj.times, traj.params, traj.invariants()):
-        r, s, tc = laplacian_coefficients(CoclosedParams.from_array(prm))
-        rows.append([t, *prm, float(prm @ prm), F, r, s, tc])
-    return traj, rows
+    table = np.column_stack([traj.times, traj.params, traj.norms(),
+                             traj.invariants(), traj.coefficients()])
+    return traj, table.tolist()
 
 
 _CSV_HEADER = "t,a1,a2,b1,b2,c1,c2,N,F,r,s,tc"
+_CSV_ROW = ",".join(["%.17g"] * len(_CSV_HEADER.split(",")))
 
 
 def _format_csv(rows) -> str:
-    lines = [_CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines)
+    return "\n".join([_CSV_HEADER, *(_CSV_ROW % tuple(row) for row in rows)])
 
 
 def _cmd_flow(args) -> int:

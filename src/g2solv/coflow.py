@@ -10,7 +10,10 @@ which is exactly the diagonal solution set of dpsi = 0.  The coflow
 d/dt psi = lap psi preserves the family and closes into a cubic ODE on the
 parameters; the ODE used by `integrate` is cross-validated against the
 bracket-flow derivation (theta acting on the structure constants) in the test
-suite rather than assumed.
+suite rather than assumed.  `integrate` solves it with an in-module
+Dormand-Prince 5(4) stepper (the RK45 method of Hairer, Norsett & Wanner,
+Solving ODEs I, II.4), and the per-sample reports (N, F, r, s, t) are array
+expressions over the whole trajectory.
 
 Sign convention: the derivation representation entering the soliton equation
 
@@ -24,15 +27,30 @@ below; with the opposite sign the same identity produces -lap psi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import PSI, KForm, theta
-from .liealg import BracketTriple, homothety_invariant
+from .liealg import BracketTriple, homothety_invariants
 from .g2core import laplacians, modified_laplacian_psi
 
 _BLOWUP = 1e8
+# points of the dense output on which the trailing-window drift is measured
+_WINDOW_POINTS = 11
+
+# diagonal entries of (A, B, C): the parameter slot and the sign of each
+_DIAGONAL_SLOTS = np.array([0, 0, 1, 1, 2, 3, 2, 3, 4, 5, 5, 4])
+_DIAGONAL_SIGNS = np.array([1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, -1])
+_MATRIX, _ENTRY = np.divmod(np.arange(12), 4)
+
+
+def _triples(P: np.ndarray) -> np.ndarray:
+    """Matrices (A, B, C) of parameter rows (..., 6), shape (..., 3, 4, 4)."""
+    mats = np.zeros(P.shape[:-1] + (3, 4, 4))
+    mats[..., _MATRIX, _ENTRY, _ENTRY] = P[..., _DIAGONAL_SLOTS] * _DIAGONAL_SIGNS
+    return mats
 
 
 @dataclass(frozen=True)
@@ -52,16 +70,19 @@ class CoclosedParams:
         return CoclosedParams(*(float(x) for x in p))
 
     def to_triple(self) -> BracketTriple:
-        a1, a2, b1, b2, c1, c2 = self.as_array()
-        return BracketTriple(
-            np.diag([a1, -a1, a2, -a2]),
-            np.diag([b1, b2, -b1, -b2]),
-            np.diag([c1, c2, -c2, -c1]),
-        )
+        return BracketTriple(*_triples(self.as_array()))
 
     def norm_sq(self) -> float:
         p = self.as_array()
         return float(p @ p)
+
+
+def _coefficients(P: np.ndarray) -> np.ndarray:
+    """(r, s, t) of `laplacian_coefficients` for parameter rows (..., 6)."""
+    a1, a2, b1, b2, c1, c2 = P.T
+    return np.array([(b1 + b2) ** 2 + (c1 + c2) ** 2,
+                     (a1 - a2) ** 2 + (b1 - b2) ** 2,
+                     (a1 + a2) ** 2 + (c1 - c2) ** 2]).T
 
 
 def laplacian_coefficients(p: CoclosedParams) -> tuple[float, float, float]:
@@ -69,9 +90,7 @@ def laplacian_coefficients(p: CoclosedParams) -> tuple[float, float, float]:
 
         lap psi = r w7^e12 - s w2^e17 + t w1^e27.
     """
-    r = (p.b1 + p.b2) ** 2 + (p.c1 + p.c2) ** 2
-    s = (p.a1 - p.a2) ** 2 + (p.b1 - p.b2) ** 2
-    t = (p.a1 + p.a2) ** 2 + (p.c1 - p.c2) ** 2
+    r, s, t = _coefficients(p.as_array()).tolist()
     return r, s, t
 
 
@@ -89,6 +108,15 @@ def flow_generator(p: CoclosedParams) -> np.ndarray:
     return q
 
 
+def _rate(y: np.ndarray) -> np.ndarray:
+    """Velocity of the parameter ODE at the 6-vector y; see `ode_rhs`."""
+    a1, a2, b1, b2, c1, c2 = y.tolist()
+    ka = -(a1 * a1 + a2 * a2) + 2 * b1 * b2 + 2 * c1 * c2
+    kb = -(b1 * b1 + b2 * b2) + 2 * a1 * a2 - 2 * c1 * c2
+    kc = -(c1 * c1 + c2 * c2) - 2 * a1 * a2 - 2 * b1 * b2
+    return np.array([ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2])
+
+
 def ode_rhs(p: CoclosedParams) -> np.ndarray:
     """Right-hand side of the parameter ODE induced by the coflow.
 
@@ -99,11 +127,128 @@ def ode_rhs(p: CoclosedParams) -> np.ndarray:
         bi' = (-(b1^2+b2^2) + 2 a1 a2 - 2 c1 c2) bi
         ci' = (-(c1^2+c2^2) - 2 a1 a2 - 2 b1 b2) ci.
     """
-    a1, a2, b1, b2, c1, c2 = p.as_array()
-    ka = -(a1 * a1 + a2 * a2) + 2 * b1 * b2 + 2 * c1 * c2
-    kb = -(b1 * b1 + b2 * b2) + 2 * a1 * a2 - 2 * c1 * c2
-    kc = -(c1 * c1 + c2 * c2) - 2 * a1 * a2 - 2 * b1 * b2
-    return np.array([ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2])
+    return _rate(p.as_array())
+
+
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): stage weights,
+# fifth-order weights, the weights of the error estimate (fifth minus fourth
+# order, the FSAL stage last) and the coefficients of the quartic dense output,
+# as in scipy's RK45.  The nodes are left out: the coflow rate does not depend
+# on t.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_A_ROWS = [_A[s, :s] for s in range(6)]
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+               -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x @ x) / x.size ** 0.5
+
+
+def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
+    """Hairer's starting step (Solving ODEs I, II.4) for an order-4 estimate."""
+    if t_end == 0.0:
+        return 0.0
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = _rms((rate(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _rk45(rate, y0, t_end, t_eval, rtol, atol):
+    """Integrate y' = rate(y) from t = 0 to t_end in Dormand-Prince steps.
+
+    Step for step scipy's RK45: the error is the RMS of the local estimate
+    over atol + rtol max(|y_old|, |y_new|); an accepted step scales h by
+    min(10, 0.9 err^(-1/5)), or by at most 1 right after a rejection, and a
+    rejected one by max(0.2, 0.9 err^(-1/5)).  Integration fails early when
+    |y|^2 crosses _BLOWUP upwards at the end of a step or when the step
+    drops below 10 ulp of t.
+
+    Returns the states at the leading entries of the sorted times t_eval
+    that were reached (after a blow-up, those before the first state with
+    |y|^2 >= _BLOWUP), the dense output as a function of times in the
+    reached range, and whether t_end was reached.
+    """
+    y = np.asarray(y0, dtype=float)
+    f = rate(y)
+    norm_sq = y @ y
+    K = np.empty((7, y.size))
+    t, h_abs, ok = 0.0, _initial_step(rate, y, f, t_end, rtol, atol), True
+    starts, steps, states, coefs = [], [], [], []
+    while ok and t < t_end:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_end)
+            h_abs = h = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rate(y + np.dot(K[:s].T, _A_ROWS[s]) * h)
+            y_new = y + h * np.dot(K[:6].T, _B)
+            K[6] = f_new = rate(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _E) * h / scale)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** (-1 / 5))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** (-1 / 5))
+            rejected = True
+        else:  # the step size collapsed
+            break
+        starts.append(t)
+        steps.append(h)
+        states.append(y)
+        coefs.append(K.T.dot(_P))
+        norm_new = y_new @ y_new
+        ok = not norm_sq <= _BLOWUP <= norm_new
+        t, y, f, norm_sq = t_new, y_new, f_new, norm_new
+    ok = ok and t >= t_end
+    ends = np.array(starts[1:] + [t])
+    starts, steps = np.array(starts), np.array(steps)
+    states, coefs = np.array(states), np.array(coefs)
+
+    def dense(ts):
+        ts = np.asarray(ts, dtype=float)
+        if not len(steps):
+            return np.tile(y, (len(ts), 1))
+        k = np.searchsorted(ends, ts)  # the step with start < t <= end
+        x = (ts - starts[k]) / steps[k]
+        powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+        return states[k] + steps[k, None] * np.einsum("kij,kj->ki", coefs[k], powers)
+
+    ys = dense(t_eval[:np.searchsorted(t_eval, t, side="right")])
+    if not ok:
+        past = np.einsum("ij,ij->i", ys, ys) >= _BLOWUP
+        if past.any():
+            ys = ys[:past.argmax()]
+    return ys, dense, ok
 
 
 @dataclass
@@ -113,8 +258,9 @@ class FlowOptions:
     samples: int = 1001
     window: float = 10.0
     # a run is "converged" when drift * t_end / window stays below this, with
-    # drift the largest change of p/|p| over the trailing window; that product
-    # is the distance still to go when the approach is no faster than 1/t
+    # drift the largest change of p/|p| over the trailing window, read from
+    # the dense output at 11 equally spaced times; that product is the
+    # distance still to go when the approach is no faster than 1/t
     drift_tol: float = 1e-6
 
 
@@ -129,63 +275,40 @@ class FlowTrajectory:
         return np.einsum("ij,ij->i", self.params, self.params)
 
     def coefficients(self) -> np.ndarray:
-        out = np.empty((len(self.times), 3))
-        for i, row in enumerate(self.params):
-            out[i] = laplacian_coefficients(CoclosedParams.from_array(row))
-        return out
+        """(r, s, t) of `laplacian_coefficients` per sample, shape (n, 3)."""
+        return _coefficients(self.params)
 
     def invariants(self) -> np.ndarray:
         """Homothety invariant per sample; NaN on flat points."""
-        out = np.empty(len(self.times))
-        for i, row in enumerate(self.params):
-            try:
-                out[i] = homothety_invariant(CoclosedParams.from_array(row).to_triple())
-            except ValueError:
-                out[i] = np.nan
-        return out
+        return homothety_invariants(_triples(self.params))
 
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:
-    """Integrate the coflow ODE with an adaptive RK45 pair."""
-    from scipy.integrate import solve_ivp  # imported here: it dominates `import g2solv`
+    """Integrate the coflow ODE from t = 0 to t_max >= 0 with adaptive RK45
+    steps, sampled at `opts.samples` equally spaced times.
 
+    The status is "diverged" when |p|^2 reaches 1e8 or the step size
+    collapses (the samples then stop there), "converged" when the direction
+    p/|p| has settled (see `FlowOptions.drift_tol`) and "max_time" otherwise.
+    The drift is measured on the dense output at 11 equally spaced times of
+    the trailing window, so the status does not depend on the sample count.
+    """
     opts = opts or FlowOptions()
-
-    def rhs(_t, y):
-        return ode_rhs(CoclosedParams.from_array(y))
-
-    def blowup(_t, y):
-        return float(y @ y) - _BLOWUP
-
-    blowup.terminal = True
-    blowup.direction = 1.0
-
+    if not t_max >= 0.0:
+        raise ValueError("t_max must be nonnegative")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        p0.as_array(),
-        method="RK45",
-        rtol=opts.rtol,
-        atol=opts.atol,
-        t_eval=t_eval,
-        events=blowup,
-        dense_output=False,
-    )
-    if not sol.success or (sol.t_events and len(sol.t_events[0])):
-        status = "diverged"
-    else:
-        status = "max_time"
-        # trailing-window drift of the normalized state
-        mask = sol.t >= sol.t[-1] - opts.window
-        pts = sol.y.T[mask]
+    params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, opts.rtol, opts.atol)
+    status = "max_time" if ok else "diverged"
+    if ok:
+        pts = dense(np.linspace(max(0.0, t_max - opts.window), t_max, _WINDOW_POINTS))
         norms = np.linalg.norm(pts, axis=1)
         if norms.min() > 0:
             dirs = pts / norms[:, None]
             drift = np.abs(dirs - dirs[-1]).max()
-            if drift * sol.t[-1] / opts.window < opts.drift_tol:
+            if drift * t_max / opts.window < opts.drift_tol:
                 status = "converged"
-    return FlowTrajectory(times=sol.t, params=sol.y.T, status=status, window=opts.window)
+    return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status,
+                          window=opts.window)
 
 
 def normalized_limit(traj: FlowTrajectory) -> dict:

@@ -179,27 +179,20 @@ def ricci_operator(t: BracketTriple) -> np.ndarray:
     (A, B, C) with S the symmetrization; the n-block is
     (1/2)([A,A^T] + [B,B^T] + [C,C^T]); the two blocks never mix.
     """
-    return _ricci(*t.matrices())
+    return _ricci(np.stack(t.matrices()))
 
 
-def _ricci(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    def S(M):
-        return 0.5 * (M + M.T)
+# a-block order (e7, e1, e2) -> internal slots (6, 0, 1)
+_A_SLOTS = np.array([6, 0, 1])
 
-    trip = (A, B, C)
-    a_block = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            a_block[i, j] = -np.trace(S(trip[i]) @ S(trip[j]))
-    n_block = 0.5 * sum(M @ M.T - M.T @ M for M in trip)
 
-    ric = np.zeros((DIM, DIM))
-    # a-block order (e7, e1, e2) -> internal slots (6, 0, 1)
-    slots = [6, 0, 1]
-    for i in range(3):
-        for j in range(3):
-            ric[slots[i], slots[j]] = a_block[i, j]
-    ric[2:6, 2:6] = n_block
+def _ricci(mats: np.ndarray) -> np.ndarray:
+    """Ricci operators of triples stacked as (..., 3, 4, 4), shape (..., 7, 7)."""
+    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    ric = np.zeros(mats.shape[:-3] + (DIM, DIM))
+    ric[..., _A_SLOTS[:, None], _A_SLOTS] = -np.einsum("...iab,...jba->...ij", sym, sym)
+    ric[..., 2:6, 2:6] = 0.5 * (mats @ np.swapaxes(mats, -1, -2)
+                                - np.swapaxes(mats, -1, -2) @ mats).sum(axis=-3)
     return ric
 
 
@@ -207,23 +200,30 @@ def scalar_curvature(t: BracketTriple) -> float:
     return float(np.trace(ricci_operator(t)))
 
 
-def homothety_invariant(t: BracketTriple) -> float:
-    """scal^2 / tr(Ric^2), invariant under rescaling of the metric.
+def homothety_invariants(mats: np.ndarray) -> np.ndarray:
+    """scal^2 / tr(Ric^2) for triples stacked as (..., 3, 4, 4); NaN where flat.
 
-    The triple is first divided by its largest entry, so flatness is judged
+    Each triple is first divided by its largest entry, so flatness is judged
     at unit scale: the zero triple and triples with vanishing Ricci curvature
-    (commuting skew-symmetric matrices, say) raise, while any nonzero multiple
-    of a non-flat triple gets the same value as the triple itself.
+    (commuting skew-symmetric matrices, say) give NaN, while any nonzero
+    multiple of a non-flat triple gets the same value as the triple itself.
     """
-    mats = t.matrices()
-    scale = max(np.abs(M).max() for M in mats)
-    if scale == 0.0:
+    mats = np.asarray(mats, dtype=float)
+    scale = np.abs(mats).max(axis=(-3, -2, -1), keepdims=True, initial=0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ric = _ricci(mats / scale)
+        scal = np.trace(ric, axis1=-2, axis2=-1)
+        denom = np.einsum("...ij,...ji->...", ric, ric)
+        return np.where(denom > TOL.zero_form ** 2, scal ** 2 / denom, np.nan)
+
+
+def homothety_invariant(t: BracketTriple) -> float:
+    """scal^2 / tr(Ric^2), invariant under rescaling of the metric: the
+    one-triple case of `homothety_invariants`, raising on a flat metric."""
+    F = float(homothety_invariants(np.stack(t.matrices())))
+    if np.isnan(F):
         raise ValueError("homothety invariant undefined on a flat metric")
-    ric = _ricci(*(M / scale for M in mats))
-    denom = float(np.trace(ric @ ric))
-    if denom <= TOL.zero_form ** 2:
-        raise ValueError("homothety invariant undefined on a flat metric")
-    return float(np.trace(ric)) ** 2 / denom
+    return F
 
 
 def solvsoliton_check(t: BracketTriple, tol: float = 1e-9) -> dict:

@@ -1,7 +1,9 @@
 """End-to-end tests for the command line front end."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import pytest
 
 import g2solv
 from g2solv import cli
+from g2solv.coflow import CoclosedParams, laplacian_coefficients
+from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES
 
 COCLOSED_MATS = [
@@ -243,6 +247,28 @@ def test_flow_csv_output(capsys):
     assert max(np.diff(ns)) <= 1e-9
 
 
+def test_flow_csv_rows_equal_the_per_row_formulas(capsys):
+    code = cli.run(["flow", "--init=0.3,-1.2,0.7,1.1,-0.4,0.9",
+                    "--t-max", "5", "--samples", "41"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:-1]])
+    assert rows.shape == (41, 12)
+    for row in rows:
+        p = CoclosedParams.from_array(row[1:7])
+        assert row[7] == pytest.approx(p.norm_sq(), rel=1e-15)
+        assert row[8] == pytest.approx(homothety_invariant(p.to_triple()), rel=1e-12)
+        assert tuple(row[9:]) == laplacian_coefficients(p)
+
+
+def test_flow_status_does_not_depend_on_the_sample_count(capsys):
+    # 101 samples over t = 2000 are 20 apart, wider than the 10-unit window
+    code = cli.run(["flow", "--init=2,2,1,-1,0.5,0.5", "--t-max", "2000",
+                    "--samples", "101"])
+    assert code == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "# status max_time"
+
+
 def test_flow_json_output(capsys):
     code, payload = run_json(capsys, [
         "--format", "json", "flow", "--init", "1,1,2,2,1,1",
@@ -348,11 +374,15 @@ def test_audit_out_file(tmp_path, capsys):
 # -- import cost ----------------------------------------------------------------------
 
 
-def test_lattice_and_torsion_commands_do_not_import_scipy():
-    # scipy.integrate dominates the import time and only `flow` needs it
+def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
+    # scipy is a test oracle only: no command, the flow included, loads it
+    starts = tmp_path / "starts.txt"
+    starts.write_text("1,1,2,2,1,1\n0.3,-1.2,0.7,1.1,-0.4,0.9\n")
     code = ("import sys; from g2solv import cli; "
             "cli.run(['verify-lattice', '--example', 'kl-2015']); "
             "cli.run(['torsion', '--closed', '1,1,1']); "
+            "cli.run(['flow', '--init=-0.5,1,1,-1,1,1', '--t-max', '2', '--samples', '5']); "
+            f"cli.run(['flow', '--sweep', {str(starts)!r}, '--t-max', '2', '--samples', '5']); "
             "assert 'scipy' not in sys.modules, 'scipy was imported'")
     src = os.path.dirname(os.path.dirname(g2solv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -360,3 +390,15 @@ def test_lattice_and_torsion_commands_do_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_package_module_imports_scipy():
+    for path in pathlib.Path(g2solv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name

@@ -24,7 +24,7 @@ from g2solv.coflow import (
 )
 from g2solv.forms import monomial, theta, wedge
 from g2solv.g2core import laplacians
-from g2solv.liealg import ce_differential
+from g2solv.liealg import ce_differential, homothety_invariant
 
 SOLITON = CoclosedParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 
@@ -147,6 +147,27 @@ def test_an_algebraic_approach_is_not_called_converged():
     assert traj.status == "max_time"
 
 
+@pytest.mark.parametrize("samples", [3, 101, 2001])
+def test_status_does_not_depend_on_the_sample_count(samples):
+    # the drift is read from the dense output on a fixed grid of the trailing
+    # window, so a sample spacing wider than the window cannot hide it
+    algebraic = integrate(CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5), 2000.0,
+                          FlowOptions(samples=samples))
+    assert algebraic.status == "max_time"
+    assert len(algebraic.times) == samples
+    settled = integrate(CoclosedParams(1.0, 1.0, 2.0, 2.0, 1.0, 1.0), 50.0,
+                        FlowOptions(samples=samples))
+    assert settled.status == "converged"
+
+
+def test_zero_and_negative_flow_times():
+    traj = integrate(SOLITON, 0.0, FlowOptions(samples=3))
+    assert np.array_equal(traj.times, np.zeros(3))
+    assert np.array_equal(traj.params, np.tile(SOLITON.as_array(), (3, 1)))
+    with pytest.raises(ValueError):
+        integrate(SOLITON, -1.0)
+
+
 def test_product_ab_is_conserved_on_the_symmetric_family():
     traj = integrate(CoclosedParams(1.0, 1.0, 2.0, 2.0, 1.0, 1.0), 50.0,
                      FlowOptions(samples=501))
@@ -196,6 +217,30 @@ def test_trajectory_reports():
     finite = inv[np.isfinite(inv)]
     assert len(finite) == 51
     assert finite.max() <= 7.0 + 1e-9
+
+
+def test_batched_reports_match_the_per_row_formulas():
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-2.0, 2.0, size=(40, 6))
+    rows = np.vstack([rows, 1e-300 * rows[:10], 1e100 * rows[:10],
+                      np.zeros(6), [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+    traj = FlowTrajectory(times=np.arange(len(rows), dtype=float), params=rows,
+                          status="max_time", window=1.0)
+    inv, coef = traj.invariants(), traj.coefficients()
+    assert inv.shape == (len(rows),) and coef.shape == (len(rows), 3)
+    for row, F, rst in zip(rows, inv, coef):
+        p = CoclosedParams.from_array(row)
+        assert tuple(rst) == laplacian_coefficients(p)
+        try:
+            want = homothety_invariant(p.to_triple())
+        except ValueError:
+            assert np.isnan(F)
+            continue
+        assert F == pytest.approx(want, rel=1e-12)
+    assert np.isnan(inv[-2])
+    # the scaled copies keep the invariant of the row they were made from
+    np.testing.assert_allclose(inv[40:50], inv[:10], rtol=1e-12)
+    np.testing.assert_allclose(inv[50:60], inv[:10], rtol=1e-12)
 
 
 def test_invariants_are_nan_on_flat_rows():

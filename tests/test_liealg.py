@@ -14,6 +14,7 @@ from g2solv.liealg import (
     ce_differential,
     check_compatible,
     homothety_invariant,
+    homothety_invariants,
     ricci_operator,
     ricci_report,
     scalar_curvature,
@@ -304,6 +305,34 @@ def test_homothety_invariant_rejects_flat():
     for scale in (1e-300, 1.0, 1e100):
         with pytest.raises(ValueError):
             homothety_invariant(BracketTriple(scale * A, scale * B, np.zeros((4, 4))))
+
+
+def test_batched_invariants_match_the_one_triple_case():
+    rng = seeded_rng()
+    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    Gi = np.linalg.inv(G)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Z = np.zeros((2, 2))
+    skew = [np.block([[J, Z], [Z, Z]]), np.block([[Z, Z], [Z, J]]), np.zeros((4, 4))]
+    triples = [np.zeros((3, 4, 4)), np.array(skew)]
+    for _ in range(8):
+        D = np.array(dz.diagonal_triple(rng))
+        for mats in (D, G @ D @ Gi, np.array(dz.commuting_triple(rng))):
+            triples += [mats, 1e-300 * mats, 1e100 * mats]
+    stack = np.array(triples)
+    got = homothety_invariants(stack)
+    assert got.shape == (len(triples),)
+    assert np.isnan(got[:2]).all()
+    for F, mats in zip(got, triples):
+        try:
+            want = homothety_invariant(BracketTriple(*mats))
+        except ValueError:
+            assert np.isnan(F)
+            continue
+        assert F == pytest.approx(want, rel=1e-12)
+    # a leading axis of any shape
+    np.testing.assert_allclose(homothety_invariants(stack[2:].reshape(8, 9, 3, 4, 4)),
+                               got[2:].reshape(8, 9), rtol=1e-14)
 
 
 def test_invariant_upper_bound_is_dimension():
