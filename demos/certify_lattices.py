@@ -15,7 +15,6 @@ from g2solv.numberlat import (
     QuarticPoly,
     UnitSpec,
     certify_lattice,
-    diagonalize,
     roots,
     unit_matrix,
 )
@@ -36,17 +35,17 @@ mats = [unit_matrix(p, q) for q in units]
 for q, M in zip(units, mats):
     print("unit", q.coeffs(), "->", M)
 
-# one real Vandermonde matrix diagonalizes all three actions simultaneously,
-# with spectra q(u_k) > 0
-diag = diagonalize(p, mats)
-print("joint diagonalization residual:", diag["residual"])
-for q, D in zip(units, diag["diagonals"]):
-    print("spectrum of", q.coeffs(), ":", np.round(D, 6))
-
 # the full certificate bundles integrality, commutation, total positivity
-# and multiplicative independence into one verdict
+# and multiplicative independence into one verdict; the determinants and the
+# signs of the spectra come from exact integer characteristic polynomials
 cert = certify_lattice(p, units)
 print("kl-2015 verdict:", cert.verdict, "(", cert.reason, ")")
+
+# one real Vandermonde matrix diagonalizes all three actions simultaneously,
+# with spectra q(u_k) > 0
+print("joint diagonalization residual:", cert.checks["diag_residual"])
+for q, D in zip(units, cert.spectra):
+    print("spectrum of", q.coeffs(), ":", np.round(D, 6))
 
 cert2 = certify_lattice(*(BUILTIN_EXAMPLES["kl-sqrt3"][k] for k in ("poly", "units")))
 print("kl-sqrt3 verdict:", cert2.verdict)

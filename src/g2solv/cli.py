@@ -197,6 +197,10 @@ def _format_csv(rows) -> str:
     return "\n".join([_CSV_HEADER, *(_CSV_ROW % tuple(row) for row in rows)])
 
 
+def _flow_payload(traj, rows) -> dict:
+    return {"status": traj.status, "columns": _CSV_HEADER.split(","), "rows": rows}
+
+
 def _cmd_flow(args) -> int:
     if args.sweep:
         with open(args.sweep, "r", encoding="utf-8") as fh:
@@ -205,26 +209,25 @@ def _cmd_flow(args) -> int:
                 for line in fh.read().splitlines()
                 if line.strip() and not line.startswith("#")
             ]
-        blocks, worst = [], 0
-        for s in starts:
-            traj, rows = _flow_rows(CoclosedParams(*s), args.t_max, args.samples)
-            blocks.append(f"# start {','.join(str(x) for x in s)} status {traj.status}")
-            blocks.append(_format_csv(rows))
-            worst = max(worst, 1 if traj.status == "diverged" else 0)
-        _emit("\n".join(blocks), args.out)
-        return worst
+        runs = [(s, *_flow_rows(CoclosedParams(*s), args.t_max, args.samples)) for s in starts]
+        if args.format == "json":
+            payload = {"runs": [{"start": list(s), **_flow_payload(traj, rows)}
+                                for s, traj, rows in runs]}
+            _emit(json.dumps(payload), args.out)
+        else:
+            blocks = []
+            for s, traj, rows in runs:
+                blocks.append(f"# start {','.join(str(x) for x in s)} status {traj.status}")
+                blocks.append(_format_csv(rows))
+            _emit("\n".join(blocks), args.out)
+        return int(any(traj.status == "diverged" for _, traj, _ in runs))
     if not args.init:
         print("flow needs --init or --sweep", file=sys.stderr)
         return 2
     p0 = CoclosedParams(*_parse_floats(args.init, 6))
     traj, rows = _flow_rows(p0, args.t_max, args.samples)
     if args.format == "json":
-        payload = {
-            "status": traj.status,
-            "columns": _CSV_HEADER.split(","),
-            "rows": rows,
-        }
-        _emit(json.dumps(payload), args.out)
+        _emit(json.dumps(_flow_payload(traj, rows)), args.out)
     else:
         _emit(_format_csv(rows) + f"\n# status {traj.status}", args.out)
     return 1 if traj.status == "diverged" else 0

@@ -269,7 +269,9 @@ class FlowTrajectory:
     times: np.ndarray
     params: np.ndarray  # shape (len(times), 6)
     status: str  # converged | max_time | diverged
-    window: float
+    # largest change of p/|p| over the trailing window, read from the dense
+    # output (see `integrate`); NaN when it was not measured
+    window_drift: float = math.nan
 
     def norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.params, self.params)
@@ -298,32 +300,30 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         raise ValueError("t_max must be nonnegative")
     t_eval = np.linspace(0.0, t_max, opts.samples)
     params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, opts.rtol, opts.atol)
-    status = "max_time" if ok else "diverged"
+    status, drift = "max_time" if ok else "diverged", math.nan
     if ok:
         pts = dense(np.linspace(max(0.0, t_max - opts.window), t_max, _WINDOW_POINTS))
         norms = np.linalg.norm(pts, axis=1)
         if norms.min() > 0:
             dirs = pts / norms[:, None]
-            drift = np.abs(dirs - dirs[-1]).max()
+            drift = float(np.abs(dirs - dirs[-1]).max())
             if drift * t_max / opts.window < opts.drift_tol:
                 status = "converged"
     return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status,
-                          window=opts.window)
+                          window_drift=drift)
 
 
 def normalized_limit(traj: FlowTrajectory) -> dict:
-    """Final direction p/|p| and its worst deviation over the trailing window."""
+    """Final direction p/|p| and the trajectory's trailing-window drift."""
     if traj.status == "diverged":
         raise ValueError("trajectory diverged; no normalized limit")
     if len(traj.times) < 2:
         raise ValueError("trajectory too short")
-    norms = np.linalg.norm(traj.params, axis=1)
-    if norms[-1] == 0.0:
+    final = traj.params[-1]
+    norm = np.linalg.norm(final)
+    if norm == 0.0:
         raise ValueError("trajectory reached the flat point")
-    dirs = traj.params / norms[:, None]
-    mask = traj.times >= traj.times[-1] - traj.window
-    drift = float(np.linalg.norm(dirs[mask] - dirs[-1], axis=1).max())
-    return {"direction": dirs[-1], "window_drift": drift}
+    return {"direction": final / norm, "window_drift": traj.window_drift}
 
 
 def conserved_ab(traj: FlowTrajectory, tol: float = 1e-7) -> dict:

@@ -20,8 +20,6 @@ class Tolerances:
     # smallest singular value of the unit log-embedding matrix that still
     # certifies multiplicative independence
     unit_log_sigma: float = 1e-6
-    # max off-diagonal residual accepted by the simultaneous diagonalization
-    diag_residual: float = 1e-9
     # convergence target for Newton polishing of polynomial roots
     newton: float = 1e-12
 

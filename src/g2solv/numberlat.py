@@ -7,15 +7,17 @@ q(u) of degree <= 3 act integrally by q(M); three multiplicatively independent
 units with totally positive squares produce the commuting positive matrices
 that exponentiate to a cocompact lattice in the ambient solvable group.
 
-Everything on the integer side (matrix products, determinants, characteristic
-polynomial identities) is computed in exact arbitrary-precision arithmetic;
-floating point only enters through root extraction and the log-embedding rank
-test, both of which are certified against explicit tolerances.
+`certify_lattice` decides in exact integer arithmetic everything except
+multiplicative independence: irreducibility, total reality (a Sturm chain),
+commutation, and, from the integer characteristic polynomial of each unit
+matrix, the unit property, det = 1 and the positivity of the spectrum.
+Floating point enters in one pass per certificate: the roots of p are
+extracted once, and the values q_i(u_j) feed the log-embedding rank test
+(against `TOL.unit_log_sigma`) and the reported Vandermonde residual.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,18 +29,6 @@ from .config import TOL
 # exact integer 4x4 helpers
 
 
-def _imat_eye(n: int = 4):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _imat_add(X, Y):
-    return [[X[i][j] + Y[i][j] for j in range(4)] for i in range(4)]
-
-
-def _imat_scale(c: int, X):
-    return [[c * X[i][j] for j in range(4)] for i in range(4)]
-
-
 def _imat_mul(X, Y):
     return [
         [sum(X[i][k] * Y[k][j] for k in range(4)) for j in range(4)]
@@ -46,24 +36,39 @@ def _imat_mul(X, Y):
     ]
 
 
-def _imat_det(X) -> int:
-    """Exact determinant by Leibniz expansion (24 terms for 4x4)."""
-    total = 0
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = 1
-        for i in range(4):
-            term *= X[i][perm[i]]
-        total += sign * term
-    return total
-
-
 def _imat_commute(X, Y) -> bool:
     return _imat_mul(X, Y) == _imat_mul(Y, X)
+
+
+def _horner(M, q: UnitSpec):
+    """q(M) = ((q3 M + q2) M + q1) M + q0, exactly."""
+    q0, q1, q2, q3 = q.coeffs()
+    acc = [[q3 if i == j else 0 for j in range(4)] for i in range(4)]
+    for c in (q2, q1, q0):
+        acc = _imat_mul(acc, M)
+        for i in range(4):
+            acc[i][i] += c
+    return acc
+
+
+def charpoly(X) -> QuarticPoly:
+    """det(t I - X) of an integer 4x4 matrix, exactly.
+
+    The power sums s_k = tr X^k need one product X^2 (s3 and s4 are traces
+    of products, summed without forming them).  Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i then give the elementary
+    symmetric functions of the eigenvalues; each division by k is exact,
+    since det(t I - X) has integer coefficients.
+    """
+    X2 = _imat_mul(X, X)
+    s1 = sum(X[i][i] for i in range(4))
+    s2 = sum(X2[i][i] for i in range(4))
+    s3 = sum(X2[i][j] * X[j][i] for i in range(4) for j in range(4))
+    s4 = sum(X2[i][j] * X2[j][i] for i in range(4) for j in range(4))
+    e2 = (s1 * s1 - s2) // 2
+    e3 = (e2 * s1 - s1 * s2 + s3) // 3
+    e4 = (e3 * s1 - e2 * s2 + s1 * s3 - s4) // 4
+    return QuarticPoly(e4, -e3, e2, -s1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,12 @@ class QuarticPoly:
     def derivative(self, x):
         a0, a1, a2, a3 = self.coeffs()
         return ((4 * x + 3 * a3) * x + 2 * a2) * x + a1
+
+    def alternates_in_sign(self) -> bool:
+        """Whether 1, a3, a2, a1, a0 strictly alternate in sign.  For a
+        polynomial with only real roots this holds exactly when every root is
+        positive: Descartes' rule of signs is exact there."""
+        return self.a3 < 0 < self.a2 and self.a1 < 0 < self.a0
 
 
 @dataclass(frozen=True)
@@ -198,60 +209,57 @@ def is_totally_real(p: QuarticPoly) -> bool:
     return sign_changes(True) - sign_changes(False) == 5 - len(chain[-1])
 
 
+def _polished_roots(p: QuarticPoly, vals: np.ndarray) -> np.ndarray:
+    """The real parts of the companion eigenvalues vals, Newton-polished on
+    p, in descending order."""
+    u = np.sort(vals.real)[::-1]
+    for _ in range(8):
+        deriv = p.derivative(u)
+        step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
+        u = u - step
+        if np.abs(step).max() < TOL.newton:
+            break
+    return u
+
+
+def _companion_eigvals(p: QuarticPoly) -> np.ndarray:
+    return np.linalg.eigvals(np.array(companion(p), dtype=float))
+
+
 def roots(p: QuarticPoly) -> np.ndarray:
     """Roots via companion eigenvalues, Newton-polished, descending order.
 
     Raises when the polynomial is not totally real (a complex pair) or has a
-    repeated root within tolerance.
+    repeated root within tolerance.  `certify_lattice` decides both exactly
+    and does without these float tests.
     """
-    M = np.array(companion(p, check=False), dtype=float)
-    vals = np.linalg.eigvals(M)
+    vals = _companion_eigvals(p)
     scale = max(1.0, np.abs(vals).max())
     if np.abs(vals.imag).max() > TOL.eig_imag * scale:
         raise ValueError("polynomial is not totally real (complex roots)")
-    vals = np.sort(vals.real)[::-1]
-    for _ in range(8):
-        deriv = p.derivative(vals)
-        step = np.where(np.abs(deriv) > 1e-30, p(vals) / np.where(deriv == 0, 1, deriv), 0.0)
-        vals = vals - step
-        if np.abs(step).max() < TOL.newton:
-            break
-    gaps = np.diff(np.sort(vals))
-    if len(gaps) and np.abs(gaps).min() < 1e-8 * scale:
+    u = _polished_roots(p, vals)
+    if np.diff(np.sort(u)).min() < 1e-8 * scale:
         raise ValueError("repeated roots within tolerance")
-    return vals
+    return u
 
 
-def companion(p: QuarticPoly, check: bool = True):
-    """Integer companion matrix of p (multiplication by u in basis 1,u,u^2,u^3).
-
-    With check=True the polynomial must be irreducible over Q and totally
-    real; violations raise with the reason.
-    """
-    if check:
-        if not is_irreducible(p):
-            raise ValueError("polynomial is reducible over Q")
-        roots(p)  # raises on complex or repeated roots
+def companion(p: QuarticPoly):
+    """Integer companion matrix of p (multiplication by u in basis 1,u,u^2,u^3)."""
     a0, a1, a2, a3 = p.coeffs()
-    M = [[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]]
-    return M
+    return [[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]]
 
 
 def unit_matrix(p: QuarticPoly, q: UnitSpec):
-    """Exact integer matrix of multiplication by the unit q(u) on Z[u].
+    """Exact integer matrix q(M) of multiplication by q(u) on Z[u].
 
-    Raises when |det q(M)| != 1, i.e. when q(u) is not a unit of the order.
+    Raises when |det q(M)| != 1, i.e. when q(u) is not a unit of the order;
+    the determinant is read from `charpoly`.  p itself is not validated.
     """
-    M = companion(p)
-    q0, q1, q2, q3 = q.coeffs()
-    # Horner: ((q3 M + q2) M + q1) M + q0
-    acc = _imat_scale(q3, _imat_eye())
-    for c in (q2, q1, q0):
-        acc = _imat_add(_imat_mul(acc, M), _imat_scale(c, _imat_eye()))
-    det = _imat_det(acc)
+    X = _horner(companion(p), q)
+    det = charpoly(X).a0
     if det not in (1, -1):
         raise ValueError(f"q(u) is not a unit (|det| = {abs(det)})")
-    return acc
+    return X
 
 
 def poly_square_mod(q: UnitSpec, p: QuarticPoly) -> UnitSpec:
@@ -275,39 +283,20 @@ def poly_square_mod(q: UnitSpec, p: QuarticPoly) -> UnitSpec:
     return UnitSpec(qq[0], qq[1], qq[2], qq[3])
 
 
-def diagonalize(p: QuarticPoly, mats) -> dict:
-    """Simultaneously diagonalize unit matrices by the root Vandermonde.
-
-    The rows of V are (1, u_i, u_i^2, u_i^3); conjugation V X V^-1 sends each
-    multiplication matrix to the diagonal of its values at the roots.  Returns
-    roots, V, the diagonals, and the worst off-diagonal residual.
-    """
-    u = roots(p)
-    V = np.vander(u, 4, increasing=True)
-    Vinv = np.linalg.inv(V)
-    diags = []
-    residual = 0.0
-    for X in mats:
-        D = V @ np.array(X, dtype=float) @ Vinv
-        off = D - np.diag(np.diag(D))
-        residual = max(residual, float(np.abs(off).max()))
-        diags.append(np.diag(D).copy())
-    return {"roots": u, "vandermonde": V, "diagonals": diags, "residual": residual}
-
-
 def mult_independence(p: QuarticPoly, units) -> dict:
     """Rank of the log-embedding matrix L[i, j] = log|q_i(u_j)|.
 
     The units are multiplicatively independent exactly when L has full row
     rank; numerically this is sigma_min(L) clearing an absolute threshold.
+    p must be irreducible and totally real, as `certify_lattice` decides
+    exactly, so the roots are taken without the float tests of `roots`.
+    The report also carries those roots and the values Q[i, j] = q_i(u_j).
     """
-    u = roots(p)
-    L = np.empty((len(units), 4))
-    for i, q in enumerate(units):
-        vals = np.abs([q(x) for x in u])
-        if np.any(vals < 1e-300):
-            raise ValueError("unit vanishes at an embedding")
-        L[i] = np.log(vals)
+    u = _polished_roots(p, _companion_eigvals(p))
+    Q = np.array([q(u) for q in units], dtype=float)
+    if np.any(np.abs(Q) < 1e-300):
+        raise ValueError("unit vanishes at an embedding")
+    L = np.log(np.abs(Q))
     s = np.linalg.svd(L, compute_uv=False)
     sigma_min = float(s[len(units) - 1]) if len(units) <= 4 else 0.0
     rank = int((s > TOL.unit_log_sigma).sum())
@@ -316,6 +305,8 @@ def mult_independence(p: QuarticPoly, units) -> dict:
         "rank": rank,
         "sigma_min": sigma_min,
         "log_matrix": L,
+        "roots": u,
+        "values": Q,
     }
 
 
@@ -323,9 +314,10 @@ def mult_independence(p: QuarticPoly, units) -> dict:
 class LatticeCertificate:
     poly: tuple[int, int, int, int]
     units: list[tuple[int, int, int, int]]
-    matrices: list  # exact integer entries
-    roots: list[float]
-    vandermonde: list
+    matrices: list = field(default_factory=list)  # exact integer entries
+    roots: list[float] = field(default_factory=list)
+    vandermonde: list = field(default_factory=list)
+    spectra: list = field(default_factory=list)  # q_i(u_j), one row per unit
     checks: dict = field(default_factory=dict)
     verdict: bool = False
     reason: str = ""
@@ -337,85 +329,82 @@ class LatticeCertificate:
             "matrices": self.matrices,
             "roots": self.roots,
             "vandermonde": self.vandermonde,
+            "spectra": self.spectra,
             "checks": self.checks,
             "verdict": self.verdict,
             "reason": self.reason,
         }
 
 
+# the checks the verdict rests on; "integral" and "diagonalized" are reported
+# too but hold by construction (see certify_lattice)
+_REQUIRED = ("irreducible", "unit_constant_term", "totally_real", "units_valid",
+             "det_one", "commute", "positive_spectra", "independent")
+
+
 def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
-    """Run the full certification chain; failures are recorded, not raised.
+    """Run the full certification chain; failed checks are recorded.
 
-    Checks: p irreducible and totally real with unit constant term; each q(u)
-    a unit acting integrally; determinants exactly +1; pairwise commuting;
-    simultaneous diagonalization residual; positive spectra (squares of units
-    giving a totally positive action); multiplicative independence of rank 3.
+    Exact checks: p irreducible and totally real with unit constant term; for
+    each unit matrix X = q(M), from the characteristic polynomial of X,
+    |det X| = 1 (q(u) is a unit), det X = +1 and a positive spectrum (the
+    coefficients alternate in sign); the matrices commute pairwise.
+
+    `integral` and `diagonalized` hold by construction: each X is an integer
+    polynomial in the one companion matrix M, whose eigenvalues are distinct
+    (irreducible implies separable) and real, so the root Vandermonde V
+    diagonalizes every X, V X = diag(q(u)) V.  `diag_residual` reports that
+    identity in floating point, as the largest |V X - diag(q(u)) V| relative
+    to |V| |X| (Frobenius norms).
+
+    Multiplicative independence is the one numerical decision (see
+    `mult_independence`).  A ValueError from that float pass fails the
+    certificate with its message as the reason; other errors propagate.
     """
-    cert = LatticeCertificate(
-        poly=p.coeffs(),
-        units=[q.coeffs() for q in units],
-        matrices=[],
-        roots=[],
-        vandermonde=[],
-    )
+    cert = LatticeCertificate(poly=p.coeffs(), units=[q.coeffs() for q in units])
     checks = cert.checks
+    # the factorization search costs sqrt|a0| steps: skip it (None, "not
+    # decided") when a0 != +-1 already rules the polynomial out
+    unit = p.a0 in (1, -1)
+    checks["irreducible"] = is_irreducible(p) if unit else None
+    checks["unit_constant_term"] = unit
+    checks["totally_real"] = is_totally_real(p)
+    checks["units_valid"] = False
+    if checks["irreducible"] and checks["totally_real"]:
+        M = companion(p)
+        mats = [_horner(M, q) for q in units]
+        chars = [charpoly(X) for X in mats]
+        checks["units_valid"] = all(c.a0 in (1, -1) for c in chars)
+    if not checks["units_valid"]:
+        cert.reason = "polynomial or unit validation failed"
+        return cert
+
+    cert.matrices = mats
+    checks["integral"] = True
+    checks["det_one"] = all(c.a0 == 1 for c in chars)
+    checks["commute"] = all(
+        _imat_commute(X, Y) for i, X in enumerate(mats) for Y in mats[i + 1:]
+    )
+    checks["positive_spectra"] = all(c.alternates_in_sign() for c in chars)
+    checks["diagonalized"] = True
     try:
-        # the factorization search costs sqrt|a0| steps: skip it (None, "not
-        # decided") when a0 != +-1 already rules the polynomial out
-        unit = p.a0 in (1, -1)
-        checks["irreducible"] = is_irreducible(p) if unit else None
-        checks["unit_constant_term"] = unit
-        checks["totally_real"] = is_totally_real(p)
-
-        mats = []
-        dets = []
-        if checks["irreducible"] and checks["totally_real"]:
-            for q in units:
-                try:
-                    X = unit_matrix(p, q)
-                except ValueError:
-                    checks["units_valid"] = False
-                    break
-                mats.append(X)
-                dets.append(_imat_det(X))
-            else:
-                checks["units_valid"] = True
-        else:
-            checks["units_valid"] = False
-
-        if checks.get("units_valid"):
-            cert.matrices = mats
-            checks["integral"] = True  # exact integer arithmetic by construction
-            checks["det_one"] = all(d == 1 for d in dets)
-            checks["commute"] = all(
-                _imat_commute(X, Y)
-                for i, X in enumerate(mats)
-                for Y in mats[i + 1:]
-            )
-            diag = diagonalize(p, mats)
-            cert.roots = [float(x) for x in diag["roots"]]
-            cert.vandermonde = diag["vandermonde"].tolist()
-            checks["diag_residual"] = diag["residual"]
-            checks["diagonalized"] = diag["residual"] < TOL.diag_residual
-            checks["positive_spectra"] = all(
-                np.all(D > 0) for D in diag["diagonals"]
-            )
-            indep = mult_independence(p, units)
-            checks["independent"] = indep["independent"]
-            checks["independence_sigma_min"] = indep["sigma_min"]
-            required = [
-                "irreducible", "unit_constant_term", "totally_real",
-                "units_valid", "integral", "det_one", "commute",
-                "diagonalized", "positive_spectra", "independent",
-            ]
-            cert.verdict = all(bool(checks[k]) for k in required)
-            cert.reason = "certified" if cert.verdict else "checks failed"
-        else:
-            cert.verdict = False
-            cert.reason = "polynomial or unit validation failed"
-    except Exception as exc:  # pragma: no cover - defensive
-        cert.verdict = False
-        cert.reason = f"internal failure: {exc}"
+        indep = mult_independence(p, units)
+    except ValueError as exc:
+        cert.reason = f"floating-point pass failed: {exc}"
+        return cert
+    u, Q = indep["roots"], indep["values"]
+    V = np.vander(u, 4, increasing=True)
+    cert.roots, cert.vandermonde, cert.spectra = u.tolist(), V.tolist(), Q.tolist()
+    residual = 0.0
+    for X, q in zip(mats, Q):
+        X = np.array(X, dtype=float)
+        res = np.linalg.norm(V @ X - q[:, None] * V) / (np.linalg.norm(V) * np.linalg.norm(X))
+        residual = max(residual, float(res))
+    checks["diag_residual"] = residual
+    checks["independent"] = indep["independent"]
+    checks["independence_sigma_min"] = indep["sigma_min"]
+    cert.verdict = all(checks[k] for k in _REQUIRED)
+    cert.reason = "certified" if cert.verdict else "checks failed"
     return cert
 
 

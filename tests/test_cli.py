@@ -321,6 +321,22 @@ def test_flow_sweep(tmp_path, capsys):
     assert len(headers) == 2
 
 
+def test_flow_sweep_json_output(tmp_path, capsys):
+    sweep = tmp_path / "starts.txt"
+    sweep.write_text("1,1,2,2,1,1\n-0.5,1,1,-1,1,1\n")
+    code, payload = run_json(capsys, ["--format", "json", "flow", "--sweep", str(sweep),
+                                      "--t-max", "1", "--samples", "2"])
+    assert code == 0
+    assert [run["start"] for run in payload["runs"]] == [[1, 1, 2, 2, 1, 1],
+                                                         [-0.5, 1, 1, -1, 1, 1]]
+    for run in payload["runs"]:
+        code, single = run_json(capsys, [
+            "--format", "json", "flow", "--init=" + ",".join(map(str, run["start"])),
+            "--t-max", "1", "--samples", "2"])
+        assert code == 0
+        assert {k: v for k, v in run.items() if k != "start"} == single
+
+
 def test_flow_out_file(tmp_path, capsys):
     target = tmp_path / "traj.csv"
     code = cli.run(["--out", str(target), "flow", "--init", "1,1,2,2,1,1",

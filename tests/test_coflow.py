@@ -160,6 +160,16 @@ def test_status_does_not_depend_on_the_sample_count(samples):
     assert settled.status == "converged"
 
 
+def test_window_drift_does_not_depend_on_the_sample_count():
+    # 101 samples put one sample in the trailing window of t = 2000; the drift
+    # is the dense-output value that also decided the status
+    start = CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5)
+    drifts = [normalized_limit(integrate(start, 2000.0, FlowOptions(samples=n)))["window_drift"]
+              for n in (101, 2001)]
+    assert drifts[0] == drifts[1]
+    assert 1e-7 < drifts[0] < 1e-5
+
+
 def test_zero_and_negative_flow_times():
     traj = integrate(SOLITON, 0.0, FlowOptions(samples=3))
     assert np.array_equal(traj.times, np.zeros(3))
@@ -194,15 +204,15 @@ def test_soliton_start_keeps_its_direction():
 def test_normalized_limit_requires_a_usable_trajectory():
     base = integrate(SOLITON, 1.0, FlowOptions(samples=11))
     bad = FlowTrajectory(times=base.times, params=base.params,
-                         status="diverged", window=base.window)
+                         status="diverged", window_drift=base.window_drift)
     with pytest.raises(ValueError):
         normalized_limit(bad)
     short = FlowTrajectory(times=base.times[:1], params=base.params[:1],
-                           status="max_time", window=base.window)
+                           status="max_time", window_drift=base.window_drift)
     with pytest.raises(ValueError):
         normalized_limit(short)
     flat = FlowTrajectory(times=base.times, params=np.zeros_like(base.params),
-                          status="max_time", window=base.window)
+                          status="max_time", window_drift=base.window_drift)
     with pytest.raises(ValueError):
         normalized_limit(flat)
 
@@ -225,7 +235,7 @@ def test_batched_reports_match_the_per_row_formulas():
     rows = np.vstack([rows, 1e-300 * rows[:10], 1e100 * rows[:10],
                       np.zeros(6), [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
     traj = FlowTrajectory(times=np.arange(len(rows), dtype=float), params=rows,
-                          status="max_time", window=1.0)
+                          status="max_time")
     inv, coef = traj.invariants(), traj.coefficients()
     assert inv.shape == (len(rows),) and coef.shape == (len(rows), 3)
     for row, F, rst in zip(rows, inv, coef):
@@ -247,7 +257,7 @@ def test_invariants_are_nan_on_flat_rows():
     times = np.array([0.0, 1.0])
     params = np.array([[1.0, 1.0, 1.0, -1.0, 1.0, 1.0],
                        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    traj = FlowTrajectory(times=times, params=params, status="max_time", window=1.0)
+    traj = FlowTrajectory(times=times, params=params, status="max_time")
     inv = traj.invariants()
     assert np.isfinite(inv[0])
     assert np.isnan(inv[1])

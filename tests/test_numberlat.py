@@ -1,18 +1,22 @@
 """Quartic fields, unit actions and lattice certification."""
 
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from g2solv import numberlat
 from g2solv.numberlat import (
     BUILTIN_EXAMPLES,
     QuarticPoly,
     UnitSpec,
     certify_lattice,
+    charpoly,
     companion,
-    diagonalize,
     is_irreducible,
     is_totally_real,
     mult_independence,
@@ -114,14 +118,11 @@ def test_companion_layout():
     assert all(isinstance(x, int) for row in M for x in row)
 
 
-def test_companion_check_rejects_bad_input():
-    with pytest.raises(ValueError):
-        companion(QuarticPoly(6, 0, -5, 0))
-    with pytest.raises(ValueError):
-        companion(QuarticPoly(-2, 0, 0, 0))
-    # check=False skips validation
-    M = companion(QuarticPoly(-2, 0, 0, 0), check=False)
-    assert M[0][3] == 2
+def test_companion_does_not_validate():
+    # certify_lattice decides irreducibility and total reality exactly;
+    # companion is the integer layout only, for any monic quartic
+    assert companion(QuarticPoly(-2, 0, 0, 0))[0][3] == 2
+    assert companion(QuarticPoly(6, 0, -5, 0))[2][3] == 5
 
 
 # -- unit actions -------------------------------------------------------------------
@@ -173,16 +174,70 @@ def test_spectra_are_unit_values_at_the_roots():
 
 def test_diagonalize_by_root_vandermonde():
     for ex in BUILTIN_EXAMPLES.values():
-        mats = [unit_matrix(ex["poly"], q) for q in ex["units"]]
-        out = diagonalize(ex["poly"], mats)
-        assert out["residual"] < 1e-9
-        u = out["roots"]
-        assert np.allclose(out["vandermonde"],
+        cert = certify_lattice(ex["poly"], ex["units"])
+        assert cert.checks["diag_residual"] < 1e-9
+        u = np.array(cert.roots)
+        assert np.abs(u - roots(ex["poly"])).max() < 1e-12
+        assert np.allclose(cert.vandermonde,
                            np.stack([np.ones(4), u, u**2, u**3], axis=1))
-        for q, D in zip(ex["units"], out["diagonals"]):
-            assert np.abs(D - np.array([q(x) for x in u])).max() < 1e-9
-        # positive spectra throughout: the units are squares
-        assert all(np.all(D > 0) for D in out["diagonals"])
+        for q, X, D in zip(ex["units"], cert.matrices, cert.spectra):
+            assert np.abs(np.array(D) - np.array([q(x) for x in u])).max() < 1e-9
+            V = np.array(cert.vandermonde)
+            assert np.abs(V @ np.array(X, dtype=float) - np.diag(D) @ V).max() < 1e-9
+            # positive spectra throughout: the units are squares
+            assert min(D) > 0
+        assert cert.checks["positive_spectra"]
+
+
+def _leibniz_det(X) -> int:
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = (-1) ** inversions
+        for i in range(4):
+            term *= X[i][perm[i]]
+        total += term
+    return total
+
+
+def test_charpoly_of_the_reference_matrices():
+    # the units are squares of units, so every determinant is +1
+    for ex in BUILTIN_EXAMPLES.values():
+        for X in ex["reference"]:
+            chi = charpoly(X)
+            assert chi.a0 == _leibniz_det(X) == 1
+            assert -chi.a3 == sum(X[i][i] for i in range(4))
+            assert chi.alternates_in_sign()
+    # t^4 - 1 has the roots +-1, +-i; -I has determinant 1 and spectrum -1
+    assert charpoly(companion(QuarticPoly(-1, 0, 0, 0))).coeffs() == (-1, 0, 0, 0)
+    minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
+    assert charpoly(minus_one).coeffs() == (1, 4, 6, 4)
+    assert not charpoly(minus_one).alternates_in_sign()
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_roots=st.lists(st.integers(-12, 12), min_size=4, max_size=4, unique=True),
+       shift=st.integers(-3, 3),
+       q=st.tuples(*[st.integers(-6, 6)] * 4))
+def test_exact_spectrum_sign_and_determinant_match_floats(near_roots, shift, q):
+    # monic quartics prod (t - r) + shift, kept when the Sturm chain finds
+    # them totally real and the float roots are far enough apart for the
+    # float eigenvalues of q(M) to be reliable
+    coeffs = [1]  # leading term first
+    for r in near_roots:
+        coeffs = [x - r * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    coeffs[-1] += shift
+    p, q = QuarticPoly(*coeffs[:0:-1]), UnitSpec(*q)
+    assume(is_totally_real(p))
+    u = np.sort(np.roots(coeffs).real)
+    assume(np.diff(u).min() > 0.05)
+    X = numberlat._horner(companion(p), q)
+    eig = np.linalg.eigvals(np.array(X, dtype=float))
+    scale = max(1.0, np.abs(eig).max())
+    assume(np.abs(eig).min() > 1e-6 * scale)
+    chi = charpoly(X)
+    assert chi.a0 == _leibniz_det(X)
+    assert chi.alternates_in_sign() == bool(np.all(eig.real > 0))
 
 
 # -- multiplicative independence -------------------------------------------------------
@@ -294,6 +349,44 @@ def test_certification_fails_on_dependent_units():
     assert cert.checks["independent"] is False
     # everything structural still passes: they are honest units
     assert cert.checks["det_one"] and cert.checks["commute"]
+
+
+def _square_units_field(a: int, b: int, c: int):
+    """t (t-a)(t-b)(t-c) + 1 with the squares of its units u, u-a and u-b."""
+    p = QuarticPoly(1, -a * b * c, a * b + a * c + b * c, -(a + b + c))
+    units = [poly_square_mod(UnitSpec(-k, 1, 0, 0), p) for k in (0, a, b)]
+    return p, units
+
+
+def test_large_coefficient_field_is_certified():
+    # float diagonals of V X V^-1 lost the spectrum here: the spectra are
+    # squares, positive, and now decided from the characteristic polynomials
+    cert = certify_lattice(*_square_units_field(1, 2, 10**7))
+    assert cert.verdict, cert.checks
+    assert cert.checks["positive_spectra"] is True
+    assert cert.checks["diag_residual"] < 1e-9
+    assert cert.checks["independence_sigma_min"] > 30
+
+
+def test_float_failure_at_a_huge_field_is_reported_as_such():
+    # close roots once failed a float gap test and marked the units invalid;
+    # the exact checks pass, and the unit u^2 cancels to 0.0 at a float root
+    cert = certify_lattice(*_square_units_field(1, 2, 10**9))
+    assert cert.checks["units_valid"] is True
+    assert cert.checks["positive_spectra"] is True
+    assert cert.checks["det_one"] is True
+    assert cert.verdict is False
+    assert cert.reason == "floating-point pass failed: unit vanishes at an embedding"
+
+
+def test_certificate_lets_unexpected_errors_propagate(monkeypatch):
+    def broken(p, units):
+        raise TypeError("bug in a helper")
+
+    monkeypatch.setattr(numberlat, "mult_independence", broken)
+    ex = BUILTIN_EXAMPLES["kl-2015"]
+    with pytest.raises(TypeError, match="bug in a helper"):
+        certify_lattice(ex["poly"], ex["units"])
 
 
 def test_third_reference_matrix_trace():
