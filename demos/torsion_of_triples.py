@@ -11,7 +11,7 @@ structure into a torsion class.
 import numpy as np
 
 from g2solv import forms
-from g2solv.g2core import laplacians, torsion_class, torsion_forms
+from g2solv.g2core import laplacians, torsion_forms
 from g2solv.liealg import BracketTriple, ce_differential, check_compatible, ricci_report
 
 # a diagonal triple is automatically commuting; tracelessness keeps the
@@ -30,8 +30,7 @@ print("tau3 =", forms.format_form(tf.tau3))
 
 # diagonal triples always land in the pure {W2, W3} class: the scalar and
 # vector components vanish identically
-cls = torsion_class(triple)
-print("class:", sorted(k for k, v in cls.items() if v))
+print("class:", sorted(k for k, v in tf.torsion_class.items() if v))
 
 # the defining decompositions reassemble d phi and d psi from the components
 dphi = ce_differential(triple, forms.PHI)

@@ -34,8 +34,8 @@ from .coflow import (
     soliton_candidates,
     soliton_solve,
 )
-from .g2core import closed_triple, erp_residual, laplacians, torsion_class, torsion_forms
-from .liealg import BracketTriple, ce_differential, check_compatible, ricci_report
+from .g2core import closed_triple, erp_residual, laplacians, torsion_forms
+from .liealg import BracketTriple, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
 
 
@@ -118,18 +118,17 @@ def _cmd_verify_lattice(args) -> int:
 def _cmd_torsion(args) -> int:
     t = _triple_from_args(args)
     tf = torsion_forms(t)
-    cls = torsion_class(t)
     rep = ricci_report(t)
     payload = {
         "tau0": tf.tau0,
         "tau1_norm": tf.tau1.norm(),
         "tau2_norm": tf.tau2.norm(),
         "tau3_norm": tf.tau3.norm(),
-        "torsion_class": [k for k, v in sorted(cls.items()) if v],
+        "torsion_class": [k for k, v in sorted(tf.torsion_class.items()) if v],
         "norm_sq_tau": tf.norm_sq_tau,
         "scal": rep["scal"],
         "F": rep["F"],
-        "closed": ce_differential(t, forms.PHI).is_zero(),
+        "closed": tf.closed,
         "compatible": check_compatible(t).compatible,
     }
     if payload["closed"]:

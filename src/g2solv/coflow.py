@@ -37,8 +37,15 @@ from .liealg import BracketTriple, homothety_invariants
 from .g2core import laplacians, modified_laplacian_psi
 
 _BLOWUP = 1e8
-# points of the dense output on which the trailing-window drift is measured
+_RTOL = 1e-10
+_ATOL = 1e-12
+# a run is "converged" when drift * t_end / _WINDOW stays below _DRIFT_TOL,
+# with drift the largest change of p/|p| over the trailing window, read from
+# the dense output at _WINDOW_POINTS equally spaced times; that product is
+# the distance still to go when the approach is no faster than 1/t
+_WINDOW = 10.0
 _WINDOW_POINTS = 11
+_DRIFT_TOL = 1e-6
 
 # diagonal entries of (A, B, C): the parameter slot and the sign of each
 _DIAGONAL_SLOTS = np.array([0, 0, 1, 1, 2, 3, 2, 3, 4, 5, 5, 4])
@@ -253,15 +260,7 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
 
 @dataclass
 class FlowOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-12
     samples: int = 1001
-    window: float = 10.0
-    # a run is "converged" when drift * t_end / window stays below this, with
-    # drift the largest change of p/|p| over the trailing window, read from
-    # the dense output at 11 equally spaced times; that product is the
-    # distance still to go when the approach is no faster than 1/t
-    drift_tol: float = 1e-6
 
 
 @dataclass
@@ -291,7 +290,7 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
 
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
-    p/|p| has settled (see `FlowOptions.drift_tol`) and "max_time" otherwise.
+    p/|p| has settled (see `_DRIFT_TOL`) and "max_time" otherwise.
     The drift is measured on the dense output at 11 equally spaced times of
     the trailing window, so the status does not depend on the sample count.
     """
@@ -299,15 +298,15 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     if not t_max >= 0.0:
         raise ValueError("t_max must be nonnegative")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, opts.rtol, opts.atol)
+    params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, _RTOL, _ATOL)
     status, drift = "max_time" if ok else "diverged", math.nan
     if ok:
-        pts = dense(np.linspace(max(0.0, t_max - opts.window), t_max, _WINDOW_POINTS))
+        pts = dense(np.linspace(max(0.0, t_max - _WINDOW), t_max, _WINDOW_POINTS))
         norms = np.linalg.norm(pts, axis=1)
         if norms.min() > 0:
             dirs = pts / norms[:, None]
             drift = float(np.abs(dirs - dirs[-1]).max())
-            if drift * t_max / opts.window < opts.drift_tol:
+            if drift * t_max / _WINDOW < _DRIFT_TOL:
                 status = "converged"
     return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status,
                           window_drift=drift)
@@ -326,13 +325,12 @@ def normalized_limit(traj: FlowTrajectory) -> dict:
     return {"direction": final / norm, "window_drift": traj.window_drift}
 
 
-def conserved_ab(traj: FlowTrajectory, tol: float = 1e-7) -> dict:
+def conserved_ab(traj: FlowTrajectory) -> dict:
     """Drift of the product a*b along a trajectory of the symmetric subfamily
     (a, a, b, b, c1, c2).  Errors out when the trajectory leaves the family."""
     P = traj.params
-    scale = max(1.0, float(np.abs(P).max()))
-    if (np.abs(P[:, 0] - P[:, 1]).max() > tol * scale
-            or np.abs(P[:, 2] - P[:, 3]).max() > tol * scale):
+    cut = 1e-7 * max(1.0, float(np.abs(P).max()))
+    if np.abs(P[:, 0] - P[:, 1]).max() > cut or np.abs(P[:, 2] - P[:, 3]).max() > cut:
         raise ValueError("trajectory is not in the (a,a,b,b,c1,c2) family")
     ab = P[:, 0] * P[:, 2]
     return {"value": float(ab[-1]), "drift": float(np.abs(ab - ab[0]).max())}

@@ -1,7 +1,7 @@
 """Numerical tolerances shared across the package.
 
-All thresholds live on a single mutable instance so that callers (and the
-command line front end) can tighten or relax them in one place.
+All thresholds live on a single mutable instance so that callers can tighten
+or relax them in one place; the command line front end never changes them.
 """
 
 from dataclasses import dataclass

@@ -98,8 +98,8 @@ class KForm:
     def norm(self) -> float:
         return float(np.sqrt(self.vec @ self.vec))
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return self.norm() <= (TOL.zero_form if tol is None else tol)
+    def is_zero(self) -> bool:
+        return self.norm() <= TOL.zero_form
 
     def scalar(self) -> float:
         """Coefficient of a 0- or 7-form as a plain number."""
@@ -218,7 +218,7 @@ def theta(D, alpha: KForm) -> KForm:
     return KForm._of(alpha.degree, -(W @ (D.T @ contractions).ravel()))
 
 
-def format_form(alpha: KForm, precision: int = 3) -> str:
+def format_form(alpha: KForm) -> str:
     """Render as a signed monomial sum, e.g. '+1.000 e^{127} -2.000 e^{34}'."""
     coeffs = alpha.coeffs
     if not coeffs:
@@ -226,7 +226,7 @@ def format_form(alpha: KForm, precision: int = 3) -> str:
     parts = []
     for I, c in coeffs.items():
         label = "1" if I == () else "".join(str(i) for i in I)
-        parts.append(f"{c:+.{precision}f} e^{{{label}}}")
+        parts.append(f"{c:+.3f} e^{{{label}}}")
     return " ".join(parts)
 
 

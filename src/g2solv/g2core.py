@@ -39,6 +39,8 @@ class TorsionForms:
     tau3: KForm
     tau_two_form: KForm  # -*d*phi, the full torsion 2-form when dphi = 0
     norm_sq_tau: float
+    closed: bool  # dphi = 0
+    torsion_class: dict  # W1..W4: whether tau0, tau2, tau3, tau1 are nonzero
 
 
 def _tau0(dphi: KForm) -> float:
@@ -65,19 +67,19 @@ def torsion_forms(t: BracketTriple) -> TorsionForms:
         tau3=tau3,
         tau_two_form=tau,
         norm_sq_tau=inner(tau, tau),
+        closed=dphi.is_zero(),
+        torsion_class={
+            "W1": abs(tau0) > TOL.zero_form,
+            "W2": tau2.norm() > TOL.zero_form,
+            "W3": tau3.norm() > TOL.zero_form,
+            "W4": tau1.norm() > TOL.zero_form,
+        },
     )
 
 
-def torsion_class(t: BracketTriple, tol: float | None = None) -> dict:
-    """Flags for the four torsion components, by norm against `tol`."""
-    cut = TOL.zero_form if tol is None else tol
-    tf = torsion_forms(t)
-    return {
-        "W1": abs(tf.tau0) > cut,
-        "W2": tf.tau2.norm() > cut,
-        "W3": tf.tau3.norm() > cut,
-        "W4": tf.tau1.norm() > cut,
-    }
+def torsion_class(t: BracketTriple) -> dict:
+    """Flags for the four torsion components, by norm against `TOL.zero_form`."""
+    return torsion_forms(t).torsion_class
 
 
 def trace_torsion(t: BracketTriple) -> float:

@@ -226,7 +226,7 @@ def homothety_invariant(t: BracketTriple) -> float:
     return F
 
 
-def solvsoliton_check(t: BracketTriple, tol: float = 1e-9) -> dict:
+def solvsoliton_check(t: BracketTriple) -> dict:
     """Test the algebraic Ricci-soliton condition for this split class:
     A, B, C normal and the a-block of Ric a multiple of the identity."""
     A, B, C = t.matrices()
@@ -234,13 +234,12 @@ def solvsoliton_check(t: BracketTriple, tol: float = 1e-9) -> dict:
         return {"is_solvsoliton": False, "lam": None, "flat": True}
     scale = max(1.0, *(np.abs(M).max() for M in (A, B, C)))
     normal = all(
-        np.abs(M @ M.T - M.T @ M).max() <= tol * scale * scale for M in (A, B, C)
+        np.abs(M @ M.T - M.T @ M).max() <= 1e-9 * scale * scale for M in (A, B, C)
     )
     ric = ricci_operator(t)
-    a_slots = [6, 0, 1]
-    block = ric[np.ix_(a_slots, a_slots)]
+    block = ric[np.ix_(_A_SLOTS, _A_SLOTS)]
     c = float(np.trace(block)) / 3.0
-    isotropic = np.abs(block - c * np.eye(3)).max() <= tol * max(1.0, abs(c))
+    isotropic = np.abs(block - c * np.eye(3)).max() <= 1e-9 * max(1.0, abs(c))
     ok = bool(normal and isotropic)
     return {"is_solvsoliton": ok, "lam": c if ok else None, "flat": False}
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import g2solv
-from g2solv import cli
+from g2solv import cli, g2core, liealg
 from g2solv.coflow import CoclosedParams, laplacian_coefficients
 from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES
@@ -150,6 +150,29 @@ def test_torsion_text_format(capsys):
     assert code == 0
     assert "tau2 = " in out
     assert "lap phi = " in out
+
+
+@pytest.mark.parametrize("fmt, triple, budget", [
+    ("json", ["--closed", "1,1,1"], 5),
+    ("text", ["--closed", "1,1,1"], 9),
+    ("json", ["--coclosed", "1,1,1,-1,1,1"], 2),
+    ("text", ["--coclosed", "1,1,1,-1,1,1"], 6),
+])
+def test_torsion_takes_dphi_and_dpsi_once(monkeypatch, capsys, fmt, triple, budget):
+    # torsion_forms computes dphi and dpsi once for the class and the closed
+    # flag; a closed triple adds erp_residual's pass (dphi, dpsi, dtau) and
+    # the text format the four differentials of the Laplacian
+    calls, d = [], liealg.ce_differential
+
+    def counted(t, alpha):
+        calls.append(None)
+        return d(t, alpha)
+
+    monkeypatch.setattr(liealg, "ce_differential", counted)
+    monkeypatch.setattr(g2core, "ce_differential", counted)
+    assert cli.run(["--format", fmt, "torsion", *triple]) == 0
+    capsys.readouterr()
+    assert len(calls) <= budget
 
 
 # -- erp-check ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
+from g2solv.coflow import CoclosedParams
 from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, hodge, inner, wedge
 from g2solv.g2core import (
     closed_family_invariant,
@@ -34,15 +35,26 @@ def diagonal_triples(draw):
     return BracketTriple(*dz.diagonal_triple(rng))
 
 
+coefficient = st.floats(-3, 3)
+# dense commuting triples and both diagonal families, closed and coclosed
+torsion_triples = st.one_of(
+    commuting_triples(),
+    st.builds(closed_triple, coefficient, coefficient, coefficient),
+    st.builds(lambda *p: CoclosedParams(*p).to_triple(), *[coefficient] * 6),
+)
+
+
 # -- torsion decomposition -------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
-@given(commuting_triples())
+@given(torsion_triples)
 def test_torsion_reconstructs_dphi(t):
     tf = torsion_forms(t)
+    dphi = ce_differential(t, PHI)
     rebuilt = tf.tau0 * PSI + 3.0 * wedge(tf.tau1, PHI) + hodge(tf.tau3)
-    assert (rebuilt - ce_differential(t, PHI)).norm() < 1e-11
+    assert (rebuilt - dphi).norm() < 1e-11
+    assert tf.closed == dphi.is_zero()
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,18 +91,18 @@ def test_diagonal_triples_have_pure_two_three_torsion(t):
 
 def test_torsion_class_flags():
     rng = np.random.default_rng(8)
-    diag = BracketTriple(*dz.diagonal_triple(rng))
-    cls = torsion_class(diag)
-    assert cls == {"W1": False, "W2": True, "W3": True, "W4": False}
-
-    closed = closed_triple(1.0, 1.0, 1.0)
-    assert torsion_class(closed) == {
-        "W1": False, "W2": True, "W3": False, "W4": False}
-
-    from g2solv.coflow import CoclosedParams
-    coclosed = CoclosedParams(1, 1, 1, -1, 1, 1).to_triple()
-    assert torsion_class(coclosed) == {
-        "W1": False, "W2": False, "W3": True, "W4": False}
+    cases = [
+        (BracketTriple(*dz.diagonal_triple(rng)), False,
+         {"W1": False, "W2": True, "W3": True, "W4": False}),
+        (closed_triple(1.0, 1.0, 1.0), True,
+         {"W1": False, "W2": True, "W3": False, "W4": False}),
+        (CoclosedParams(1, 1, 1, -1, 1, 1).to_triple(), False,
+         {"W1": False, "W2": False, "W3": True, "W4": False}),
+    ]
+    for t, closed, flags in cases:
+        tf = torsion_forms(t)
+        assert tf.torsion_class == torsion_class(t) == flags
+        assert tf.closed is closed
 
 
 def test_torsion_class_of_flat_structure_is_empty():
@@ -230,7 +242,6 @@ def test_pinching_residual_positive_off_the_ray():
 
 
 def test_pinching_residual_requires_closed():
-    from g2solv.coflow import CoclosedParams
     t = CoclosedParams(1, 1, 1, -1, 1, 1).to_triple()
     with pytest.raises(ValueError):
         erp_residual(t)

@@ -11,6 +11,8 @@ from scipy.integrate import solve_ivp
 
 from g2solv.coflow import (
     _BLOWUP,
+    _DRIFT_TOL,
+    _WINDOW,
     CoclosedParams,
     FlowOptions,
     _rk45,
@@ -36,14 +38,14 @@ def oracle(rate, y0, t_max, samples):
                      events=blowup, dense_output=True)
 
 
-def oracle_status(sol, t_max, opts):
+def oracle_status(sol, t_max):
     """The status rule of `integrate`, applied to scipy's dense output."""
     if not sol.success or len(sol.t_events[0]):
         return "diverged"
-    pts = sol.sol(np.linspace(max(0.0, t_max - opts.window), t_max, 11)).T
+    pts = sol.sol(np.linspace(max(0.0, t_max - _WINDOW), t_max, 11)).T
     dirs = pts / np.linalg.norm(pts, axis=1)[:, None]
     drift = np.abs(dirs - dirs[-1]).max()
-    return "converged" if drift * t_max / opts.window < opts.drift_tol else "max_time"
+    return "converged" if drift * t_max / _WINDOW < _DRIFT_TOL else "max_time"
 
 
 def coflow_rate(y):
@@ -51,11 +53,10 @@ def coflow_rate(y):
 
 
 def assert_matches_oracle(p0, t_max, samples):
-    opts = FlowOptions(samples=samples)
-    traj = integrate(p0, t_max, opts)
+    traj = integrate(p0, t_max, FlowOptions(samples=samples))
     sol = oracle(coflow_rate, p0.as_array(), t_max, samples)
     assert np.array_equal(traj.times, sol.t)
-    assert traj.status == oracle_status(sol, t_max, opts)
+    assert traj.status == oracle_status(sol, t_max)
     assert np.abs(traj.params - sol.y.T).max() <= 1e-9 * np.abs(sol.y).max()
     # step for step: a different step-size sequence would stay within the
     # tolerance above but would not evaluate the rate as often
