@@ -9,14 +9,16 @@ Subcommands
     audit            compare computed dynamics against the source claims
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
-2 usage or input errors.  Matrix literals use ';' between rows and ','
-between entries; '@path' reads the literal from a file.
+2 usage or input errors, printed as 'error: <message>'.  Numbers must be
+finite and a sweep file must hold a start.  Matrix literals use ';' between
+rows and ',' between entries; '@path' reads the literal from a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -28,7 +30,6 @@ from .coflow import (
     FlowOptions,
     flow_generator,
     integrate,
-    laplacian_coefficients,
     modified_soliton_residual,
     ode_rhs,
     soliton_candidates,
@@ -44,8 +45,7 @@ def _parse_matrix(text: str) -> np.ndarray:
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     rows = [r for r in text.split(";") if r.strip()]
-    data = [[float(x) for x in r.split(",")] for r in rows]
-    M = np.array(data, dtype=float)
+    M = np.array([_parse_floats(r, 4) for r in rows], dtype=float)
     if M.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {M.shape}")
     return M
@@ -61,20 +61,20 @@ def _parse_ints(text: str, n: int) -> list[int]:
 def _parse_floats(text: str, n: int) -> list[float]:
     vals = [float(x) for x in text.split(",")]
     if len(vals) != n:
-        raise ValueError(f"expected {n} comma-separated numbers")
+        raise ValueError(f"expected {n} comma-separated numbers, got {text.strip()!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"expected finite numbers, got {text.strip()!r}")
     return vals
 
 
 def _emit(payload: str, out: str | None):
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _triple_from_args(args) -> BracketTriple:
@@ -94,8 +94,7 @@ def _cmd_verify_lattice(args) -> int:
         reference = ex["reference"]
     else:
         if not args.poly or len(args.unit or []) != 3:
-            print("verify-lattice needs --example or --poly plus three --unit", file=sys.stderr)
-            return 2
+            raise ValueError("verify-lattice needs --example or --poly plus three --unit")
         p = QuarticPoly(*_parse_ints(args.poly, 4))
         units = [UnitSpec(*_parse_ints(u, 4)) for u in args.unit]
         reference = None
@@ -147,11 +146,7 @@ def _cmd_torsion(args) -> int:
 
 def _cmd_erp_check(args) -> int:
     t = _triple_from_args(args)
-    try:
-        res = erp_residual(t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    res = erp_residual(t)
     payload = {
         "residual_norm": res["residual_norm"],
         "tau_norm_sq": res["tau_norm_sq"],
@@ -181,55 +176,41 @@ def _cmd_soliton(args) -> int:
     return 0
 
 
-def _flow_rows(p0: CoclosedParams, t_max: float, samples: int):
-    traj = integrate(p0, t_max, FlowOptions(samples=samples))
-    table = np.column_stack([traj.times, traj.params, traj.norms(),
-                             traj.invariants(), traj.coefficients()])
-    return traj, table.tolist()
-
-
 _CSV_HEADER = "t,a1,a2,b1,b2,c1,c2,N,F,r,s,tc"
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_HEADER.split(",")))
 
 
-def _format_csv(rows) -> str:
-    return "\n".join([_CSV_HEADER, *(_CSV_ROW % tuple(row) for row in rows)])
-
-
-def _flow_payload(traj, rows) -> dict:
-    return {"status": traj.status, "columns": _CSV_HEADER.split(","), "rows": rows}
-
-
 def _cmd_flow(args) -> int:
+    """Integrate each start of --sweep, or the one --init; a sweep labels runs."""
     if args.sweep:
         with open(args.sweep, "r", encoding="utf-8") as fh:
-            starts = [
-                _parse_floats(line, 6)
-                for line in fh.read().splitlines()
-                if line.strip() and not line.startswith("#")
-            ]
-        runs = [(s, *_flow_rows(CoclosedParams(*s), args.t_max, args.samples)) for s in starts]
-        if args.format == "json":
-            payload = {"runs": [{"start": list(s), **_flow_payload(traj, rows)}
-                                for s, traj, rows in runs]}
-            _emit(json.dumps(payload), args.out)
-        else:
-            blocks = []
-            for s, traj, rows in runs:
-                blocks.append(f"# start {','.join(str(x) for x in s)} status {traj.status}")
-                blocks.append(_format_csv(rows))
-            _emit("\n".join(blocks), args.out)
-        return int(any(traj.status == "diverged" for _, traj, _ in runs))
-    if not args.init:
-        print("flow needs --init or --sweep", file=sys.stderr)
-        return 2
-    p0 = CoclosedParams(*_parse_floats(args.init, 6))
-    traj, rows = _flow_rows(p0, args.t_max, args.samples)
-    if args.format == "json":
-        _emit(json.dumps(_flow_payload(traj, rows)), args.out)
+            lines = [line for line in fh.read().splitlines()
+                     if line.strip() and not line.startswith("#")]
+        if not lines:
+            raise ValueError(f"sweep file {args.sweep} holds no start")
+    elif args.init:
+        lines = [args.init]
     else:
-        _emit(_format_csv(rows) + f"\n# status {traj.status}", args.out)
-    return 1 if traj.status == "diverged" else 0
+        raise ValueError("flow needs --init or --sweep")
+    starts = [_parse_floats(line, 6) for line in lines]
+    reports, diverged = [], False
+    for start in starts:
+        traj = integrate(CoclosedParams(*start), args.t_max, FlowOptions(samples=args.samples))
+        diverged |= traj.status == "diverged"
+        rows = np.column_stack([traj.times, traj.params, traj.norms(),
+                                traj.invariants(), traj.coefficients()]).tolist()
+        if args.format == "json":
+            run = {"status": traj.status, "columns": _CSV_HEADER.split(","), "rows": rows}
+            reports.append({"start": start, **run} if args.sweep else run)
+            continue
+        csv = "\n".join([_CSV_HEADER, *(_CSV_ROW % tuple(row) for row in rows)])
+        reports.append(f"# start {','.join(map(str, start))} status {traj.status}\n{csv}"
+                       if args.sweep else f"{csv}\n# status {traj.status}")
+    if args.format == "json":
+        _emit(json.dumps({"runs": reports} if args.sweep else reports[0]), args.out)
+    else:
+        _emit("\n".join(reports), args.out)
+    return int(diverged)
 
 
 def _cmd_audit(args) -> int:
@@ -252,14 +233,9 @@ def _cmd_audit(args) -> int:
     dev = 0.0
     for _ in range(200):
         p = CoclosedParams(*rng.uniform(-2, 2, size=6))
-        r, s, t = laplacian_coefficients(p)
-        a1, a2, b1, b2, c1, c2 = p.as_array()
-        ka = -(a1 * a1 + a2 * a2) + 2 * b1 * b2 + 2 * c1 * c2
-        kb = -(b1 * b1 + b2 * b2) + 2 * a1 * a2 - 2 * c1 * c2
-        kc = -(c1 * c1 + c2 * c2) - 2 * a1 * a2 - 2 * b1 * b2
-        dev = max(dev, abs(-0.5 * (-r + s + t) - ka))
-        dev = max(dev, abs(-0.5 * (r + s - t) - kb))
-        dev = max(dev, abs(-0.5 * (r - s + t) - kc))
+        # each pair is scaled by minus its slot of Q: a by e7, b by e1, c by e2
+        rate = -np.diag(flow_generator(p))[[6, 6, 0, 0, 1, 1]] * p.as_array()
+        dev = max(dev, float(np.max(np.abs(ode_rhs(p) - rate))))
     claims.append({
         "claim_id": "ode_coefficient_identity",
         "source_location": "flow ODE display vs (r, s, t) quadratic forms",
@@ -413,7 +389,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -365,7 +365,8 @@ def _soliton_fit(target: KForm) -> dict:
 def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
     fit = _soliton_fit(laplacians(p.to_triple())["psi"])
-    fit["flat"] = p.norm_sq() < 1e-20
+    # the family's matrices are symmetric, so only the origin is flat
+    fit["flat"] = not p.as_array().any()
     return fit
 
 
@@ -397,13 +398,9 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
     if P < 0 or Q < 0:
         return []
     su, dv = np.sqrt(P), np.sqrt(Q)
-    pairs = set()
-    for sg1 in (su, -su):
-        for sg2 in (dv, -dv):
-            c1 = 0.5 * (sg1 + sg2)
-            c2 = 0.5 * (sg1 - sg2)
-            pairs.add((round(c1, 15), round(c2, 15)))
-    return sorted(pairs)
+    # a set of the two signs holds one 0.0 when the root vanishes, so the
+    # pairs are deduplicated exactly, at any scale of the base
+    return sorted({(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}})
 
 
 def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSolution]:

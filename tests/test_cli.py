@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import g2solv
-from g2solv import cli, g2core, liealg
+from g2solv import cli, coflow, g2core, liealg
 from g2solv.coflow import CoclosedParams, laplacian_coefficients
 from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES
@@ -248,6 +248,21 @@ def test_soliton_malformed_base(capsys):
     assert cli.run(["soliton", "--base", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--closed", "nan,1,1"],
+    ["torsion", "--triple", "inf,0,0,0;0,-1,0,0;0,0,1,0;0,0,0,-1", *COCLOSED_MATS[1:]],
+    ["erp-check", "--closed", "inf,1,1"],
+    ["soliton", "--base", "inf,1,1,-1"],
+    ["flow", "--init", "nan,1,1,1,1,1"],
+])
+def test_non_finite_numbers_are_input_errors(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected finite numbers")
+
+
 # -- flow ---------------------------------------------------------------------------
 
 
@@ -321,10 +336,17 @@ def test_flow_init_with_a_negative_first_entry(capsys, init):
     assert payload["rows"][0][1:7] == [-0.5, 1.0, 1.0, -1.0, 1.0, 1.0]
 
 
-def test_flow_requires_a_start(capsys):
+def test_flow_requires_a_start(tmp_path, capsys):
     code = cli.run(["flow"])
     assert code == 2
     assert "needs --init or --sweep" in capsys.readouterr().err
+    sweep = tmp_path / "starts.txt"
+    sweep.write_text("# one start per line\n\n  \n")
+    code = cli.run(["flow", "--sweep", str(sweep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_flow_sweep(tmp_path, capsys):
@@ -402,12 +424,32 @@ def test_audit_reports_five_claims(capsys):
     }
 
 
+def test_audit_reads_the_package_ode(monkeypatch, capsys):
+    rate = coflow._rate
+    monkeypatch.setattr(coflow, "_rate", lambda y: -rate(y))
+    _, payload = run_json(capsys, ["audit"])
+    claim, = [c for c in payload["claims"] if c["claim_id"] == "ode_coefficient_identity"]
+    assert claim["agrees"] is False
+
+
 def test_audit_out_file(tmp_path, capsys):
     target = tmp_path / "audit.json"
     code = cli.run(["--out", str(target), "audit"])
     assert code == 0
     payload = json.loads(target.read_text())
     assert len(payload["claims"]) == 5
+
+
+# -- error handling ---------------------------------------------------------------
+
+
+def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "_cmd_audit", broken)
+    with pytest.raises(KeyError):
+        cli.run(["audit"])
 
 
 # -- import cost ----------------------------------------------------------------------

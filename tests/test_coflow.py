@@ -300,6 +300,21 @@ def test_soliton_lambda_for_the_four_branch_base():
     assert all(sol.residual < 1e-12 for sol in sols)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-7])
+def test_soliton_residuals_are_scale_invariant(scale):
+    # the soliton equations are homogeneous, so a scaled base keeps its
+    # relative residual; rounding the candidates would cut digits off
+    sols = soliton_solve(scale, -scale, scale, -scale / 2)
+    assert len(sols) == 4
+    assert max(sol.residual / sol.lam for sol in sols) < 1e-14
+
+
+def test_only_the_origin_is_flat():
+    tiny = CoclosedParams(*(1e-11 * x for x in (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)))
+    assert soliton_residual(tiny)["flat"] is False
+    assert soliton_residual(CoclosedParams(*[0.0] * 6))["flat"] is True
+
+
 def test_residual_separates_solitons_from_generic_points():
     assert soliton_residual(SOLITON)["residual"] < 1e-12
     generic = soliton_residual(CoclosedParams(2.0, 1.0, 0.5, 0.3, -0.2, 0.9))
