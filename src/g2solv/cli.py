@@ -67,6 +67,17 @@ def _parse_floats(text: str, n: int) -> list[float]:
     return vals
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _emit(payload: str, out: str | None):
     if not payload.endswith("\n"):
         payload += "\n"
@@ -315,7 +326,7 @@ def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
     def default(value):
         return value if top_level else argparse.SUPPRESS
 
-    p.add_argument("--tol", type=float, default=default(1e-9),
+    p.add_argument("--tol", type=_finite_float, default=default(1e-9),
                    help="verdict threshold where one applies (default 1e-9)")
     p.add_argument("--format", choices=["json", "csv", "text"], default=default(None),
                    help="json for reports, csv for flow unless overridden")
@@ -365,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")
     so.add_argument("--base", required=True, help="a1,a2,b1,b2")
-    so.add_argument("--modified-m", type=float, default=0.0,
+    so.add_argument("--modified-m", type=_finite_float, default=0.0,
                     help="also report the modified-flow residual at this m")
     so.set_defaults(func=_cmd_soliton)
 
     fl = add_parser("flow", help="integrate the coflow parameter ODE")
     fl.add_argument("--init", help="a1,a2,b1,b2,c1,c2 starting parameters")
-    fl.add_argument("--t-max", type=float, default=50.0)
+    fl.add_argument("--t-max", type=_finite_float, default=50.0)
     fl.add_argument("--samples", type=int, default=501)
     fl.add_argument("--sweep", help="file with one 6-tuple start per line")
     fl.set_defaults(func=_cmd_flow)

@@ -349,12 +349,16 @@ class SolitonSolution:
 # soliton equation is this matrix times (lam, d3..d6).
 _SOLITON_MATRIX = np.column_stack(
     [PSI.vec, *(theta(-np.diag(e), PSI).vec for e in np.eye(4))])
+# the matrix has full column rank, so its pseudo-inverse is (M^T M)^-1 M^T;
+# solving these 5x5 normal equations instead of calling an SVD (pinv or
+# lstsq) keeps about 0.9 MB of LAPACK workspace out of every process
+_SOLITON_PINV = np.linalg.solve(_SOLITON_MATRIX.T @ _SOLITON_MATRIX, _SOLITON_MATRIX.T)
 
 
 def _soliton_fit(target: KForm) -> dict:
     """Least-squares fit of target by lam psi + theta_plus(D) psi over the
     symmetric derivations D = Diag(0,0,0,d3..d6)."""
-    x, *_ = np.linalg.lstsq(_SOLITON_MATRIX, target.vec, rcond=None)
+    x = _SOLITON_PINV @ target.vec
     return {
         "residual": float(np.linalg.norm(_SOLITON_MATRIX @ x - target.vec)),
         "best_lambda": float(x[0]),
@@ -391,16 +395,28 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
 
     solvable iff both right-hand sides are nonnegative; the sign choices are
     enumerated and deduplicated when a square vanishes.  The list is empty
-    when either right-hand side is negative.
+    when either right-hand side is negative.  The squares are taken on the
+    base divided by a power of two near its largest entry, which is exact,
+    so no intermediate overflows; a pair that itself exceeds the float range
+    raises OverflowError.
     """
+    e = math.frexp(max(abs(a1), abs(a2), abs(b1), abs(b2)))[1]
+    a1, a2, b1, b2 = (math.ldexp(x, -e) for x in (a1, a2, b1, b2))
     P = (a1 - a2) ** 2 - 4 * b1 * b2
     Q = (b1 - b2) ** 2 - 4 * a1 * a2
     if P < 0 or Q < 0:
         return []
-    su, dv = np.sqrt(P), np.sqrt(Q)
+    su, dv = math.sqrt(P), math.sqrt(Q)
     # a set of the two signs holds one 0.0 when the root vanishes, so the
     # pairs are deduplicated exactly, at any scale of the base
-    return sorted({(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}})
+    pairs = {(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}}
+    return sorted((math.ldexp(c1, e), math.ldexp(c2, e)) for c1, c2 in pairs)
+
+
+# lap psi is quadratic in the parameters and the residual norms square it
+# again, so the soliton pipeline reaches fourth powers of the base; this
+# bound leaves them a margin of 2^64 below the float range
+_MAX_BASE = 2.0 ** 240
 
 
 def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSolution]:
@@ -410,8 +426,12 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     lam = 2((a1-a2)^2 + (b1-b2)^2) and the derivation entry d = -lam/4; the
     returned residual is the verified norm of lap psi - lam psi -
     theta_plus(D) psi computed through the full form pipeline, not assumed
-    zero.
+    zero.  Raises ValueError for a base with an entry of size `_MAX_BASE` or
+    more, where that pipeline would overflow.
     """
+    if not all(abs(x) < _MAX_BASE for x in (a1, a2, b1, b2)):
+        raise ValueError(f"base entries must be below {_MAX_BASE:.3g} in size: "
+                         "the Laplacian would leave the float range")
     pairs = soliton_candidates(a1, a2, b1, b2)
     lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)
     d = -lam / 4.0

@@ -12,42 +12,50 @@ n-covectors f^1..f^4 correspond to e^3..e^6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 
 import numpy as np
 
 from .config import TOL
-from .forms import DIM, KForm, monomial, theta, wedge, zero_form
+from .forms import BASIS, DIM, KForm, _covector_wedge, zero_form
 
 # presentation permutation: internal order (e1..e7) -> display order (e7,e1,e2,e3..e6)
 _DISPLAY = [6, 0, 1, 2, 3, 4, 5]
+# a-block order (e7, e1, e2), the covectors paired with A, B, C -> internal slots
+_A_SLOTS = np.array([6, 0, 1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BracketTriple:
-    """Commuting traceless triple (A, B, C) of real 4x4 matrices."""
+    """Commuting traceless triple (A, B, C) of real 4x4 matrices.
+
+    The triple is immutable: A, B and C are read-only views of one (3, 4, 4)
+    copy of the input, and `entries` is its flattened 48-vector, the
+    coordinates the Chevalley-Eilenberg differential is linear in.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = []
         for name in ("A", "B", "C"):
-            M = np.asarray(getattr(self, name), dtype=float)
-            if M.shape != (4, 4):
+            if np.shape(getattr(self, name)) != (4, 4):
                 raise ValueError(f"{name} must be 4x4")
-            mats.append(M)
-            setattr(self, name, M)
-        scale = max(1.0, *(np.abs(M).max() for M in mats))
-        for M in mats:
-            if abs(np.trace(M)) > 1e-10 * scale:
-                raise ValueError("matrices must be traceless (unimodular algebra)")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                if np.abs(comm).max() > 1e-10 * scale * scale:
-                    raise ValueError("matrices must commute (Jacobi identity)")
+        mats = np.array([self.A, self.B, self.C], dtype=float)
+        mats.flags.writeable = False
+        scale = max(1.0, np.abs(mats).max())
+        if (np.abs(mats.trace(axis1=1, axis2=2)) > 1e-10 * scale).any():
+            raise ValueError("matrices must be traceless (unimodular algebra)")
+        products = mats[:, None] @ mats  # products[i, j] = M_i M_j
+        if np.abs(products - products.swapaxes(0, 1)).max() > 1e-10 * scale * scale:
+            raise ValueError("matrices must commute (Jacobi identity)")
+        for name, M in zip(("A", "B", "C"), mats):
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "entries", mats.reshape(-1))
 
     def matrices(self):
         return (self.A, self.B, self.C)
@@ -62,7 +70,32 @@ class CompatibilityReport:
     reason: str
 
 
-_A_COVECTORS = tuple(monomial((a,)) for a in (7, 1, 2))  # paired with A, B, C
+@cache
+def _d_table(k: int):
+    """(out, src, entry, sign) for d on k-forms, 0 <= k < 7: entry `entry` of
+    the flattened (A, B, C) sends basis k-form `src` to `sign` times basis
+    (k+1)-form `out`.
+
+    With M_a the a-th matrix, acting on e^3..e^6 by zero-based rows and
+    columns, and e^v its covector (e^7, e^1, e^2, at the zero-based slots
+    `_A_SLOTS` of `_covector_wedge`), entry (a, i, j) contributes
+    the term -M_a[i, j] e^v ^ e^{j+3} ^ i(e_{i+3}) of d.  With E_v = e^v ^ (.)
+    that is the block -E_v E_{j+3} E_{i+3}^T, a signed partial permutation,
+    so every sign is +-1.
+    """
+    rows = []
+    if k > 0:
+        n_lo, n_mid = len(BASIS[k - 1]), len(BASIS[k])
+        lower, upper = _covector_wedge(k - 1), _covector_wedge(k)
+        for entry, (v, i, j) in enumerate(product(_A_SLOTS, range(4), range(4))):
+            E_v = upper[:, v * n_mid:(v + 1) * n_mid]
+            E_j = lower[:, (j + 2) * n_lo:(j + 3) * n_lo]
+            E_i = lower[:, (i + 2) * n_lo:(i + 3) * n_lo]
+            block = -(E_v @ E_j @ E_i.T)
+            out, src = np.nonzero(block)
+            rows.extend(zip(out, src, [entry] * len(out), block[out, src]))
+    out, src, entry, sign = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return out, src, entry, sign.astype(float)
 
 
 def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
@@ -73,13 +106,15 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     Each term is an antiderivation that kills e^1, e^2, e^7 and sends an
     n-covector f^k (dual to e_{k+2}) to its share of the rule de(x, y) =
     -e([x, y]):  df^k = -sum_j (A[k,j] e^7 + B[k,j] e^1 + C[k,j] e^2) ^ f^j.
+    d is linear in the 48 entries of (A, B, C), so it is evaluated from the
+    signed index table `_d_table`.
     """
-    if alpha.degree >= DIM:
+    k = alpha.degree
+    if k >= DIM:
         return zero_form(DIM)
-    out = zero_form(alpha.degree + 1)
-    for e, M in zip(_A_COVECTORS, t.matrices()):
-        out = out + wedge(e, theta(M, alpha))
-    return out
+    out, src, entry, sign = _d_table(k)
+    terms = sign * alpha.vec[src] * t.entries[entry]
+    return KForm._of(k + 1, np.bincount(out, terms, minlength=len(BASIS[k + 1])))
 
 
 def _real_eigenspaces(M: np.ndarray, tol: float):
@@ -180,10 +215,6 @@ def ricci_operator(t: BracketTriple) -> np.ndarray:
     (1/2)([A,A^T] + [B,B^T] + [C,C^T]); the two blocks never mix.
     """
     return _ricci(np.stack(t.matrices()))
-
-
-# a-block order (e7, e1, e2) -> internal slots (6, 0, 1)
-_A_SLOTS = np.array([6, 0, 1])
 
 
 def _ricci(mats: np.ndarray) -> np.ndarray:

@@ -263,6 +263,28 @@ def test_non_finite_numbers_are_input_errors(capsys, argv):
     assert captured.err.startswith("error: expected finite numbers")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["erp-check", "--closed", "1,1,1", "--tol", "nan"], "--tol"),
+    (["--tol", "inf", "erp-check", "--closed", "1,1,1"], "--tol"),
+    (["flow", "--init", "1,1,2,2,1,1", "--t-max", "inf"], "--t-max"),
+    (["soliton", "--base", "1,1,1,-1", "--modified-m=-inf"], "--modified-m"),
+])
+def test_non_finite_float_options_are_usage_errors(capsys, argv, option):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: argument {option}: expected a finite number" in captured.err
+
+
+def test_soliton_base_too_large_for_the_laplacian(capsys):
+    code = cli.run(["soliton", "--base=1e200,1,1,-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: base entries must be below")
+
+
 # -- flow ---------------------------------------------------------------------------
 
 

@@ -309,6 +309,26 @@ def test_soliton_residuals_are_scale_invariant(scale):
     assert max(sol.residual / sol.lam for sol in sols) < 1e-14
 
 
+@pytest.mark.parametrize("power", [-600, 600, 1000])
+def test_candidates_scale_exactly_with_the_base(power):
+    # the conditions are homogeneous, and a power of two scales floats
+    # exactly, so no intermediate square may overflow or lose digits
+    base = (1.0, -1.0, 1.0, -0.5)
+    scaled = soliton_candidates(*(np.ldexp(x, power) for x in base))
+    assert len(scaled) == 4
+    assert scaled == [tuple(np.ldexp(c, power) for c in pair)
+                      for pair in soliton_candidates(*base)]
+
+
+def test_soliton_solve_rejects_a_base_beyond_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        soliton_solve(1e200, 1.0, 1.0, -1.0)
+    # just below the limit the pipeline stays finite and exact to rounding
+    sols = soliton_solve(*(np.ldexp(x, 239) for x in (1.0, -1.0, 1.0, -0.5)))
+    assert len(sols) == 4
+    assert max(sol.residual / sol.lam for sol in sols) < 1e-14
+
+
 def test_only_the_origin_is_flat():
     tiny = CoclosedParams(*(1e-11 * x for x in (1.0, 1.0, 1.0, -1.0, 1.0, 1.0)))
     assert soliton_residual(tiny)["flat"] is False

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
-from g2solv.forms import KForm, PHI, PSI, monomial, wedge
+from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
 from g2solv.liealg import (
     BracketTriple,
+    _d_table,
     ce_differential,
     check_compatible,
     homothety_invariant,
@@ -67,7 +68,45 @@ def test_triple_rejects_noncommuting():
         BracketTriple(A, B, np.zeros((4, 4)))
 
 
+def test_triple_is_immutable():
+    A = np.diag([1.0, -1.0, 2.0, -2.0])
+    t = BracketTriple(A, np.diag([3.0, 1.0, -3.0, -1.0]), np.zeros((4, 4)))
+    for name in ("A", "B", "C", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, np.zeros((4, 4)))
+    for M in (*t.matrices(), t.entries):
+        with pytest.raises(ValueError):
+            M[0] = 5.0
+    # the triple holds its own copy, so the caller's array stays writable
+    A[0, 0] = 7.0
+    assert t.A[0, 0] == 1.0
+    np.testing.assert_array_equal(t.entries, np.concatenate([M.ravel() for M in t.matrices()]))
+
+
 # -- differential ----------------------------------------------------------------
+
+
+def test_differential_table_matches_the_oracle_on_every_entry():
+    # d is linear in the 48 entries of (A, B, C): each unit entry, commuting
+    # or not, must give exactly the oracle's integer matrix
+    for deg in range(7):
+        out, src, entry, sign = _d_table(deg)
+        assert set(sign.tolist()) <= {-1.0, 1.0}
+        assert len(set(zip(out.tolist(), src.tolist(), entry.tolist()))) == len(out)
+        monomials = [dz.from_dict(deg, {I: 1.0}) for I in BASIS[deg]]
+        for e in range(48):
+            unit = np.zeros(48)
+            unit[e] = 1.0
+            c = dz.structure_tensor(*unit.reshape(3, 4, 4))
+            got = np.zeros((len(BASIS[deg + 1]), len(BASIS[deg])))
+            rows = entry == e
+            got[out[rows], src[rows]] = sign[rows]
+            want = np.zeros_like(got)
+            for n, T in enumerate(monomials):
+                for J, v in dz.to_dict(dz.d(c, T, deg), deg + 1).items():
+                    assert v in (-1.0, 1.0)
+                    want[BASIS[deg + 1].index(J), n] = v
+            np.testing.assert_array_equal(got, want, err_msg=f"degree {deg}, entry {e}")
 
 
 def test_base_covectors_are_closed():
