@@ -10,8 +10,10 @@ Subcommands
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
 2 usage or input errors, printed as 'error: <message>'.  Numbers must be
-finite and a sweep file must hold a start.  Matrix literals use ';' between
-rows and ',' between entries; '@path' reads the literal from a file.
+finite; the entries of a triple, a soliton base and --modified-m must be
+below 2^240 in size; a sweep file must hold a start.  Matrix literals use
+';' between rows and ',' between entries; '@path' reads the literal from a
+file.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .coflow import (
     soliton_candidates,
     soliton_solve,
 )
-from .g2core import closed_triple, erp_residual, laplacians, torsion_forms
+from .g2core import MAX_ENTRY, closed_triple, erp_residual, laplacians, torsion_forms
 from .liealg import BracketTriple, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
 
@@ -88,14 +90,21 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
+def _bounded(values):
+    """Return the parsed entries of a triple after checking that each is
+    below `MAX_ENTRY` in size, so that no report leaves the float range."""
+    if not np.all(np.abs(values) < MAX_ENTRY):
+        raise ValueError(f"triple entries must be below {MAX_ENTRY:.3g} in size: "
+                         "the torsion and curvature reports would leave the float range")
+    return values
+
+
 def _triple_from_args(args) -> BracketTriple:
     if getattr(args, "closed", None):
-        a, b, c = _parse_floats(args.closed, 3)
-        return closed_triple(a, b, c)
+        return closed_triple(*_bounded(_parse_floats(args.closed, 3)))
     if getattr(args, "coclosed", None):
-        return CoclosedParams(*_parse_floats(args.coclosed, 6)).to_triple()
-    mats = [_parse_matrix(m) for m in args.triple]
-    return BracketTriple(*mats)
+        return CoclosedParams(*_bounded(_parse_floats(args.coclosed, 6))).to_triple()
+    return BracketTriple(*_bounded([_parse_matrix(m) for m in args.triple]))
 
 
 def _cmd_verify_lattice(args) -> int:

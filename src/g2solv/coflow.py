@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .forms import PSI, KForm, theta
 from .liealg import BracketTriple, homothety_invariants
-from .g2core import laplacians, modified_laplacian_psi
+from .g2core import MAX_ENTRY, laplacians, modified_laplacian_psi
 
 _BLOWUP = 1e8
 _RTOL = 1e-10
@@ -76,8 +77,14 @@ class CoclosedParams:
     def from_array(p) -> "CoclosedParams":
         return CoclosedParams(*(float(x) for x in p))
 
-    def to_triple(self) -> BracketTriple:
+    @cached_property
+    def _triple(self) -> BracketTriple:
         return BracketTriple(*_triples(self.as_array()))
+
+    def to_triple(self) -> BracketTriple:
+        """The triple (A, B, C), built and validated on the first call; later
+        calls return the same object."""
+        return self._triple
 
     def norm_sq(self) -> float:
         p = self.as_array()
@@ -379,9 +386,14 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
 
         lap psi + 2 d((m - tr T) phi) = lam psi + theta_plus(D) psi,
 
-    with m != 0.  tr T and dphi are taken from the structure itself."""
+    with m != 0 and |m| below `MAX_ENTRY`: like tr T, m scales as the
+    entries do, and 2 (m - tr T) dphi is squared in the residual norm.  tr T
+    and dphi are taken from the structure itself."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
+    if not abs(m) < MAX_ENTRY:
+        raise ValueError(f"m must be below {MAX_ENTRY:.3g} in size: "
+                         "the modified residual would leave the float range")
     return _soliton_fit(modified_laplacian_psi(p.to_triple(), m))
 
 
@@ -413,24 +425,19 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
     return sorted((math.ldexp(c1, e), math.ldexp(c2, e)) for c1, c2 in pairs)
 
 
-# lap psi is quadratic in the parameters and the residual norms square it
-# again, so the soliton pipeline reaches fourth powers of the base; this
-# bound leaves them a margin of 2^64 below the float range
-_MAX_BASE = 2.0 ** 240
-
-
 def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSolution]:
     """All coclosed algebraic solitons over a fixed (a1, a2, b1, b2).
 
     Each candidate from `soliton_candidates` carries
     lam = 2((a1-a2)^2 + (b1-b2)^2) and the derivation entry d = -lam/4; the
-    returned residual is the verified norm of lap psi - lam psi -
-    theta_plus(D) psi computed through the full form pipeline, not assumed
-    zero.  Raises ValueError for a base with an entry of size `_MAX_BASE` or
-    more, where that pipeline would overflow.
+    returned residual is the norm of lap psi - lam psi - theta_plus(D) psi,
+    verified rather than assumed zero: lap psi is evaluated from the exact
+    +-1 quadratic table of `g2core.laplacians` on the candidate's triple.
+    Raises ValueError for a base with an entry of size `g2core.MAX_ENTRY`
+    or more, where the Laplacian's squared norm would overflow.
     """
-    if not all(abs(x) < _MAX_BASE for x in (a1, a2, b1, b2)):
-        raise ValueError(f"base entries must be below {_MAX_BASE:.3g} in size: "
+    if not all(abs(x) < MAX_ENTRY for x in (a1, a2, b1, b2)):
+        raise ValueError(f"base entries must be below {MAX_ENTRY:.3g} in size: "
                          "the Laplacian would leave the float range")
     pairs = soliton_candidates(a1, a2, b1, b2)
     lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)

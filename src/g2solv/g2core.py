@@ -18,17 +18,31 @@ Torsion components are normalized by
 
 so that dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
 dpsi = 4 tau1 ^ psi + tau2 ^ phi.
+
+dphi, dpsi and so every torsion part are linear in the 48 entries of
+(A, B, C), and the Laplacians are quadratic in them.  Each is read off one
+table built on first use: `_torsion_map`, the formulas above applied once
+per entry, and `_laplacian_table`, whose coefficients are all +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .config import TOL
-from .forms import PHI, PSI, KForm, hodge, inner, wedge
-from .liealg import BracketTriple, ce_differential, homothety_invariant
+from .forms import BASIS, PHI, PSI, KForm, _hodge_table, hodge, inner, wedge
+from .liealg import BracketTriple, _d_table, ce_differential, homothety_invariant
+
+# dphi, the Laplacians, the ERP residual and tr(Ric^2) are at most quadratic
+# in the entries of (A, B, C), and their norms square them again, so the
+# reports reach fourth powers of the entries; entries below this bound leave
+# those a margin of 2^64 below the float range
+MAX_ENTRY = 2.0 ** 240
+
+_ENTRIES = 48  # entries of (A, B, C), the length of `BracketTriple.entries`
 
 
 @dataclass
@@ -43,23 +57,57 @@ class TorsionForms:
     torsion_class: dict  # W1..W4: whether tau0, tau2, tau3, tau1 are nonzero
 
 
-def _tau0(dphi: KForm) -> float:
-    return hodge(wedge(dphi, PHI)).scalar() / 7.0
-
-
-def _lap_phi(t: BracketTriple, dphi: KForm, dpsi: KForm) -> KForm:
-    """lap phi = *d*dphi - d*dpsi; d has no codifferential shortcut here."""
-    return hodge(ce_differential(t, hodge(dphi))) - ce_differential(t, hodge(dpsi))
-
-
-def torsion_forms(t: BracketTriple) -> TorsionForms:
-    dphi = ce_differential(t, PHI)
-    dpsi = ce_differential(t, PSI)
-    tau0 = _tau0(dphi)
+def _torsion_parts(dphi: KForm, dpsi: KForm) -> tuple:
+    """(tau0, tau1, tau2, tau3, dphi, tau) from dphi and dpsi, tau = -*dpsi."""
+    tau0 = hodge(wedge(dphi, PHI)).scalar() / 7.0
     tau1 = hodge(wedge(hodge(dphi), PHI)) * (-1.0 / 12.0)
     tau2 = -hodge(dpsi) + 4.0 * hodge(wedge(tau1, PSI))
     tau3 = hodge(dphi) - tau0 * PHI - 3.0 * hodge(wedge(tau1, PHI))
     tau = -hodge(dpsi)  # -*d*phi, as psi = *phi
+    return tau0, tau1, tau2, tau3, dphi, tau
+
+
+# degrees of the parts of `_torsion_parts`, and the rows of `_torsion_map`
+# that hold each
+_PART_DEGREES = (0, 1, 2, 3, 4, 2)
+_PART_ENDS = np.cumsum([len(BASIS[k]) for k in _PART_DEGREES]).tolist()
+_PART_ROWS = [slice(a, b) for a, b in zip([0, *_PART_ENDS], _PART_ENDS)]
+
+
+def _linear_d(alpha: KForm) -> np.ndarray:
+    """The matrix L with d alpha = L @ t.entries, from `_d_table`."""
+    out, src, entry, sign = _d_table(alpha.degree)
+    L = np.zeros((len(BASIS[alpha.degree + 1]), _ENTRIES))
+    np.add.at(L, (out, entry), sign * alpha.vec[src])
+    return L
+
+
+@cache
+def _torsion_map() -> np.ndarray:
+    """(120, 48) matrix taking t.entries to the parts of `_torsion_parts`,
+    concatenated (tau0 a single row).
+
+    Every part is linear in (dphi, dpsi), which are linear in the entries,
+    so column j is `_torsion_parts` applied once to d(phi) and d(psi) of the
+    j-th unit entry.
+    """
+    Lphi, Lpsi = _linear_d(PHI), _linear_d(PSI)
+    cols = []
+    for j in range(Lphi.shape[1]):
+        parts = _torsion_parts(KForm._of(4, Lphi[:, j]), KForm._of(5, Lpsi[:, j]))
+        cols.append(np.concatenate([[parts[0]], *(x.vec for x in parts[1:])]))
+    return np.column_stack(cols)
+
+
+def _mapped_parts(t: BracketTriple) -> list:
+    """`_torsion_parts` of t, from one product with `_torsion_map`."""
+    v = _torsion_map() @ t.entries
+    tau0, *forms = (KForm._of(k, v[rows]) for k, rows in zip(_PART_DEGREES, _PART_ROWS))
+    return [tau0.scalar(), *forms]
+
+
+def torsion_forms(t: BracketTriple) -> TorsionForms:
+    tau0, tau1, tau2, tau3, dphi, tau = _mapped_parts(t)
     return TorsionForms(
         tau0=tau0,
         tau1=tau1,
@@ -84,14 +132,59 @@ def torsion_class(t: BracketTriple) -> dict:
 
 def trace_torsion(t: BracketTriple) -> float:
     """Trace of the full torsion endomorphism, (7/4) tau0."""
-    return 1.75 * _tau0(ce_differential(t, PHI))
+    return 1.75 * float(_torsion_map()[0] @ t.entries)
+
+
+def _linear_hodge(L: np.ndarray, k: int) -> np.ndarray:
+    """*(L @ e) = _linear_hodge(L, k) @ e for a k-form L @ e."""
+    src, sign = _hodge_table(k)
+    return sign[:, None] * L[src]
+
+
+def _d_of_linear(L: np.ndarray, k: int):
+    """d of the k-form L @ e as terms (out, i, j, coef) of sum coef e_i e_j."""
+    out, src, entry, sign = _d_table(k)
+    row, i = np.nonzero((L != 0)[src])
+    return out[row], i, entry[row], sign[row] * L[src[row], i]
+
+
+@cache
+def _laplacian_table():
+    """(out, i, j, coef) with lap psi = sum coef e_i e_j over i <= j, each
+    term adding to the 4-form coefficient `out`; e = t.entries.
+
+    lap psi = d*dphi - *d*dpsi is quadratic in e, and composing the +-1
+    tables of d and the Hodge star leaves every coefficient +-1.
+    """
+    first = _d_of_linear(_linear_hodge(_linear_d(PHI), 4), 3)
+    out, i, j, coef = _d_of_linear(_linear_hodge(_linear_d(PSI), 5), 2)
+    # as ** = 1, * sends the 3-form n to sign[n] times the 4-form src[n]
+    src, sign = _hodge_table(4)
+    second = (src[out], i, j, -sign[out] * coef)
+    out, i, j, coef = map(np.concatenate, zip(first, second))
+    # sum the terms of each (out, i <= j) in a dict: sorting for it (argsort,
+    # np.unique) would add the pages of numpy's sort code to every process
+    acc = {}
+    keys = (out * _ENTRIES + np.minimum(i, j)) * _ENTRIES + np.maximum(i, j)
+    for key, c in zip(keys.tolist(), coef.tolist()):
+        acc[key] = acc.get(key, 0.0) + c
+    keys = np.array([key for key, c in acc.items() if c != 0.0])
+    out, ij = np.divmod(keys, _ENTRIES * _ENTRIES)
+    return (out, *np.divmod(ij, _ENTRIES),
+            np.array([c for c in acc.values() if c != 0.0]))
+
+
+def _lap_psi(t: BracketTriple) -> KForm:
+    out, i, j, coef = _laplacian_table()
+    e = t.entries
+    return KForm._of(4, np.bincount(out, coef * e[i] * e[j], minlength=len(BASIS[4])))
 
 
 def laplacians(t: BracketTriple) -> dict:
-    """Hodge Laplacians of phi and psi: lap_phi = *d*dphi - d*dpsi and
-    lap_psi = *lap_phi."""
-    lap_phi = _lap_phi(t, ce_differential(t, PHI), ce_differential(t, PSI))
-    return {"phi": lap_phi, "psi": hodge(lap_phi)}
+    """Hodge Laplacians of psi and phi: lap_psi = d*dphi - *d*dpsi, read
+    off the quadratic table `_laplacian_table`, and lap_phi = *lap_psi."""
+    lap_psi = _lap_psi(t)
+    return {"phi": hodge(lap_psi), "psi": lap_psi}
 
 
 def modified_laplacian_psi(t: BracketTriple, m: float) -> KForm:
@@ -99,9 +192,8 @@ def modified_laplacian_psi(t: BracketTriple, m: float) -> KForm:
 
     On a left-invariant structure m - tr T is constant, so the second term
     is 2 (m - tr T) dphi."""
-    dphi = ce_differential(t, PHI)
-    lap_psi = hodge(_lap_phi(t, dphi, ce_differential(t, PSI)))
-    return lap_psi + 2.0 * (m - 1.75 * _tau0(dphi)) * dphi
+    tau0, *_, dphi, _ = _mapped_parts(t)
+    return _lap_psi(t) + 2.0 * (m - 1.75 * tau0) * dphi
 
 
 def erp_residual(t: BracketTriple) -> dict:
@@ -111,9 +203,9 @@ def erp_residual(t: BracketTriple) -> dict:
 
     Raises when dphi != 0, since tau is only the full torsion there.
     """
-    if not ce_differential(t, PHI).is_zero():
+    *_, dphi, tau = _mapped_parts(t)
+    if not dphi.is_zero():
         raise ValueError("extremal pinching residual needs a closed structure")
-    tau = -hodge(ce_differential(t, PSI))
     nsq = inner(tau, tau)
     res = ce_differential(t, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
     return {"residual_norm": res.norm(), "tau_norm_sq": nsq}

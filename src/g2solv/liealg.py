@@ -156,14 +156,20 @@ def _nullspace(M: np.ndarray, rel_tol: float) -> np.ndarray:
 def check_compatible(t: BracketTriple) -> CompatibilityReport:
     """Linear independence plus simultaneous real diagonalizability.
 
+    Independence is decided on the matrices each divided by its largest
+    entry, so it does not depend on their relative scales.
+
     The eigenbasis witness is built by refining the eigenspaces of A by B and
     then by C; for commuting real-diagonalizable matrices this always lands on
     a joint eigenbasis.
     """
     A, B, C = t.matrices()
-    stack = np.stack([A.ravel(), B.ravel(), C.ravel()])
-    s = np.linalg.svd(stack, compute_uv=False)
-    independent = bool(s.min() > TOL.rank_rel * max(1.0, s.max()))
+    stack = t.entries.reshape(3, -1)
+    scale = np.abs(stack).max(axis=1, keepdims=True)
+    independent = bool(scale.all())  # a zero matrix makes the triple dependent
+    if independent:
+        s = np.linalg.svd(stack / scale, compute_uv=False)
+        independent = bool(s.min() > TOL.rank_rel * s.max())
 
     basis_blocks = [np.eye(4)]
     diagonalizable = True

@@ -159,9 +159,9 @@ def test_torsion_text_format(capsys):
     ("text", ["--coclosed", "1,1,1,-1,1,1"], 6),
 ])
 def test_torsion_takes_dphi_and_dpsi_once(monkeypatch, capsys, fmt, triple, budget):
-    # torsion_forms computes dphi and dpsi once for the class and the closed
-    # flag; a closed triple adds erp_residual's pass (dphi, dpsi, dtau) and
-    # the text format the four differentials of the Laplacian
+    # upper bounds: torsion_forms and laplacians read dphi and dpsi off their
+    # tables without calling ce_differential, and erp_residual calls it once,
+    # for d tau
     calls, d = [], liealg.ce_differential
 
     def counted(t, alpha):
@@ -283,6 +283,33 @@ def test_soliton_base_too_large_for_the_laplacian(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: base entries must be below")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--closed", "1e100,1,1"],
+    ["erp-check", "--closed", "1e100,1,1"],
+    ["torsion", "--coclosed", "1,1,1,-1,1,-1e100"],
+    ["torsion", "--triple", "1e100,0,0,0;0,-1e100,0,0;0,0,1,0;0,0,0,-1",
+     *COCLOSED_MATS[1:]],
+])
+def test_triple_too_large_for_the_reports(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: triple entries must be below")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_soliton_modified_m_too_large_for_the_residual(capsys):
+    code = cli.run(["soliton", "--base=1,1,1,-1", "--modified-m", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: m must be below")
+    assert captured.err.count("\n") == 1
 
 
 # -- flow ---------------------------------------------------------------------------
@@ -477,6 +504,15 @@ def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):
 # -- import cost ----------------------------------------------------------------------
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's g2solv."""
+    src = os.path.dirname(os.path.dirname(g2solv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
     # scipy is a test oracle only: no command, the flow included, loads it
     starts = tmp_path / "starts.txt"
@@ -487,12 +523,18 @@ def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
             "cli.run(['flow', '--init=-0.5,1,1,-1,1,1', '--t-max', '2', '--samples', '5']); "
             f"cli.run(['flow', '--sweep', {str(starts)!r}, '--t-max', '2', '--samples', '5']); "
             "assert 'scipy' not in sys.modules, 'scipy was imported'")
-    src = os.path.dirname(os.path.dirname(g2solv.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_builds_no_table_of_g2core():
+    # the Laplacian table and the torsion map are built on first use, so the
+    # cold start of every command stays free of them
+    proc = _python("from g2solv import cli, g2core; "
+                   "print(g2core._laplacian_table.cache_info().currsize, "
+                   "g2core._torsion_map.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_no_package_module_imports_scipy():

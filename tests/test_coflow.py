@@ -363,3 +363,23 @@ def test_modified_residual_scales_with_m():
 def test_modified_residual_rejects_zero_m():
     with pytest.raises(ValueError):
         modified_soliton_residual(SOLITON, 0.0)
+
+
+@pytest.mark.parametrize("m", [1e308, -2.0 ** 240])
+def test_modified_residual_rejects_m_beyond_the_float_range(m):
+    with pytest.raises(ValueError, match="m must be below"):
+        modified_soliton_residual(SOLITON, m)
+
+
+def test_modified_residual_is_finite_just_below_the_bound_on_m():
+    assert np.isfinite(modified_soliton_residual(SOLITON, 2.0 ** 239)["residual"])
+
+
+def test_coclosed_params_build_their_triple_once():
+    p = CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 0.9)
+    assert p.to_triple() is p.to_triple()
+    # q has no cached triple yet: equality, hashing and repr ignore the cache
+    q = CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 0.9)
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert {p: "cached"}[q] == "cached"
+    assert p != CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 1.0)

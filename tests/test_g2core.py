@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
+from g2solv import g2core
 from g2solv.coflow import CoclosedParams
 from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, hodge, inner, wedge
 from g2solv.g2core import (
@@ -14,6 +15,7 @@ from g2solv.g2core import (
     closed_triple,
     erp_residual,
     laplacians,
+    modified_laplacian_psi,
     torsion_class,
     torsion_forms,
     trace_torsion,
@@ -254,3 +256,49 @@ def test_closed_laplacian_equals_derivative_of_torsion_form():
         tf = torsion_forms(t)
         lhs = laplacians(t)["phi"]
         assert (lhs - ce_differential(t, tf.tau_two_form)).norm() < 1e-12
+
+
+# -- exact tables ---------------------------------------------------------------------
+
+
+def _seeded_triples():
+    rng = np.random.default_rng(1212)
+    return ([("dense", BracketTriple(*dz.commuting_triple(rng))) for _ in range(4)]
+            + [("closed", closed_triple(*rng.uniform(-2, 2, 3))) for _ in range(3)]
+            + [("coclosed", CoclosedParams(*rng.uniform(-2, 2, 6)).to_triple())
+               for _ in range(3)])
+
+
+def _oracle_torsion(t, m):
+    """The torsion parts and the modified Laplacian of psi, from the dense
+    oracle by the formulas of the g2core docstring."""
+    c = dz.structure_tensor(*t.matrices())
+    phi = dz.from_kform(PHI)
+    psi = dz.hodge(phi, 3)
+    dphi, dpsi = dz.d(c, phi, 3), dz.d(c, psi, 4)
+    tau0 = float(dz.hodge(dz.wedge(dphi, 4, phi, 3), 7)) / 7.0
+    tau1 = -dz.hodge(dz.wedge(dz.hodge(dphi, 4), 3, phi, 3), 6) / 12.0
+    tau2 = -dz.hodge(dpsi, 5) + 4.0 * dz.hodge(dz.wedge(tau1, 1, psi, 4), 5)
+    tau3 = dz.hodge(dphi, 4) - tau0 * phi - 3.0 * dz.hodge(dz.wedge(tau1, 1, phi, 3), 4)
+    lap_phi = dz.hodge(dz.d(c, dz.hodge(dphi, 4), 3), 4) - dz.d(c, dz.hodge(dpsi, 5), 2)
+    modified = dz.hodge(lap_phi, 3) + 2.0 * (m - 1.75 * tau0) * dphi
+    return tau0, {"tau1": (tau1, 1), "tau2": (tau2, 2), "tau3": (tau3, 3),
+                  "tau_two_form": (-dz.hodge(dpsi, 5), 2)}, modified
+
+
+@pytest.mark.parametrize("family, t", _seeded_triples(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_torsion_map_and_laplacian_table_match_dense_oracle(family, t):
+    tau0, parts, modified = _oracle_torsion(t, m=0.7)
+    tf = torsion_forms(t)
+    assert abs(tf.tau0 - tau0) < 1e-11
+    for name, (T, degree) in parts.items():
+        assert dz.max_dev(T, degree, getattr(tf, name)) < 1e-11, name
+    assert dz.max_dev(modified, 4, modified_laplacian_psi(t, 0.7)) < 1e-11
+
+
+def test_laplacian_table_is_exact():
+    out, i, j, coef = g2core._laplacian_table()
+    assert set(coef.tolist()) == {-1.0, 1.0}
+    assert (i <= j).all()
+    assert len(set(zip(out.tolist(), i.tolist(), j.tolist()))) == len(out)

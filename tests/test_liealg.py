@@ -231,6 +231,17 @@ def test_dependent_triple_is_flagged():
     assert "dependent" in rep.reason
 
 
+def test_independence_does_not_depend_on_the_scale_of_each_matrix():
+    from g2solv.g2core import closed_triple
+
+    D = np.diag([1.0, -1.0, 2.0, -2.0])
+    E = np.diag([1.0, 1.0, -1.0, -1.0])
+    assert check_compatible(closed_triple(1e30, 1.0, 1.0)).independent
+    assert check_compatible(closed_triple(1.0, 1e-30, 1.0)).independent
+    assert not check_compatible(BracketTriple(D, 1e30 * D, E)).independent
+    assert not check_compatible(BracketTriple(D, 0.0 * D, E)).independent
+
+
 def test_rotation_block_triple_is_not_real_diagonalizable():
     J = np.zeros((4, 4))
     J[0, 1], J[1, 0] = -1.0, 1.0
