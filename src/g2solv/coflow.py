@@ -38,6 +38,11 @@ from .liealg import BracketTriple, homothety_invariants
 from .g2core import MAX_ENTRY, laplacians, modified_laplacian_psi
 
 _BLOWUP = 1e8
+# starts with |p| at or above this are rejected: the starting-step estimate
+# squares the rate over the error scale, at most |p|^2 / _RTOL per entry, and
+# six such squares, 6 |p|^4 / _RTOL^2, must stay below the float maximum
+# 1.8e308 (at this bound they are 6e300)
+_MAX_START = 1e70
 _RTOL = 1e-10
 _ATOL = 1e-12
 # a run is "converged" when drift * t_end / _WINDOW stays below _DRIFT_TOL,
@@ -295,6 +300,7 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     """Integrate the coflow ODE from t = 0 to t_max >= 0 with adaptive RK45
     steps, sampled at `opts.samples` equally spaced times.
 
+    Raises ValueError for a start with |p| of `_MAX_START` or more.
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
     p/|p| has settled (see `_DRIFT_TOL`) and "max_time" otherwise.
@@ -304,6 +310,9 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     opts = opts or FlowOptions()
     if not t_max >= 0.0:
         raise ValueError("t_max must be nonnegative")
+    if not math.hypot(*p0.as_array()) < _MAX_START:
+        raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
+                         "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
     params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, _RTOL, _ATOL)
     status, drift = "max_time" if ok else "diverged", math.nan

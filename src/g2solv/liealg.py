@@ -25,6 +25,12 @@ from .forms import BASIS, DIM, KForm, _covector_wedge, zero_form
 _DISPLAY = [6, 0, 1, 2, 3, 4, 5]
 # a-block order (e7, e1, e2), the covectors paired with A, B, C -> internal slots
 _A_SLOTS = np.array([6, 0, 1])
+# width of an eigenvalue cluster in `_real_diagonalizable`, relative to |M|:
+# rounding splits a defective double eigenvalue by about sqrt(eps) |M| times
+# a factor that grows with the conditioning of its Jordan basis (1e-7 is not
+# rare), and a real split wider than the cluster would pass a Jordan block as
+# diagonalizable
+_EIG_CLUSTER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,6 @@ class CompatibilityReport:
     independent: bool
     simultaneously_diagonalizable: bool
     compatible: bool
-    eigenbasis: np.ndarray | None
     reason: str
 
 
@@ -117,40 +122,27 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     return KForm._of(k + 1, np.bincount(out, terms, minlength=len(BASIS[k + 1])))
 
 
-def _real_eigenspaces(M: np.ndarray, tol: float):
-    """Eigenvalues with basis matrices of their eigenspaces, or None if M is
-    not real-diagonalizable."""
-    vals, vecs = np.linalg.eig(M)
-    if np.abs(vals.imag).max(initial=0.0) > tol * max(1.0, np.abs(vals).max()):
-        return None
-    vals = vals.real
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs.real[:, order]
-    groups = []
+def _real_diagonalizable(M: np.ndarray) -> bool:
+    """Whether M is diagonalizable over the reals: its eigenvalues are real
+    (to `TOL.eig_imag`), and each cluster of eigenvalues within
+    `_EIG_CLUSTER` |M| of its least one, lam, has an eigenspace of its size,
+    counted as the singular values of M - lam I within `_EIG_CLUSTER` of
+    zero relative to the largest."""
+    vals = np.linalg.eigvals(M)
+    if np.abs(vals.imag).max(initial=0.0) > TOL.eig_imag * max(1.0, np.abs(vals).max()):
+        return False
+    vals = np.sort(vals.real)
+    width = _EIG_CLUSTER * max(1.0, np.linalg.norm(M))
     i = 0
-    scale = max(1.0, np.abs(vals).max())
     while i < len(vals):
         j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
+        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= width:
             j += 1
-        groups.append((vals[i], list(range(i, j + 1))))
+        s = np.linalg.svd(M - vals[i] * np.eye(len(M)), compute_uv=False)
+        if (s <= _EIG_CLUSTER * max(1.0, s[0])).sum() < j + 1 - i:
+            return False
         i = j + 1
-    # geometric multiplicity must match the cluster size
-    spaces = []
-    for lam, idx in groups:
-        E = M - lam * np.eye(M.shape[0])
-        ns = _nullspace(E, tol)
-        if ns.shape[1] < len(idx):
-            return None
-        spaces.append((lam, ns[:, : len(idx)]))
-    return spaces
-
-
-def _nullspace(M: np.ndarray, rel_tol: float) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(M)
-    cutoff = max(1.0, s.max(initial=0.0)) * max(rel_tol, 1e-10)
-    rank = int((s > cutoff).sum())
-    return Vt[rank:].T
+    return True
 
 
 def check_compatible(t: BracketTriple) -> CompatibilityReport:
@@ -159,44 +151,19 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
     Independence is decided on the matrices each divided by its largest
     entry, so it does not depend on their relative scales.
 
-    The eigenbasis witness is built by refining the eigenspaces of A by B and
-    then by C; for commuting real-diagonalizable matrices this always lands on
-    a joint eigenbasis.
+    Commuting matrices that are each diagonalizable over the reals are
+    simultaneously so (Horn & Johnson, Matrix Analysis, 2nd ed., Thm
+    1.3.21), and `BracketTriple` guarantees that A, B and C commute; so the
+    triple is decided one matrix at a time, without building a joint
+    eigenbasis.
     """
-    A, B, C = t.matrices()
     stack = t.entries.reshape(3, -1)
     scale = np.abs(stack).max(axis=1, keepdims=True)
     independent = bool(scale.all())  # a zero matrix makes the triple dependent
     if independent:
         s = np.linalg.svd(stack / scale, compute_uv=False)
         independent = bool(s.min() > TOL.rank_rel * s.max())
-
-    basis_blocks = [np.eye(4)]
-    diagonalizable = True
-    for M in (A, B, C):
-        refined = []
-        for P in basis_blocks:
-            # restrict M to the invariant subspace spanned by the columns of P
-            sub = np.linalg.lstsq(P, M @ P, rcond=None)[0]
-            spaces = _real_eigenspaces(sub, TOL.eig_imag)
-            if spaces is None:
-                diagonalizable = False
-                break
-            refined.extend(P @ V for _, V in spaces)
-        if not diagonalizable:
-            break
-        basis_blocks = refined
-
-    eigenbasis = None
-    if diagonalizable:
-        eigenbasis = np.hstack(basis_blocks)
-        for M in (A, B, C):
-            D = np.linalg.solve(eigenbasis, M @ eigenbasis)
-            off = D - np.diag(np.diag(D))
-            if np.abs(off).max() > 1e-7 * max(1.0, np.abs(D).max()):
-                diagonalizable = False
-                eigenbasis = None
-                break
+    diagonalizable = all(map(_real_diagonalizable, t.matrices()))
 
     if not independent:
         reason = "triple is linearly dependent"
@@ -208,7 +175,6 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
         independent=independent,
         simultaneously_diagonalizable=diagonalizable,
         compatible=independent and diagonalizable,
-        eigenbasis=eigenbasis,
         reason=reason,
     )
 
@@ -220,7 +186,7 @@ def ricci_operator(t: BracketTriple) -> np.ndarray:
     (A, B, C) with S the symmetrization; the n-block is
     (1/2)([A,A^T] + [B,B^T] + [C,C^T]); the two blocks never mix.
     """
-    return _ricci(np.stack(t.matrices()))
+    return _ricci(t.entries.reshape(3, 4, 4))
 
 
 def _ricci(mats: np.ndarray) -> np.ndarray:
@@ -237,6 +203,25 @@ def scalar_curvature(t: BracketTriple) -> float:
     return float(np.trace(ricci_operator(t)))
 
 
+def _unit_ricci(mats: np.ndarray):
+    """Ricci operators of triples stacked as (..., 3, 4, 4), each triple first
+    divided by its largest entry, and those divisors, shape (..., 1, 1, 1)
+    (1 for a zero triple)."""
+    scale = np.abs(mats).max(axis=(-3, -2, -1), keepdims=True, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    return _ricci(mats / scale), scale
+
+
+def _curvature_scalars(ric: np.ndarray):
+    """scal, tr(Ric^2) and F = scal^2 / tr(Ric^2) of Ricci operators
+    (..., 7, 7) at unit scale; F is NaN where flat, that is where tr(Ric^2)
+    is not above `TOL.zero_form`^2."""
+    scal = np.trace(ric, axis1=-2, axis2=-1)
+    ric_sq = np.einsum("...ij,...ji->...", ric, ric)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return scal, ric_sq, np.where(ric_sq > TOL.zero_form ** 2, scal ** 2 / ric_sq, np.nan)
+
+
 def homothety_invariants(mats: np.ndarray) -> np.ndarray:
     """scal^2 / tr(Ric^2) for triples stacked as (..., 3, 4, 4); NaN where flat.
 
@@ -245,19 +230,13 @@ def homothety_invariants(mats: np.ndarray) -> np.ndarray:
     (commuting skew-symmetric matrices, say) give NaN, while any nonzero
     multiple of a non-flat triple gets the same value as the triple itself.
     """
-    mats = np.asarray(mats, dtype=float)
-    scale = np.abs(mats).max(axis=(-3, -2, -1), keepdims=True, initial=0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ric = _ricci(mats / scale)
-        scal = np.trace(ric, axis1=-2, axis2=-1)
-        denom = np.einsum("...ij,...ji->...", ric, ric)
-        return np.where(denom > TOL.zero_form ** 2, scal ** 2 / denom, np.nan)
+    return _curvature_scalars(_unit_ricci(np.asarray(mats, dtype=float))[0])[2]
 
 
 def homothety_invariant(t: BracketTriple) -> float:
     """scal^2 / tr(Ric^2), invariant under rescaling of the metric: the
     one-triple case of `homothety_invariants`, raising on a flat metric."""
-    F = float(homothety_invariants(np.stack(t.matrices())))
+    F = float(homothety_invariants(t.entries.reshape(3, 4, 4)))
     if np.isnan(F):
         raise ValueError("homothety invariant undefined on a flat metric")
     return F
@@ -288,15 +267,17 @@ def to_display_order(M: np.ndarray) -> np.ndarray:
 
 
 def ricci_report(t: BracketTriple) -> dict:
-    """JSON-ready curvature summary in display basis order."""
-    ric = ricci_operator(t)
-    try:
-        F = homothety_invariant(t)
-    except ValueError:
-        F = None
+    """JSON-ready curvature summary in display basis order.
+
+    One Ricci pass at unit scale, as in `homothety_invariants`, gives F;
+    the operator, scal and tr(Ric^2) are then scaled back by powers of the
+    largest entry."""
+    unit, scale = _unit_ricci(t.entries.reshape(3, 4, 4))
+    scal, ric_sq, F = _curvature_scalars(unit)
+    sq = scale[0, 0, 0] ** 2
     return {
-        "ricci": to_display_order(ric).tolist(),
-        "scal": float(np.trace(ric)),
-        "trace_ric_sq": float(np.trace(ric @ ric)),
-        "F": F,
+        "ricci": to_display_order(unit * sq).tolist(),
+        "scal": float(scal * sq),
+        "trace_ric_sq": float(ric_sq * sq * sq),
+        "F": None if np.isnan(F) else float(F),
     }

@@ -9,8 +9,9 @@ that exponentiate to a cocompact lattice in the ambient solvable group.
 
 `certify_lattice` decides in exact integer arithmetic everything except
 multiplicative independence: irreducibility, total reality (a Sturm chain),
-commutation, and, from the integer characteristic polynomial of each unit
-matrix, the unit property, det = 1 and the positivity of the spectrum.
+and, from the integer characteristic polynomial of each unit matrix, the
+unit property, det = 1 and the positivity of the spectrum.  Commutation
+holds by construction: every unit matrix is a polynomial in M.
 Floating point enters in one pass per certificate: the roots of p are
 extracted once, and the values q_i(u_j) feed the log-embedding rank test
 (against `TOL.unit_log_sigma`) and the reported Vandermonde residual.
@@ -34,10 +35,6 @@ def _imat_mul(X, Y):
         [sum(X[i][k] * Y[k][j] for k in range(4)) for j in range(4)]
         for i in range(4)
     ]
-
-
-def _imat_commute(X, Y) -> bool:
-    return _imat_mul(X, Y) == _imat_mul(Y, X)
 
 
 def _horner(M, q: UnitSpec):
@@ -336,10 +333,10 @@ class LatticeCertificate:
         }
 
 
-# the checks the verdict rests on; "integral" and "diagonalized" are reported
-# too but hold by construction (see certify_lattice)
+# the checks the verdict rests on; "integral", "commute" and "diagonalized"
+# are reported too but hold by construction (see certify_lattice)
 _REQUIRED = ("irreducible", "unit_constant_term", "totally_real", "units_valid",
-             "det_one", "commute", "positive_spectra", "independent")
+             "det_one", "positive_spectra", "independent")
 
 
 def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
@@ -348,14 +345,15 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     Exact checks: p irreducible and totally real with unit constant term; for
     each unit matrix X = q(M), from the characteristic polynomial of X,
     |det X| = 1 (q(u) is a unit), det X = +1 and a positive spectrum (the
-    coefficients alternate in sign); the matrices commute pairwise.
+    coefficients alternate in sign).
 
-    `integral` and `diagonalized` hold by construction: each X is an integer
-    polynomial in the one companion matrix M, whose eigenvalues are distinct
-    (irreducible implies separable) and real, so the root Vandermonde V
-    diagonalizes every X, V X = diag(q(u)) V.  `diag_residual` reports that
-    identity in floating point, as the largest |V X - diag(q(u)) V| relative
-    to |V| |X| (Frobenius norms).
+    `integral`, `commute` and `diagonalized` hold by construction: each X
+    is an integer polynomial in the one companion matrix M, so the X commute
+    exactly, and the eigenvalues of M are distinct (irreducible implies
+    separable) and real, so the root Vandermonde V diagonalizes every X,
+    V X = diag(q(u)) V.  `diag_residual` reports that identity in floating
+    point, as the largest |V X - diag(q(u)) V| relative to |V| |X|
+    (Frobenius norms).
 
     Multiplicative independence is the one numerical decision (see
     `mult_independence`).  A ValueError from that float pass fails the
@@ -382,9 +380,7 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     cert.matrices = mats
     checks["integral"] = True
     checks["det_one"] = all(c.a0 == 1 for c in chars)
-    checks["commute"] = all(
-        _imat_commute(X, Y) for i, X in enumerate(mats) for Y in mats[i + 1:]
-    )
+    checks["commute"] = True
     checks["positive_spectra"] = all(c.alternates_in_sign() for c in chars)
     checks["diagonalized"] = True
     try:

@@ -10,7 +10,6 @@ for the coflow parameter ODE.
 
 import numpy as np
 
-from g2solv.coflow import flow_generator
 from g2solv.forms import (
     OMEGA1,
     OMEGA1_BAR,
@@ -162,28 +161,38 @@ def coclosed_tau3(p):
             + wedge((p.b1 - p.b2) * OMEGA2_BAR - (p.c1 - p.c2) * OMEGA1_BAR, _e(7)))
 
 
-def coclosed_lap_phi(p):
+def _coclosed_coefficients(p):
     r = (p.b1 + p.b2) ** 2 + (p.c1 + p.c2) ** 2
     s = (p.b1 - p.b2) ** 2 + (p.a1 - p.a2) ** 2
     t = (p.c1 - p.c2) ** 2 + (p.a1 + p.a2) ** 2
+    return r, s, t
+
+
+def coclosed_lap_phi(p):
+    r, s, t = _coclosed_coefficients(p)
     return (wedge(r * OMEGA7, _e(7)) + wedge(s * OMEGA2, _e(2))
             + wedge(t * OMEGA1, _e(1)))
 
 
 def coclosed_lap_psi(p):
-    r = (p.b1 + p.b2) ** 2 + (p.c1 + p.c2) ** 2
-    s = (p.b1 - p.b2) ** 2 + (p.a1 - p.a2) ** 2
-    t = (p.c1 - p.c2) ** 2 + (p.a1 + p.a2) ** 2
+    r, s, t = _coclosed_coefficients(p)
     return (wedge(r * OMEGA7, _e(1, 2)) - wedge(s * OMEGA2, _e(1, 7))
             + wedge(t * OMEGA1, _e(2, 7)))
+
+
+def bracket_flow_generator(p):
+    """The a-slots (e7, e1, e2) of the diagonal Q, zero on n, with
+    theta(-Q) psi = `coclosed_lap_psi`: each slot is half the two of r, s, t
+    whose 4-forms contain its covector, less the third."""
+    r, s, t = _coclosed_coefficients(p)
+    return 0.5 * (-r + s + t), 0.5 * (r + s - t), 0.5 * (r - s + t)
 
 
 def bracket_flow_rhs(p):
     """Independent oracle for coflow.ode_rhs: evolve the structure constants
     by theta_plus(Q) directly and read the parameter derivatives back off."""
-    q = flow_generator(p)
-    qa, qb, qc = q[6, 6], q[0, 0], q[1, 1]
-    a1, a2, b1, b2, c1, c2 = p.as_array()
+    qa, qb, qc = bracket_flow_generator(p)
+    a1, a2, b1, b2, c1, c2 = p.a1, p.a2, p.b1, p.b2, p.c1, p.c2
     # mu' = Q mu(.,.) - mu(Q., .) - mu(., Q.): with Q zero on n and diagonal
     # on a this contracts to A' = -qa A, B' = -qb B, C' = -qc C.
     return np.array([-qa * a1, -qa * a2, -qb * b1, -qb * b2, -qc * c1, -qc * c2])

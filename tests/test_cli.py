@@ -385,6 +385,23 @@ def test_flow_init_with_a_negative_first_entry(capsys, init):
     assert payload["rows"][0][1:7] == [-0.5, 1.0, 1.0, -1.0, 1.0, 1.0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", ["1e160", "1e72"])
+def test_flow_start_too_large_for_the_step_estimate(capsys, size):
+    code = cli.run(["flow", f"--init={size},1,1,1,1,1", "--t-max", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: the start must have |p| below")
+    assert captured.err.count("\n") == 1
+
+
+def test_flow_large_start_below_the_bound_runs(capsys):
+    code = cli.run(["flow", "--init=1e30,1,1,1,1,1", "--t-max", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("# status max_time\n")
+
+
 def test_flow_requires_a_start(tmp_path, capsys):
     code = cli.run(["flow"])
     assert code == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_formulas import bracket_flow_rhs
+from reference_formulas import bracket_flow_generator, bracket_flow_rhs, coclosed_lap_psi
 from g2solv import forms
 from g2solv.coflow import (
     CoclosedParams,
@@ -73,6 +73,14 @@ def test_laplacian_equals_generator_action(p):
 
 
 # -- the ODE ------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(params_st())
+def test_bracket_flow_oracle_generates_the_reference_laplacian(p):
+    qa, qb, qc = bracket_flow_generator(p)
+    gen = theta(-np.diag([qb, qc, 0.0, 0.0, 0.0, 0.0, qa]), forms.PSI)
+    assert (gen - coclosed_lap_psi(p)).norm() < 1e-10 * max(1.0, p.norm_sq())
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,6 +184,16 @@ def test_zero_and_negative_flow_times():
     assert np.array_equal(traj.params, np.tile(SOLITON.as_array(), (3, 1)))
     with pytest.raises(ValueError):
         integrate(SOLITON, -1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_starts_too_large_for_the_step_estimate_are_rejected():
+    for start in ((1e70, 0.0, 0.0, 0.0, 0.0, 0.0), (6e69,) * 6, (1e160, 1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="float range"):
+            integrate(CoclosedParams(*start), 1.0)
+    traj = integrate(CoclosedParams(9.9e69, 1.0, 1.0, 1.0, 1.0, 1.0), 1.0)
+    assert traj.status == "max_time"
+    assert np.isfinite(traj.params).all()
 
 
 def test_product_ab_is_conserved_on_the_symmetric_family():

@@ -203,10 +203,6 @@ def test_conjugated_diagonal_triple_is_compatible():
     mats = [G @ D @ Gi for D in dz.diagonal_triple(rng)]
     rep = check_compatible(BracketTriple(*mats))
     assert rep.simultaneously_diagonalizable
-    P = rep.eigenbasis
-    for M in mats:
-        D = np.linalg.solve(P, M @ P)
-        assert np.abs(D - np.diag(np.diag(D))).max() < 1e-8
 
 
 def test_nilpotent_triple_is_not_diagonalizable():
@@ -219,8 +215,51 @@ def test_nilpotent_triple_is_not_diagonalizable():
     assert rep.independent
     assert not rep.simultaneously_diagonalizable
     assert not rep.compatible
-    assert rep.eigenbasis is None
     assert "diagonalizable" in rep.reason
+
+
+def _traceless(X):
+    return X - (np.trace(X) / 4.0) * np.eye(4)
+
+
+def test_polynomials_in_one_matrix_are_diagonalizable_exactly_when_it_is():
+    # q(M) for real M with distinct real eigenvalues is diagonalizable; with a
+    # complex pair, some q_i(M) of a generic triple has one too.  Draws with
+    # eigenvalues within 1e-3 of each other or of the real axis are skipped.
+    rng = seeded_rng()
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        M = rng.standard_normal((4, 4))
+        ev = np.linalg.eigvals(M)
+        imag = np.abs(ev.imag).max()
+        if imag == 0.0 and np.diff(np.sort(ev.real)).min() > 1e-3:
+            want = True
+        elif imag > 1e-3:
+            want = False
+        else:
+            continue
+        powers = [np.linalg.matrix_power(M, k) for k in range(4)]
+        mats = [_traceless(sum(c * P for c, P in zip(rng.uniform(-1, 1, 4), powers)))
+                for _ in range(3)]
+        assert check_compatible(BracketTriple(*mats)).simultaneously_diagonalizable == want
+        seen[want] += 1
+    assert min(seen.values()) > 80
+
+
+def test_conjugated_jordan_block_triples_are_not_diagonalizable():
+    # A carries a 2x2 Jordan block; B and C are diagonalizable and commute
+    # with it, so the verdict rests on A alone
+    rng = seeded_rng()
+    for _ in range(300):
+        lam = rng.uniform(-1.0, 1.0, 3)
+        J = np.diag([lam[0], lam[0], lam[1], lam[2]])
+        J[0, 1] = rng.uniform(0.1, 1.0)
+        G = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+        Gi = np.linalg.inv(G)
+        B, C = (G @ _traceless(np.diag(d[[0, 0, 1, 2]])) @ Gi for d in rng.uniform(-1, 1, (2, 3)))
+        rep = check_compatible(BracketTriple(G @ _traceless(J) @ Gi, B, C))
+        assert rep.independent
+        assert not rep.simultaneously_diagonalizable
 
 
 def test_dependent_triple_is_flagged():
@@ -454,6 +493,22 @@ def test_ricci_report_structure():
     assert rep["F"] == pytest.approx(3.0)
     assert np.array(rep["ricci"]).shape == (7, 7)
     assert rep["trace_ric_sq"] == pytest.approx(48.0)
+
+
+@pytest.mark.parametrize("power", [-200, 0, 200])
+def test_ricci_report_reads_the_homothety_invariant(power):
+    # scaling by a power of two leaves the unit-scale pass bit for bit alone
+    rng = seeded_rng()
+    for _ in range(20):
+        mats = dz.commuting_triple(rng)
+        t = BracketTriple(*(np.ldexp(M, power) for M in mats))
+        rep = ricci_report(t)
+        assert rep["F"] == homothety_invariant(t) == homothety_invariant(BracketTriple(*mats))
+        ric = to_display_order(ricci_operator(t))
+        scale = np.abs(ric).max()
+        assert np.abs(np.array(rep["ricci"]) - ric).max() <= 1e-14 * scale
+        assert rep["scal"] == pytest.approx(np.trace(ric), rel=1e-14)
+        assert rep["trace_ric_sq"] == pytest.approx(np.trace(ric @ ric), rel=1e-14)
 
 
 def test_ricci_report_flat_has_no_invariant():
