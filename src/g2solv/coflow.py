@@ -27,9 +27,10 @@ below; with the opposite sign the same identity produces -lap psi.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -199,7 +200,7 @@ def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, t_end)
 
 
-def _rk45(rate, y0, t_end, t_eval, rtol, atol):
+def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
     """Integrate y' = rate(y) from t = 0 to t_end in Dormand-Prince steps.
 
     Step for step scipy's RK45: the error is the RMS of the local estimate
@@ -211,15 +212,20 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
 
     Returns the states at the leading entries of the sorted times t_eval
     that were reached (after a blow-up, those before the first state with
-    |y|^2 >= _BLOWUP), the dense output as a function of times in the
-    reached range, and whether t_end was reached.
+    |y|^2 >= _BLOWUP), the dense-output states at the reached entries of the
+    sorted times t_extra, and whether t_end was reached.  Only the steps
+    that contain one of these times keep their start and dense-output
+    coefficients, so memory grows with the number of times asked for, not
+    with the number of steps.
     """
     y = np.asarray(y0, dtype=float)
     f = rate(y)
     norm_sq = y @ y
     K = np.empty((7, y.size))
     t, h_abs, ok = 0.0, _initial_step(rate, y, f, t_end, rtol, atol), True
-    starts, steps, states, coefs = [], [], [], []
+    # a time belongs to the first step that ends at or after it
+    wanted, covered = sorted(np.concatenate([t_eval, t_extra]).tolist()), 0
+    starts, ends, steps, states, coefs = [], [], [], [], []
     while ok and t < t_end:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -241,20 +247,24 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
             rejected = True
         else:  # the step size collapsed
             break
-        starts.append(t)
-        steps.append(h)
-        states.append(y)
-        coefs.append(K.T.dot(_P))
+        reached = bisect.bisect_right(wanted, t_new, covered)
+        if reached > covered:
+            covered = reached
+            starts.append(t)
+            ends.append(t_new)
+            steps.append(h)
+            states.append(y)
+            coefs.append(K.T.dot(_P))
         norm_new = y_new @ y_new
         ok = not norm_sq <= _BLOWUP <= norm_new
         t, y, f, norm_sq = t_new, y_new, f_new, norm_new
     ok = ok and t >= t_end
-    ends = np.array(starts[1:] + [t])
-    starts, steps = np.array(starts), np.array(steps)
+    starts, ends, steps = np.array(starts), np.array(ends), np.array(steps)
     states, coefs = np.array(states), np.array(coefs)
 
     def dense(ts):
         ts = np.asarray(ts, dtype=float)
+        ts = ts[:np.searchsorted(ts, t, side="right")]
         if not len(steps):
             return np.tile(y, (len(ts), 1))
         k = np.searchsorted(ends, ts)  # the step with start < t <= end
@@ -262,12 +272,12 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
         powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
         return states[k] + steps[k, None] * np.einsum("kij,kj->ki", coefs[k], powers)
 
-    ys = dense(t_eval[:np.searchsorted(t_eval, t, side="right")])
+    ys = dense(t_eval)
     if not ok:
         past = np.einsum("ij,ij->i", ys, ys) >= _BLOWUP
         if past.any():
             ys = ys[:past.argmax()]
-    return ys, dense, ok
+    return ys, dense(t_extra), ok
 
 
 @dataclass
@@ -314,10 +324,10 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
                          "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    params, dense, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, _RTOL, _ATOL)
+    window = np.linspace(max(0.0, t_max - _WINDOW), t_max, _WINDOW_POINTS)
+    params, pts, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, _RTOL, _ATOL, window)
     status, drift = "max_time" if ok else "diverged", math.nan
     if ok:
-        pts = dense(np.linspace(max(0.0, t_max - _WINDOW), t_max, _WINDOW_POINTS))
         norms = np.linalg.norm(pts, axis=1)
         if norms.min() > 0:
             dirs = pts / norms[:, None]
@@ -360,23 +370,27 @@ class SolitonSolution:
     residual: float
 
 
-# Columns psi and theta_plus(E_k) psi = theta(-E_k) psi for the diagonal
-# units E_3..E_6: the right-hand side lam psi + theta_plus(D) psi of the
-# soliton equation is this matrix times (lam, d3..d6).
-_SOLITON_MATRIX = np.column_stack(
-    [PSI.vec, *(theta(-np.diag(e), PSI).vec for e in np.eye(4))])
-# the matrix has full column rank, so its pseudo-inverse is (M^T M)^-1 M^T;
-# solving these 5x5 normal equations instead of calling an SVD (pinv or
-# lstsq) keeps about 0.9 MB of LAPACK workspace out of every process
-_SOLITON_PINV = np.linalg.solve(_SOLITON_MATRIX.T @ _SOLITON_MATRIX, _SOLITON_MATRIX.T)
+@cache
+def _soliton_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The matrix M whose columns are psi and theta_plus(E_k) psi =
+    theta(-E_k) psi for the diagonal units E_3..E_6, and its pseudo-inverse:
+    the right-hand side lam psi + theta_plus(D) psi of the soliton equation
+    is M times (lam, d3..d6).  Built on first use, so a process that fits
+    no soliton carries neither table nor the LAPACK code of the solve."""
+    M = np.column_stack([PSI.vec, *(theta(-np.diag(e), PSI).vec for e in np.eye(4))])
+    # M has full column rank, so its pseudo-inverse is (M^T M)^-1 M^T;
+    # solving these 5x5 normal equations instead of calling an SVD (pinv or
+    # lstsq) keeps about 0.9 MB of LAPACK workspace out of every process
+    return M, np.linalg.solve(M.T @ M, M.T)
 
 
 def _soliton_fit(target: KForm) -> dict:
     """Least-squares fit of target by lam psi + theta_plus(D) psi over the
     symmetric derivations D = Diag(0,0,0,d3..d6)."""
-    x = _SOLITON_PINV @ target.vec
+    M, pinv = _soliton_tables()
+    x = pinv @ target.vec
     return {
-        "residual": float(np.linalg.norm(_SOLITON_MATRIX @ x - target.vec)),
+        "residual": float(np.linalg.norm(M @ x - target.vec)),
         "best_lambda": float(x[0]),
         "best_D": x[1:].copy(),
     }
@@ -451,7 +465,7 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     pairs = soliton_candidates(a1, a2, b1, b2)
     lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)
     d = -lam / 4.0
-    rhs = _SOLITON_MATRIX @ [lam, d, d, d, d]
+    rhs = _soliton_tables()[0] @ [lam, d, d, d, d]
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)

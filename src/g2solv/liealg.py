@@ -35,7 +35,7 @@ _EIG_CLUSTER = 1e-6
 
 @dataclass(frozen=True)
 class BracketTriple:
-    """Commuting traceless triple (A, B, C) of real 4x4 matrices.
+    """Commuting traceless triple (A, B, C) of finite real 4x4 matrices.
 
     The triple is immutable: A, B and C are read-only views of one (3, 4, 4)
     copy of the input, and `entries` is its flattened 48-vector, the
@@ -53,6 +53,10 @@ class BracketTriple:
                 raise ValueError(f"{name} must be 4x4")
         mats = np.array([self.A, self.B, self.C], dtype=float)
         mats.flags.writeable = False
+        # NaN or inf entries would pass the comparisons below (inf against inf
+        # or NaN compares false)
+        if not np.isfinite(mats).all():
+            raise ValueError("entries must be finite")
         scale = max(1.0, np.abs(mats).max())
         if (np.abs(mats.trace(axis1=1, axis2=2)) > 1e-10 * scale).any():
             raise ValueError("matrices must be traceless (unimodular algebra)")

@@ -554,6 +554,15 @@ def test_importing_the_cli_builds_no_table_of_g2core():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def test_importing_the_cli_builds_no_soliton_table():
+    # a command that fits no soliton carries neither the table nor the
+    # LAPACK code of its solve
+    proc = _python("from g2solv import cli, coflow; "
+                   "print(coflow._soliton_tables.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_no_package_module_imports_scipy():
     for path in pathlib.Path(g2solv.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

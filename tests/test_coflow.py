@@ -1,5 +1,7 @@
 """Coflow dynamics, conserved quantities and algebraic solitons."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,22 @@ def test_zero_and_negative_flow_times():
     assert np.array_equal(traj.params, np.tile(SOLITON.as_array(), (3, 1)))
     with pytest.raises(ValueError):
         integrate(SOLITON, -1.0)
+
+
+def test_stepper_memory_does_not_grow_with_the_step_count():
+    # t_max 10 takes about 3100 steps (18578 rate calls) against about 560
+    # at t_max 1; only the steps holding one of the 3 samples or the 11
+    # window times keep their state, a few hundred bytes each
+    peaks = []
+    for t_max in (1.0, 10.0):
+        tracemalloc.start()
+        try:
+            traj = integrate(CoclosedParams(*[10.0] * 6), t_max, FlowOptions(samples=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.status == "max_time" and len(traj.times) == 3
+    assert peaks[1] <= peaks[0] + 8192, peaks
 
 
 @pytest.mark.filterwarnings("error")

@@ -215,6 +215,64 @@ def test_charpoly_of_the_reference_matrices():
     assert not charpoly(minus_one).alternates_in_sign()
 
 
+def _oracle_unit_matrix(p: QuarticPoly, q: UnitSpec):
+    """q(M) by Horner's rule, ((q3 M + q2) M + q1) M + q0, over exact
+    object-dtype matrix products, with M written out from p's coefficients."""
+    a0, a1, a2, a3 = p.coeffs()
+    M = np.array([[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]],
+                 dtype=object)
+    eye = np.array([[int(i == j) for j in range(4)] for i in range(4)], dtype=object)
+    X = 0 * eye
+    for c in reversed(q.coeffs()):
+        X = X.dot(M) + c * eye
+    return X.tolist()
+
+
+def _oracle_charpoly_values(X):
+    """det(t I - X) at t = 0..4 by the Leibniz sum; five values fix a quartic."""
+    return [_leibniz_det([[t * (i == j) - X[i][j] for j in range(4)] for i in range(4)])
+            for t in range(5)]
+
+
+COEFF = st.one_of(st.integers(-6, 6), st.integers(-10**9, 10**9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.tuples(*[COEFF] * 4), q=st.tuples(*[COEFF] * 4))
+def test_unit_matrix_and_charpoly_match_the_horner_oracle(p, q):
+    # mostly non-units: unit_matrix must raise exactly when |det| != 1
+    p, q = QuarticPoly(*p), UnitSpec(*q)
+    X = numberlat._mul_matrix(p, q)
+    assert X == _oracle_unit_matrix(p, q)
+    assert all(type(v) is int for row in X for v in row)
+    chi = charpoly(X)
+    assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
+    if chi.a0 in (1, -1):
+        assert unit_matrix(p, q) == X
+    else:
+        with pytest.raises(ValueError, match="not a unit"):
+            unit_matrix(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.one_of(st.integers(-20, 20), st.integers(-10**9, 10**9)),
+                      min_size=3, max_size=3, unique=True),
+       k=st.integers(0, 2))
+def test_squared_units_of_large_fields_match_the_horner_oracle(roots, k):
+    # t (t-a)(t-b)(t-c) + 1 has the units u, u-a and u-b; their squares have
+    # determinant 1 and, on a totally real field, a positive spectrum
+    assume(0 not in roots)
+    p, units = _square_units_field(*roots)
+    q = units[k]
+    X = unit_matrix(p, q)
+    assert X == _oracle_unit_matrix(p, q)
+    chi = charpoly(X)
+    assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
+    assert chi.a0 == _leibniz_det(X) == 1
+    if is_totally_real(p):
+        assert chi.alternates_in_sign()
+
+
 @settings(max_examples=150, deadline=None)
 @given(near_roots=st.lists(st.integers(-12, 12), min_size=4, max_size=4, unique=True),
        shift=st.integers(-3, 3),
@@ -231,7 +289,7 @@ def test_exact_spectrum_sign_and_determinant_match_floats(near_roots, shift, q):
     assume(is_totally_real(p))
     u = np.sort(np.roots(coeffs).real)
     assume(np.diff(u).min() > 0.05)
-    X = numberlat._horner(companion(p), q)
+    X = numberlat._mul_matrix(p, q)
     eig = np.linalg.eigvals(np.array(X, dtype=float))
     scale = max(1.0, np.abs(eig).max())
     assume(np.abs(eig).min() > 1e-6 * scale)
