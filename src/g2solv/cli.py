@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands
-    verify-lattice   certify a quartic + units (or a built-in example)
+    verify-lattice   certify a quartic + three units (or a built-in example)
     torsion          torsion report for a bracket triple
     erp-check        extremal-pinching residual for a closed triple
     soliton          enumerate coclosed solitons over (a1, a2, b1, b2)
@@ -113,17 +113,17 @@ def _cmd_verify_lattice(args) -> int:
         p, units = ex["poly"], ex["units"]
         reference = ex["reference"]
     else:
-        if not args.poly or len(args.unit or []) != 3:
-            raise ValueError("verify-lattice needs --example or --poly plus three --unit")
+        if not args.poly:
+            raise ValueError("verify-lattice needs --example or --poly")
         p = QuarticPoly(*_parse_ints(args.poly, 4))
-        units = [UnitSpec(*_parse_ints(u, 4)) for u in args.unit]
+        units = [UnitSpec(*_parse_ints(u, 4)) for u in args.unit or []]
         reference = None
     cert = certify_lattice(p, units)
     payload = cert.to_dict()
     if reference is not None:
         payload["reproduces_reference"] = cert.matrices == reference
     if args.format == "text":
-        lines = [f"polynomial coefficients (a0..a3): {payload['poly']}"]
+        lines = [f"polynomial coefficients (a0..a3): {list(payload['poly'])}"]
         for k, v in payload["checks"].items():
             lines.append(f"  {k}: {v}")
         lines.append(f"verdict: {payload['verdict']}")
@@ -338,7 +338,8 @@ def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
     p.add_argument("--tol", type=_finite_float, default=default(1e-9),
                    help="verdict threshold where one applies (default 1e-9)")
     p.add_argument("--format", choices=["json", "csv", "text"], default=default(None),
-                   help="json for reports, csv for flow unless overridden")
+                   help="json (default) or text for verify-lattice and torsion, "
+                        "csv (default) or json for flow, json for the others")
     p.add_argument("--out", default=default(None),
                    help="write output to this file instead of stdout")
 
@@ -356,16 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_options(ap, top_level=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
+    def add_parser(name, formats=("json",), **kw):
         p = sub.add_parser(name, **kw)
         p._negative_number_matcher = _NEGATIVE_VALUE
         _add_global_options(p, top_level=False)
+        p.set_defaults(formats=formats)
         return p
 
-    vl = add_parser("verify-lattice", help="certify a quartic + three units")
+    vl = add_parser("verify-lattice", formats=("json", "text"),
+                    help="certify a quartic + three units")
     vl.add_argument("--example", choices=sorted(BUILTIN_EXAMPLES))
     vl.add_argument("--poly", help="a0,a1,a2,a3 for monic t^4+a3 t^3+a2 t^2+a1 t+a0")
-    vl.add_argument("--unit", action="append", help="q0,q1,q2,q3 (repeat three times)")
+    vl.add_argument("--unit", action="append",
+                    help="q0,q1,q2,q3; a lattice needs exactly three (repeat the option)")
     vl.set_defaults(func=_cmd_verify_lattice)
 
     def add_triple_args(p, closed_only=False):
@@ -375,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--triple", nargs=3, metavar="MAT",
                        help="three 4x4 matrices, rows ';', entries ','")
 
-    to = add_parser("torsion", help="torsion forms, class and curvature")
+    to = add_parser("torsion", formats=("json", "text"), help="torsion forms, class and curvature")
     add_triple_args(to)
     to.set_defaults(func=_cmd_torsion)
 
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also report the modified-flow residual at this m")
     so.set_defaults(func=_cmd_soliton)
 
-    fl = add_parser("flow", help="integrate the coflow parameter ODE")
+    fl = add_parser("flow", formats=("csv", "json"), help="integrate the coflow parameter ODE")
     fl.add_argument("--init", help="a1,a2,b1,b2,c1,c2 starting parameters")
     fl.add_argument("--t-max", type=_finite_float, default=50.0)
     fl.add_argument("--samples", type=int, default=501)
@@ -408,6 +412,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.format not in (None, *args.formats):
+            raise ValueError(f"{args.command} writes {' or '.join(args.formats)}, "
+                             f"not {args.format}")
         return int(args.func(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ extracted once, and the values q_i(u_j) feed the log-embedding rank test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import mul
 
 import numpy as np
@@ -132,51 +132,35 @@ class UnitSpec:
         return ((q3 * x + q2) * x + q1) * x + q0
 
 
-def _divisors(n: int):
-    """The divisors 1 <= d <= sqrt|n| of a nonzero integer n."""
-    d = 1
-    while d * d <= abs(n):
-        if n % d == 0:
-            yield d
-        d += 1
+def is_irreducible(p: QuarticPoly) -> bool:
+    """Irreducibility over Q for a monic integer quartic.
 
-
-def _rational_roots(p: QuarticPoly):
-    """Integer roots of a monic integer polynomial divide the constant term."""
-    a0 = p.a0
-    if a0 == 0:
-        return [0]
-    cands = set()
-    for d in _divisors(a0):
-        cands.update({d, -d, abs(a0) // d, -abs(a0) // d})
-    return [r for r in sorted(cands) if p(r) == 0]
-
-
-def _quadratic_factorization(p: QuarticPoly):
-    """Search integer factorizations (t^2+bt+c)(t^2+dt+e); None if none exist."""
+    By Gauss's lemma p factors over Q exactly when it factors over Z: it has
+    an integer root, which divides a0, or it splits as (t^2 + b t + c)
+    (t^2 + d t + e) with c e = a0 and |c| <= sqrt|a0|.  One walk over the
+    divisors k <= sqrt|a0| tests the roots +-k, +-a0/k and the splits with
+    c = +-k.  a0 = 0 gives the root 0.
+    """
     a0, a1, a2, a3 = p.coeffs()
-    for d in _divisors(a0):
-        for c, e in ((d, a0 // d), (-d, -(a0 // d))):
-            # b + d = a3, bd = a2 - c - e, be + cd = a1
+    if a0 == 0:
+        return False
+    for k in range(1, math.isqrt(abs(a0)) + 1):
+        if a0 % k:
+            continue
+        if 0 in (p(k), p(-k), p(a0 // k), p(-(a0 // k))):
+            return False
+        for c, e in ((k, a0 // k), (-k, -(a0 // k))):
+            # b + d = a3, b d = a2 - c - e, b e + c d = a1
             disc = a3 * a3 - 4 * (a2 - c - e)
             if disc < 0:
                 continue
             rt = math.isqrt(disc)
             if rt * rt == disc and (a3 + rt) % 2 == 0:
                 b = (a3 + rt) // 2
-                dd = a3 - b
-                for bb, ddd in ((b, dd), (dd, b)):
-                    if bb * e + c * ddd == a1:
-                        return (1, bb, c), (1, ddd, e)
-    return None
-
-
-def is_irreducible(p: QuarticPoly) -> bool:
-    """Irreducibility over Q for a monic integer quartic: no rational root
-    and no integer quadratic factorization."""
-    if _rational_roots(p):
-        return False
-    return _quadratic_factorization(p) is None
+                d = a3 - b
+                if a1 in (b * e + c * d, d * e + c * b):
+                    return False
+    return True
 
 
 def _poly_rem(a: list, b: list) -> list:
@@ -211,9 +195,10 @@ def is_totally_real(p: QuarticPoly) -> bool:
     return sign_changes(True) - sign_changes(False) == 5 - len(chain[-1])
 
 
-def _polished_roots(p: QuarticPoly, vals: np.ndarray) -> np.ndarray:
-    """The real parts of the companion eigenvalues vals, Newton-polished on
-    p, in descending order."""
+def _roots(p: QuarticPoly) -> np.ndarray:
+    """The roots of a totally real p in descending order: the real parts of
+    the companion eigenvalues, Newton-polished on p."""
+    vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
     # sorted() rather than np.sort: the first np.sort call would add the
     # pages of numpy's sort code to every process that certifies
     u = np.array(sorted(vals.real.tolist(), reverse=True))
@@ -226,31 +211,33 @@ def _polished_roots(p: QuarticPoly, vals: np.ndarray) -> np.ndarray:
     return u
 
 
-def _companion_eigvals(p: QuarticPoly) -> np.ndarray:
-    return np.linalg.eigvals(np.array(companion(p), dtype=float))
+# Roots closer than this, relative to max(1, largest |root|), are not told
+# apart: double precision resolves a simple root to about 1e-16 of that
+# scale, but a near-double root only to about its square root, 1e-8.
+_ROOT_SEPARATION = 1e-8
 
 
 def roots(p: QuarticPoly) -> np.ndarray:
     """Roots via companion eigenvalues, Newton-polished, descending order.
 
-    Raises when the polynomial is not totally real (a complex pair) or has a
-    repeated root within tolerance.  `certify_lattice` decides both exactly
-    and does without these float tests.
+    Raises when the polynomial is not totally real, as decided exactly by
+    `is_totally_real`, or when two roots lie within `_ROOT_SEPARATION` of
+    each other, which floats cannot resolve.  `certify_lattice` decides
+    separability exactly (irreducible implies separable) and does without
+    this float test.
     """
-    vals = _companion_eigvals(p)
-    scale = max(1.0, np.abs(vals).max())
-    if np.abs(vals.imag).max() > TOL.eig_imag * scale:
+    if not is_totally_real(p):
         raise ValueError("polynomial is not totally real (complex roots)")
-    u = _polished_roots(p, vals)
-    if np.diff(np.sort(u)).min() < 1e-8 * scale:
+    u = _roots(p)
+    scale = max(1.0, np.abs(u).max())
+    if np.diff(np.sort(u)).min() < _ROOT_SEPARATION * scale:
         raise ValueError("repeated roots within tolerance")
     return u
 
 
 def companion(p: QuarticPoly):
     """Integer companion matrix of p (multiplication by u in basis 1,u,u^2,u^3)."""
-    a0, a1, a2, a3 = p.coeffs()
-    return [[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]]
+    return _mul_matrix(p, UnitSpec(0, 1, 0, 0))
 
 
 def unit_matrix(p: QuarticPoly, q: UnitSpec):
@@ -267,24 +254,9 @@ def unit_matrix(p: QuarticPoly, q: UnitSpec):
 
 
 def poly_square_mod(q: UnitSpec, p: QuarticPoly) -> UnitSpec:
-    """The square of a unit, reduced mod p back to the power basis."""
-    qq = [0] * 7
-    qc = q.coeffs()
-    for i in range(4):
-        for j in range(4):
-            qq[i + j] += qc[i] * qc[j]
-    a0, a1, a2, a3 = p.coeffs()
-    for k in range(6, 3, -1):
-        c = qq[k]
-        if c == 0:
-            continue
-        qq[k] = 0
-        # t^k = t^(k-4) * (-a3 t^3 - a2 t^2 - a1 t - a0)
-        qq[k - 1] -= c * a3
-        qq[k - 2] -= c * a2
-        qq[k - 3] -= c * a1
-        qq[k - 4] -= c * a0
-    return UnitSpec(qq[0], qq[1], qq[2], qq[3])
+    """The square of a unit, reduced mod p back to the power basis: q(M)
+    applied to the coefficients of q."""
+    return UnitSpec(*(sum(map(mul, row, q.coeffs())) for row in _mul_matrix(p, q)))
 
 
 def mult_independence(p: QuarticPoly, units) -> dict:
@@ -293,10 +265,10 @@ def mult_independence(p: QuarticPoly, units) -> dict:
     The units are multiplicatively independent exactly when L has full row
     rank; numerically this is sigma_min(L) clearing an absolute threshold.
     p must be irreducible and totally real, as `certify_lattice` decides
-    exactly, so the roots are taken without the float tests of `roots`.
+    exactly, so the roots are taken without the tests of `roots`.
     The report also carries those roots and the values Q[i, j] = q_i(u_j).
     """
-    u = _polished_roots(p, _companion_eigvals(p))
+    u = _roots(p)
     Q = np.array([q(u) for q in units], dtype=float)
     if np.any(np.abs(Q) < 1e-300):
         raise ValueError("unit vanishes at an embedding")
@@ -327,17 +299,7 @@ class LatticeCertificate:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "poly": list(self.poly),
-            "units": [list(u) for u in self.units],
-            "matrices": self.matrices,
-            "roots": self.roots,
-            "vandermonde": self.vandermonde,
-            "spectra": self.spectra,
-            "checks": self.checks,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 # the checks the verdict rests on; "integral", "commute" and "diagonalized"
@@ -347,7 +309,8 @@ _REQUIRED = ("irreducible", "unit_constant_term", "totally_real", "units_valid",
 
 
 def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
-    """Run the full certification chain; failed checks are recorded.
+    """Certify p with exactly three units (ValueError otherwise); failed
+    checks are recorded.
 
     Exact checks: p irreducible and totally real with unit constant term; for
     each unit matrix X = q(M), from the characteristic polynomial of X,
@@ -366,6 +329,8 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     `mult_independence`).  A ValueError from that float pass fails the
     certificate with its message as the reason; other errors propagate.
     """
+    if len(units) != 3:
+        raise ValueError(f"a lattice needs three units, got {len(units)}")
     cert = LatticeCertificate(poly=p.coeffs(), units=[q.coeffs() for q in units])
     checks = cert.checks
     # the factorization search costs sqrt|a0| steps: skip it (None, "not

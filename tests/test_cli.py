@@ -509,6 +509,37 @@ def test_audit_out_file(tmp_path, capsys):
 # -- error handling ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fmt, argv", [
+    ("csv", ["verify-lattice", "--example", "kl-2015"]),
+    ("csv", ["torsion", "--closed", "1,1,1"]),
+    ("text", ["flow", "--init", "1,1,2,2,1,1", "--t-max", "1", "--samples", "3"]),
+    ("text", ["soliton", "--base", "1,1,1,-1"]),
+    ("csv", ["soliton", "--base", "1,1,1,-1"]),
+    ("text", ["erp-check", "--closed", "1,1,1"]),
+    ("csv", ["erp-check", "--closed", "1,1,1"]),
+    ("text", ["audit"]),
+    ("csv", ["audit"]),
+])
+@pytest.mark.parametrize("before", [True, False])
+def test_a_format_the_command_does_not_write_is_an_input_error(capsys, fmt, argv, before):
+    option = ["--format", fmt]
+    code = cli.run(option + argv if before else argv + option)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[0]} writes ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_lattice_with_two_units_is_an_input_error(capsys):
+    code = cli.run(["verify-lattice", "--poly", "1,4,-4,-1",
+                    "--unit", "0,0,1,0", "--unit", "3,-4,0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: a lattice needs three units, got 2\n"
+
+
 def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):
     def broken(args):
         raise KeyError("missing")

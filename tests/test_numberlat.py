@@ -86,6 +86,52 @@ def test_irreducibility_accepts_the_builtin_fields():
     assert is_irreducible(QuarticPoly(1, 0, 0, 0))  # t^4 + 1
 
 
+def _times(f: list, g: list) -> list:
+    """Product of integer coefficient lists, leading term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _divides(g: list, f: list) -> bool:
+    """Whether the monic integer g divides f exactly, leading terms first."""
+    f = list(f)
+    while len(f) >= len(g):
+        lead = f.pop(0)
+        for i, y in enumerate(g[1:]):
+            f[i] -= lead * y
+    return not any(f)
+
+
+def _oracle_reducible(p: QuarticPoly) -> bool:
+    """p has an integer root (within Cauchy's bound), or two of its float
+    roots have an integer sum and product whose quadratic divides p."""
+    coeffs = [1, p.a3, p.a2, p.a1, p.a0]
+    bound = 1 + max(map(abs, coeffs))
+    if any(p(r) == 0 for r in range(-bound, bound + 1)):
+        return True
+    z = np.roots(coeffs)
+    return any(_divides([1, -round((x + y).real), round((x * y).real)], coeffs)
+               for x, y in itertools.combinations(z, 2))
+
+
+SMALL = st.integers(-30, 30)
+FACTOR = st.integers(-5, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(
+    st.tuples(*[SMALL] * 4).map(lambda c: [1, *c[::-1]]),
+    st.tuples(*[FACTOR] * 4).map(lambda c: _times([1, c[0], c[1]], [1, c[2], c[3]])),
+    st.tuples(*[FACTOR] * 4).map(lambda c: _times([1, c[0]], [1, c[1], c[2], c[3]]))))
+def test_irreducibility_matches_a_root_pairing_oracle(p):
+    # random quartics, products of two quadratics and of a line and a cubic
+    p = QuarticPoly(*p[:0:-1])
+    assert is_irreducible(p) == (not _oracle_reducible(p))
+
+
 def test_roots_of_the_cyclotomic_field():
     u = roots(P15)
     expect = np.sort(2.0 * np.cos(2.0 * np.pi * np.array([1, 2, 4, 7]) / 15.0))[::-1]
@@ -110,6 +156,27 @@ def test_roots_reject_complex_pairs():
 def test_roots_reject_repetitions():
     with pytest.raises(ValueError):
         roots(QuarticPoly(1, 0, -2, 0))  # (t^2 - 1)^2
+
+
+def test_roots_reject_distinct_roots_floats_cannot_separate():
+    # t^4 - 2 (10^4 t - 1)^2 has four distinct real roots, two of them near
+    # 1e-4 and about 1.4e-12 apart
+    p = QuarticPoly(-2, 4 * 10**4, -2 * 10**8, 0)
+    assert is_totally_real(p) and is_irreducible(p)
+    with pytest.raises(ValueError, match="repeated roots within tolerance"):
+        roots(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(*[SMALL] * 4))
+def test_roots_decide_total_reality_by_the_sturm_chain(p):
+    p = QuarticPoly(*p)
+    try:
+        roots(p)
+        message = ""
+    except ValueError as exc:
+        message = str(exc)
+    assert ("not totally real" in message) == (not is_totally_real(p))
 
 
 def test_companion_layout():
@@ -245,6 +312,8 @@ def test_unit_matrix_and_charpoly_match_the_horner_oracle(p, q):
     X = numberlat._mul_matrix(p, q)
     assert X == _oracle_unit_matrix(p, q)
     assert all(type(v) is int for row in X for v in row)
+    square = np.array(_oracle_unit_matrix(p, q), dtype=object).dot(q.coeffs())
+    assert list(poly_square_mod(q, p).coeffs()) == square.tolist()
     chi = charpoly(X)
     assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
     if chi.a0 in (1, -1):
@@ -342,6 +411,13 @@ def test_certificate_serializes_to_json():
     assert payload["verdict"] is True
     assert payload["matrices"] == BUILTIN_EXAMPLES["kl-2015"]["reference"]
     assert len(payload["roots"]) == 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_certification_requires_three_units(k):
+    units = (BUILTIN_EXAMPLES["kl-2015"]["units"] * 2)[:k]
+    with pytest.raises(ValueError, match=f"a lattice needs three units, got {k}"):
+        certify_lattice(P15, units)
 
 
 def test_certification_fails_on_reducible_polynomial():
