@@ -188,7 +188,7 @@ def _cmd_soliton(args) -> int:
             "d": s.d,
             "residual": s.residual,
         }
-        if args.modified_m:
+        if args.modified_m is not None:
             item["modified_residual"] = modified_soliton_residual(
                 s.params, args.modified_m)["residual"]
         items.append(item)
@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")
     so.add_argument("--base", required=True, help="a1,a2,b1,b2")
-    so.add_argument("--modified-m", type=_finite_float, default=0.0,
-                    help="also report the modified-flow residual at this m")
+    so.add_argument("--modified-m", type=_finite_float, default=None,
+                    help="also report the modified-flow residual at this nonzero m")
     so.set_defaults(func=_cmd_soliton)
 
     fl = add_parser("flow", formats=("csv", "json"), help="integrate the coflow parameter ODE")

@@ -34,9 +34,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import g2core
 from .forms import PSI, KForm, theta
 from .liealg import BracketTriple, homothety_invariants
-from .g2core import MAX_ENTRY, laplacians, modified_laplacian_psi
+from .g2core import MAX_ENTRY, modified_laplacian_psi
 
 _BLOWUP = 1e8
 # starts with |p| at or above this are rejected: the starting-step estimate
@@ -69,6 +70,14 @@ def _triples(P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoclosedParams:
+    """A point (a1, a2, b1, b2, c1, c2) of the coclosed family.
+
+    Its triple and its lap psi are each evaluated once, on first use, and
+    then shared: `soliton_solve`, `soliton_residual` and
+    `modified_soliton_residual` all read the one lap psi, taken from the
+    exact table of `g2core.laplacians`.
+    """
+
     a1: float
     a2: float
     b1: float
@@ -91,6 +100,10 @@ class CoclosedParams:
         """The triple (A, B, C), built and validated on the first call; later
         calls return the same object."""
         return self._triple
+
+    @cached_property
+    def _lap_psi(self) -> KForm:
+        return g2core._lap_psi(self._triple)
 
     def norm_sq(self) -> float:
         p = self.as_array()
@@ -398,7 +411,7 @@ def _soliton_fit(target: KForm) -> dict:
 
 def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
-    fit = _soliton_fit(laplacians(p.to_triple())["psi"])
+    fit = _soliton_fit(p._lap_psi)
     # the family's matrices are symmetric, so only the origin is flat
     fit["flat"] = not p.as_array().any()
     return fit
@@ -411,13 +424,14 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
 
     with m != 0 and |m| below `MAX_ENTRY`: like tr T, m scales as the
     entries do, and 2 (m - tr T) dphi is squared in the residual norm.  tr T
-    and dphi are taken from the structure itself."""
+    and dphi are read off rows of the torsion map's product
+    (`g2core.modified_laplacian_psi`), lap psi is the point's shared one."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
     if not abs(m) < MAX_ENTRY:
         raise ValueError(f"m must be below {MAX_ENTRY:.3g} in size: "
                          "the modified residual would leave the float range")
-    return _soliton_fit(modified_laplacian_psi(p.to_triple(), m))
+    return _soliton_fit(modified_laplacian_psi(p.to_triple(), m, p._lap_psi))
 
 
 def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
@@ -455,7 +469,9 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     lam = 2((a1-a2)^2 + (b1-b2)^2) and the derivation entry d = -lam/4; the
     returned residual is the norm of lap psi - lam psi - theta_plus(D) psi,
     verified rather than assumed zero: lap psi is evaluated from the exact
-    +-1 quadratic table of `g2core.laplacians` on the candidate's triple.
+    +-1 quadratic table of `g2core.laplacians` on the candidate's triple,
+    once per candidate, and the returned `params` keeps it, so that
+    `soliton_residual` and `modified_soliton_residual` on them reuse it.
     Raises ValueError for a base with an entry of size `g2core.MAX_ENTRY`
     or more, where the Laplacian's squared norm would overflow.
     """
@@ -469,6 +485,6 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        res = float(np.linalg.norm(laplacians(p.to_triple())["psi"].vec - rhs))
+        res = float(np.linalg.norm(p._lap_psi.vec - rhs))
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=res))
     return out

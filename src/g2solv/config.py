@@ -22,6 +22,13 @@ class Tolerances:
     unit_log_sigma: float = 1e-6
     # convergence target for Newton polishing of polynomial roots
     newton: float = 1e-12
+    # BracketTriple's traceless and commuting checks: a trace may reach this
+    # times the largest entry, a commutator entry this times its square
+    bracket: float = 1e-10
+    # solvsoliton_check: M M^T - M^T M may reach this times the squared
+    # largest entry, and the a-block of Ricci may differ from c I by this
+    # times max(1, |c|)
+    solvsoliton: float = 1e-9
 
 
 TOL = Tolerances()

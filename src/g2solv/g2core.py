@@ -27,6 +27,7 @@ per entry, and `_laplacian_table`, whose coefficients are all +-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import TOL
 from .forms import BASIS, PHI, PSI, KForm, _hodge_table, hodge, inner, wedge
-from .liealg import BracketTriple, _d_table, ce_differential, homothety_invariant
+from .liealg import BracketTriple, _d_table, ce_differential
 
 # dphi, the Laplacians, the ERP residual and tr(Ric^2) are at most quadratic
 # in the entries of (A, B, C), and their norms square them again, so the
@@ -100,27 +101,35 @@ def _torsion_map() -> np.ndarray:
 
 
 def _mapped_parts(t: BracketTriple) -> list:
-    """`_torsion_parts` of t, from one product with `_torsion_map`."""
+    """Coefficient vectors of the `_torsion_parts` of t (tau0 one entry
+    long): slices of one product with `_torsion_map`."""
     v = _torsion_map() @ t.entries
-    tau0, *forms = (KForm._of(k, v[rows]) for k, rows in zip(_PART_DEGREES, _PART_ROWS))
-    return [tau0.scalar(), *forms]
+    return [v[rows] for rows in _PART_ROWS]
+
+
+def _norm(x: np.ndarray) -> float:
+    """`KForm.norm` of the form with coefficients x, bit for bit."""
+    return math.sqrt(x @ x)
 
 
 def torsion_forms(t: BracketTriple) -> TorsionForms:
+    """Torsion parts, |tau|^2 and class flags of t, every one read off the
+    vector of one product with `_torsion_map`."""
     tau0, tau1, tau2, tau3, dphi, tau = _mapped_parts(t)
+    tau0 = float(tau0[0])
     return TorsionForms(
         tau0=tau0,
-        tau1=tau1,
-        tau2=tau2,
-        tau3=tau3,
-        tau_two_form=tau,
-        norm_sq_tau=inner(tau, tau),
-        closed=dphi.is_zero(),
+        tau1=KForm._of(1, tau1),
+        tau2=KForm._of(2, tau2),
+        tau3=KForm._of(3, tau3),
+        tau_two_form=KForm._of(2, tau),
+        norm_sq_tau=float(tau @ tau),
+        closed=_norm(dphi) <= TOL.zero_form,
         torsion_class={
             "W1": abs(tau0) > TOL.zero_form,
-            "W2": tau2.norm() > TOL.zero_form,
-            "W3": tau3.norm() > TOL.zero_form,
-            "W4": tau1.norm() > TOL.zero_form,
+            "W2": _norm(tau2) > TOL.zero_form,
+            "W3": _norm(tau3) > TOL.zero_form,
+            "W4": _norm(tau1) > TOL.zero_form,
         },
     )
 
@@ -128,11 +137,6 @@ def torsion_forms(t: BracketTriple) -> TorsionForms:
 def torsion_class(t: BracketTriple) -> dict:
     """Flags for the four torsion components, by norm against `TOL.zero_form`."""
     return torsion_forms(t).torsion_class
-
-
-def trace_torsion(t: BracketTriple) -> float:
-    """Trace of the full torsion endomorphism, (7/4) tau0."""
-    return 1.75 * float(_torsion_map()[0] @ t.entries)
 
 
 def _linear_hodge(L: np.ndarray, k: int) -> np.ndarray:
@@ -187,13 +191,15 @@ def laplacians(t: BracketTriple) -> dict:
     return {"phi": hodge(lap_psi), "psi": lap_psi}
 
 
-def modified_laplacian_psi(t: BracketTriple, m: float) -> KForm:
-    """Velocity of the modified coflow, lap psi + 2 d((m - tr T) phi).
+def modified_laplacian_psi(t: BracketTriple, m: float, lap_psi: KForm) -> KForm:
+    """Velocity of the modified coflow, lap psi + 2 d((m - tr T) phi), given
+    lap psi of t (`laplacians(t)["psi"]`).
 
     On a left-invariant structure m - tr T is constant, so the second term
-    is 2 (m - tr T) dphi."""
+    is 2 (m - tr T) dphi, with tr T = (7/4) tau0; tau0 and dphi are rows of
+    the one product with `_torsion_map`."""
     tau0, *_, dphi, _ = _mapped_parts(t)
-    return _lap_psi(t) + 2.0 * (m - 1.75 * tau0) * dphi
+    return lap_psi + 2.0 * (m - 1.75 * float(tau0[0])) * KForm._of(4, dphi)
 
 
 def erp_residual(t: BracketTriple) -> dict:
@@ -204,8 +210,9 @@ def erp_residual(t: BracketTriple) -> dict:
     Raises when dphi != 0, since tau is only the full torsion there.
     """
     *_, dphi, tau = _mapped_parts(t)
-    if not dphi.is_zero():
+    if _norm(dphi) > TOL.zero_form:
         raise ValueError("extremal pinching residual needs a closed structure")
+    tau = KForm._of(2, tau)
     nsq = inner(tau, tau)
     res = ce_differential(t, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
     return {"residual_norm": res.norm(), "tau_norm_sq": nsq}
@@ -220,8 +227,3 @@ def closed_triple(a: float, b: float, c: float) -> BracketTriple:
     """The diagonal triples with dphi = 0: (a D1, b D2, c D3) for the three
     traceless sign patterns pairing off the coefficient constraints."""
     return BracketTriple(a * _D1, b * _D2, c * _D3)
-
-
-def closed_family_invariant(a: float, b: float, c: float) -> float:
-    """Homothety invariant along the closed diagonal family."""
-    return homothety_invariant(closed_triple(a, b, c))

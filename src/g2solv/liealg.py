@@ -58,11 +58,15 @@ class BracketTriple:
         if not np.isfinite(mats).all():
             raise ValueError("entries must be finite")
         scale = max(1.0, np.abs(mats).max())
-        if (np.abs(mats.trace(axis1=1, axis2=2)) > 1e-10 * scale).any():
+        if (np.abs(mats.trace(axis1=1, axis2=2)) > TOL.bracket * scale).any():
             raise ValueError("matrices must be traceless (unimodular algebra)")
-        products = mats[:, None] @ mats  # products[i, j] = M_i M_j
-        if np.abs(products - products.swapaxes(0, 1)).max() > 1e-10 * scale * scale:
-            raise ValueError("matrices must commute (Jacobi identity)")
+        # diagonal matrices commute exactly in floating point: M_i M_j and
+        # M_j M_i have the same rounded diagonal and exact zeros off it, so
+        # the commutator check could only pass them
+        if np.count_nonzero(mats) > np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
+            products = mats[:, None] @ mats  # products[i, j] = M_i M_j
+            if np.abs(products - products.swapaxes(0, 1)).max() > TOL.bracket * scale * scale:
+                raise ValueError("matrices must commute (Jacobi identity)")
         for name, M in zip(("A", "B", "C"), mats):
             object.__setattr__(self, name, M)
         object.__setattr__(self, "entries", mats.reshape(-1))
@@ -203,10 +207,6 @@ def _ricci(mats: np.ndarray) -> np.ndarray:
     return ric
 
 
-def scalar_curvature(t: BracketTriple) -> float:
-    return float(np.trace(ricci_operator(t)))
-
-
 def _unit_ricci(mats: np.ndarray):
     """Ricci operators of triples stacked as (..., 3, 4, 4), each triple first
     divided by its largest entry, and those divisors, shape (..., 1, 1, 1)
@@ -254,12 +254,13 @@ def solvsoliton_check(t: BracketTriple) -> dict:
         return {"is_solvsoliton": False, "lam": None, "flat": True}
     scale = max(1.0, *(np.abs(M).max() for M in (A, B, C)))
     normal = all(
-        np.abs(M @ M.T - M.T @ M).max() <= 1e-9 * scale * scale for M in (A, B, C)
+        np.abs(M @ M.T - M.T @ M).max() <= TOL.solvsoliton * scale * scale
+        for M in (A, B, C)
     )
     ric = ricci_operator(t)
     block = ric[np.ix_(_A_SLOTS, _A_SLOTS)]
     c = float(np.trace(block)) / 3.0
-    isotropic = np.abs(block - c * np.eye(3)).max() <= 1e-9 * max(1.0, abs(c))
+    isotropic = np.abs(block - c * np.eye(3)).max() <= TOL.solvsoliton * max(1.0, abs(c))
     ok = bool(normal and isotropic)
     return {"is_solvsoliton": ok, "lam": c if ok else None, "flat": False}
 

@@ -312,6 +312,16 @@ def test_soliton_modified_m_too_large_for_the_residual(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", ["0", "-0", "0.0"])
+def test_soliton_modified_m_zero_is_rejected(capsys, m):
+    # m = 0 is the plain coflow; it must not be taken for the option left out
+    code = cli.run(["soliton", "--base=1,1,1,-1", f"--modified-m={m}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: m must be nonzero (m = 0 is the plain coflow)\n"
+
+
 # -- flow ---------------------------------------------------------------------------
 
 

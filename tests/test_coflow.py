@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_formulas import bracket_flow_generator, bracket_flow_rhs, coclosed_lap_psi
-from g2solv import forms
+from g2solv import forms, g2core
 from g2solv.coflow import (
     CoclosedParams,
     FlowOptions,
@@ -26,7 +26,7 @@ from g2solv.coflow import (
 )
 from g2solv.forms import monomial, theta, wedge
 from g2solv.g2core import laplacians
-from g2solv.liealg import ce_differential, homothety_invariant
+from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
 
 SOLITON = CoclosedParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 
@@ -409,6 +409,27 @@ def test_modified_residual_rejects_m_beyond_the_float_range(m):
 
 def test_modified_residual_is_finite_just_below_the_bound_on_m():
     assert np.isfinite(modified_soliton_residual(SOLITON, 2.0 ** 239)["residual"])
+
+
+def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
+    calls = []
+    lap_psi = g2core._lap_psi
+    monkeypatch.setattr(g2core, "_lap_psi", lambda t: calls.append(t) or lap_psi(t))
+    sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
+    for sol in sols:
+        soliton_residual(sol.params)
+        modified_soliton_residual(sol.params, 1.0)
+        modified_soliton_residual(sol.params, -2.0)
+    assert len(sols) == 4
+    assert [id(t) for t in calls] == [id(sol.params.to_triple()) for sol in sols]
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_st())
+def test_shared_laplacian_is_a_fresh_evaluation_bit_for_bit(p):
+    soliton_residual(p)
+    fresh = laplacians(BracketTriple(*p.to_triple().matrices()))["psi"]
+    assert p._lap_psi.vec.tobytes() == fresh.vec.tobytes()
 
 
 def test_coclosed_params_build_their_triple_once():

@@ -9,18 +9,17 @@ import dense_oracle as dz
 import reference_formulas as rf
 from g2solv import g2core
 from g2solv.coflow import CoclosedParams
+from g2solv.config import TOL
 from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, hodge, inner, wedge
 from g2solv.g2core import (
-    closed_family_invariant,
     closed_triple,
     erp_residual,
     laplacians,
     modified_laplacian_psi,
     torsion_class,
     torsion_forms,
-    trace_torsion,
 )
-from g2solv.liealg import BracketTriple, ce_differential
+from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
 
 
 @st.composite
@@ -113,18 +112,33 @@ def test_torsion_class_of_flat_structure_is_empty():
         "W1": False, "W2": False, "W3": False, "W4": False}
 
 
+@settings(max_examples=40, deadline=None)
+@given(torsion_triples)
+def test_torsion_report_scalars_match_its_forms(t):
+    # the norms, flags and |tau|^2 are read off the mapped vector; they
+    # must be those of the returned forms, bit for bit (`closed` is checked
+    # against d itself in test_torsion_reconstructs_dphi)
+    tf = torsion_forms(t)
+    assert tf.norm_sq_tau == inner(tf.tau_two_form, tf.tau_two_form)
+    zero = TOL.zero_form
+    assert tf.torsion_class == {
+        "W1": abs(tf.tau0) > zero, "W2": tf.tau2.norm() > zero,
+        "W3": tf.tau3.norm() > zero, "W4": tf.tau1.norm() > zero}
+
+
 @settings(max_examples=25, deadline=None)
 @given(commuting_triples())
 def test_trace_torsion_matches_scalar_component(t):
-    tf = torsion_forms(t)
-    assert trace_torsion(t) == pytest.approx(1.75 * tf.tau0, abs=1e-12)
+    # tr T = (7/4) tau0 = (1/4) *(dphi ^ phi), the latter from d itself
+    scalar = hodge(wedge(ce_differential(t, PHI), PHI)).scalar()
+    assert 1.75 * torsion_forms(t).tau0 == pytest.approx(0.25 * scalar, abs=1e-12)
 
 
 def test_trace_torsion_vanishes_for_diagonal_triples():
     rng = np.random.default_rng(21)
     for _ in range(5):
         t = BracketTriple(*dz.diagonal_triple(rng))
-        assert abs(trace_torsion(t)) < 1e-13
+        assert abs(1.75 * torsion_forms(t).tau0) < 1e-13
 
 
 # -- Laplacians --------------------------------------------------------------------
@@ -198,18 +212,17 @@ def test_closed_family_invariant_formula(a, b, c):
     m = max(abs(a), abs(b), abs(c))
     if m == 0.0:
         with pytest.raises(ValueError):
-            closed_family_invariant(a, b, c)
+            homothety_invariant(closed_triple(a, b, c))
         return
     x, y, z = a / m, b / m, c / m
     n2 = x * x + y * y + z * z
     expect = n2 * n2 / (x**4 + y**4 + z**4)
-    assert closed_family_invariant(a, b, c) == pytest.approx(expect, rel=1e-9)
+    assert homothety_invariant(closed_triple(a, b, c)) == pytest.approx(expect, rel=1e-9)
 
 
 def test_closed_family_invariant_examples():
-    assert closed_family_invariant(1, 1, 1) == pytest.approx(3.0)
-    assert closed_family_invariant(2, 1, 1) == pytest.approx(2.0)
-    assert closed_family_invariant(1, 0, 0) == pytest.approx(1.0)
+    for abc, F in [((1, 1, 1), 3.0), ((2, 1, 1), 2.0), ((1, 0, 0), 1.0)]:
+        assert homothety_invariant(closed_triple(*abc)) == pytest.approx(F)
 
 
 # -- pinching residual ------------------------------------------------------------------
@@ -294,7 +307,8 @@ def test_torsion_map_and_laplacian_table_match_dense_oracle(family, t):
     assert abs(tf.tau0 - tau0) < 1e-11
     for name, (T, degree) in parts.items():
         assert dz.max_dev(T, degree, getattr(tf, name)) < 1e-11, name
-    assert dz.max_dev(modified, 4, modified_laplacian_psi(t, 0.7)) < 1e-11
+    got = modified_laplacian_psi(t, 0.7, laplacians(t)["psi"])
+    assert dz.max_dev(modified, 4, got) < 1e-11
 
 
 def test_laplacian_table_is_exact():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
+from g2solv.config import TOL
 from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
 from g2solv.liealg import (
     BracketTriple,
@@ -18,7 +19,6 @@ from g2solv.liealg import (
     homothety_invariants,
     ricci_operator,
     ricci_report,
-    scalar_curvature,
     solvsoliton_check,
     to_display_order,
 )
@@ -76,6 +76,47 @@ def test_triple_rejects_noncommuting():
     B[1, 0] = 1.0
     with pytest.raises(ValueError):
         BracketTriple(A, B, np.zeros((4, 4)))
+
+
+def _diagonal_case(kind):
+    A, B = np.diag([1.0, -1.0, 2.0, -2.0]), np.diag([3.0, 1.0, -3.0, -1.0])
+    if kind == "trace":
+        A[0, 0] += 1e-6
+    elif kind in ("nan", "inf"):
+        B[2, 2] = float(kind)
+    else:  # one off-diagonal entry makes B non-diagonal and A B != B A
+        B[0, 1] = 1e-3
+    return A, B, np.zeros((4, 4))
+
+
+@pytest.mark.parametrize("kind, match", [
+    ("trace", "traceless"), ("nan", "finite"), ("inf", "finite"),
+    ("off-diagonal", "commute")])
+def test_diagonal_shortcut_keeps_every_other_check(kind, match):
+    # diagonal triples skip the commutator products, not the other checks
+    with pytest.raises(ValueError, match=match):
+        BracketTriple(*_diagonal_case(kind))
+
+
+def test_triple_checks_follow_their_named_tolerance(monkeypatch):
+    A = np.diag([1.0, -1.0, 2.0, -2.0 + 1e-9])
+    nearly = np.zeros((4, 4))
+    nearly[0, 1], nearly[1, 0] = 1e-9, -1e-9  # [A, nearly] has entries 2e-9
+    for mats, match in [((A, A, A), "traceless"),
+                        ((np.diag([1.0, -1.0, 0.0, 0.0]), nearly, nearly), "commute")]:
+        with pytest.raises(ValueError, match=match):
+            BracketTriple(*mats)
+        with monkeypatch.context() as m:
+            m.setattr(TOL, "bracket", 1e-8)
+            BracketTriple(*mats)
+
+
+def test_solvsoliton_follows_its_named_tolerance(monkeypatch):
+    from g2solv.g2core import closed_triple
+    t = closed_triple(1.0 + 1e-8, 1.0, 1.0)  # a-block of Ric off c I by ~5e-8
+    assert solvsoliton_check(t)["is_solvsoliton"] is False
+    monkeypatch.setattr(TOL, "solvsoliton", 1e-6)
+    assert solvsoliton_check(t)["is_solvsoliton"] is True
 
 
 def test_triple_is_immutable():
@@ -328,7 +369,7 @@ def test_scalar_curvature_is_minus_frobenius_norm_for_symmetric_triples():
         A, B, C = dz.diagonal_triple(rng)
         t = BracketTriple(A, B, C)
         expect = -sum(float(np.sum(M * M)) for M in (A, B, C))
-        assert scalar_curvature(t) == pytest.approx(expect, abs=1e-12)
+        assert ricci_report(t)["scal"] == pytest.approx(expect, abs=1e-12)
 
 
 def test_ricci_for_equal_scale_closed_triple():
@@ -337,7 +378,7 @@ def test_ricci_for_equal_scale_closed_triple():
     a_slots = [6, 0, 1]
     block = ric[np.ix_(a_slots, a_slots)]
     assert np.abs(block + 4.0 * np.eye(3)).max() < 1e-13
-    assert scalar_curvature(closed_triple(1.0, 1.0, 1.0)) == pytest.approx(-12.0)
+    assert ricci_report(closed_triple(1.0, 1.0, 1.0))["scal"] == pytest.approx(-12.0)
 
 
 def test_ricci_for_symmetric_coclosed_point():
