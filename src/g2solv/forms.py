@@ -178,18 +178,6 @@ def _covector_wedge(k: int) -> np.ndarray:
     return W
 
 
-def interior(v: int, alpha: KForm) -> KForm:
-    """Contraction with the basis vector e_v, the adjoint of e^v ^ (.)."""
-    v = int(v)
-    if not 1 <= v <= DIM:
-        raise ValueError(f"vector index must lie in 1..{DIM}")
-    if alpha.degree == 0:
-        return zero_form(0)
-    n = len(BASIS[alpha.degree - 1])
-    E = _covector_wedge(alpha.degree - 1)[:, (v - 1) * n:v * n]
-    return KForm._of(alpha.degree - 1, E.T @ alpha.vec)
-
-
 def inner(alpha: KForm, beta: KForm) -> float:
     """Pointwise inner product; basis monomials are orthonormal in each degree."""
     if alpha.degree != beta.degree:

@@ -112,6 +112,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x @ x)
 
 
+def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarray) -> dict:
+    """W1..W4: whether tau0, tau2, tau3, tau1 are nonzero, by norm against
+    `TOL.zero_form`, from the coefficient vectors of `_mapped_parts`."""
+    return {
+        "W1": abs(tau0) > TOL.zero_form,
+        "W2": _norm(tau2) > TOL.zero_form,
+        "W3": _norm(tau3) > TOL.zero_form,
+        "W4": _norm(tau1) > TOL.zero_form,
+    }
+
+
 def torsion_forms(t: BracketTriple) -> TorsionForms:
     """Torsion parts, |tau|^2 and class flags of t, every one read off the
     vector of one product with `_torsion_map`."""
@@ -125,18 +136,16 @@ def torsion_forms(t: BracketTriple) -> TorsionForms:
         tau_two_form=KForm._of(2, tau),
         norm_sq_tau=float(tau @ tau),
         closed=_norm(dphi) <= TOL.zero_form,
-        torsion_class={
-            "W1": abs(tau0) > TOL.zero_form,
-            "W2": _norm(tau2) > TOL.zero_form,
-            "W3": _norm(tau3) > TOL.zero_form,
-            "W4": _norm(tau1) > TOL.zero_form,
-        },
+        torsion_class=_class_flags(tau0, tau1, tau2, tau3),
     )
 
 
 def torsion_class(t: BracketTriple) -> dict:
-    """Flags for the four torsion components, by norm against `TOL.zero_form`."""
-    return torsion_forms(t).torsion_class
+    """Flags for the four torsion components, by norm against `TOL.zero_form`:
+    the class flags of `torsion_forms`, read off the one mapped vector
+    without building its forms."""
+    tau0, tau1, tau2, tau3, *_ = _mapped_parts(t)
+    return _class_flags(float(tau0[0]), tau1, tau2, tau3)
 
 
 def _linear_hodge(L: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,7 @@ n-covectors f^1..f^4 correspond to e^3..e^6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -64,8 +65,16 @@ class BracketTriple:
         # M_j M_i have the same rounded diagonal and exact zeros off it, so
         # the commutator check could only pass them
         if np.count_nonzero(mats) > np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
-            products = mats[:, None] @ mats  # products[i, j] = M_i M_j
-            if np.abs(products - products.swapaxes(0, 1)).max() > TOL.bracket * scale * scale:
+            # products of entries of 1e154 or more overflow, and inf - inf is
+            # NaN, which no comparison rejects: above 1 the products are taken
+            # on the stack divided by an exact power of two, which scales
+            # them and the bound alike, and a NaN fails `<=`
+            unit = mats
+            if scale > 1.0:
+                exp = math.frexp(scale)[1]
+                unit, scale = np.ldexp(mats, -exp), math.ldexp(scale, -exp)
+            products = unit[:, None] @ unit  # products[i, j] = M_i M_j
+            if not np.abs(products - products.swapaxes(0, 1)).max() <= TOL.bracket * scale * scale:
                 raise ValueError("matrices must commute (Jacobi identity)")
         for name, M in zip(("A", "B", "C"), mats):
             object.__setattr__(self, name, M)
@@ -135,7 +144,20 @@ def _real_diagonalizable(M: np.ndarray) -> bool:
     (to `TOL.eig_imag`), and each cluster of eigenvalues within
     `_EIG_CLUSTER` |M| of its least one, lam, has an eigenspace of its size,
     counted as the singular values of M - lam I within `_EIG_CLUSTER` of
-    zero relative to the largest."""
+    zero relative to the largest.
+
+    Two cases are decided without that count.  A matrix with no nonzero
+    entry off its diagonal is diagonal, so no eigenvalue is computed.  A
+    cluster of one eigenvalue needs an eigenspace of dimension 1, and every
+    eigenvalue has one: LAPACK's QR algorithm is backward stable (Golub &
+    Van Loan, Matrix Computations, 4th ed., Sec. 7.5), so a computed real
+    eigenvalue lam is exact for some M + E with |E| about eps |M|, and the
+    least singular value of M - lam I is at most |E|, far inside the cut.
+    (The two members of a complex pair share their real part, so they never
+    form two clusters of one.)  Only clusters of two or more get the SVD.
+    """
+    if np.count_nonzero(M) == np.count_nonzero(M.diagonal()):
+        return True
     vals = np.linalg.eigvals(M)
     if np.abs(vals.imag).max(initial=0.0) > TOL.eig_imag * max(1.0, np.abs(vals).max()):
         return False
@@ -146,9 +168,10 @@ def _real_diagonalizable(M: np.ndarray) -> bool:
         j = i
         while j + 1 < len(vals) and vals[j + 1] - vals[i] <= width:
             j += 1
-        s = np.linalg.svd(M - vals[i] * np.eye(len(M)), compute_uv=False)
-        if (s <= _EIG_CLUSTER * max(1.0, s[0])).sum() < j + 1 - i:
-            return False
+        if j > i:
+            s = np.linalg.svd(M - vals[i] * np.eye(len(M)), compute_uv=False)
+            if (s <= _EIG_CLUSTER * max(1.0, s[0])).sum() < j + 1 - i:
+                return False
         i = j + 1
     return True
 
@@ -187,18 +210,14 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
     )
 
 
-def ricci_operator(t: BracketTriple) -> np.ndarray:
-    """Ricci operator in the internal basis (e_1..e_7).
+def _ricci(mats: np.ndarray) -> np.ndarray:
+    """Ricci operators of triples stacked as (..., 3, 4, 4), shape (..., 7, 7),
+    in the internal basis (e_1..e_7).
 
     The a-block (slots e_7, e_1, e_2) is -[tr S(X)S(Y)] for X, Y running over
     (A, B, C) with S the symmetrization; the n-block is
     (1/2)([A,A^T] + [B,B^T] + [C,C^T]); the two blocks never mix.
     """
-    return _ricci(t.entries.reshape(3, 4, 4))
-
-
-def _ricci(mats: np.ndarray) -> np.ndarray:
-    """Ricci operators of triples stacked as (..., 3, 4, 4), shape (..., 7, 7)."""
     sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     ric = np.zeros(mats.shape[:-3] + (DIM, DIM))
     ric[..., _A_SLOTS[:, None], _A_SLOTS] = -np.einsum("...iab,...jba->...ij", sym, sym)
@@ -257,7 +276,7 @@ def solvsoliton_check(t: BracketTriple) -> dict:
         np.abs(M @ M.T - M.T @ M).max() <= TOL.solvsoliton * scale * scale
         for M in (A, B, C)
     )
-    ric = ricci_operator(t)
+    ric = _ricci(t.entries.reshape(3, 4, 4))
     block = ric[np.ix_(_A_SLOTS, _A_SLOTS)]
     c = float(np.trace(block)) / 3.0
     isotropic = np.abs(block - c * np.eye(3)).max() <= TOL.solvsoliton * max(1.0, abs(c))

@@ -5,7 +5,8 @@ triple on the self-dual 2-forms and is kept frozen as an independent check
 against the combinatorial differential in the package.  General formulas
 take arbitrary commuting traceless matrices; the diagonal versions take the
 four diagonal entries of each matrix.  `bracket_flow_rhs` is the oracle
-for the coflow parameter ODE.
+for the coflow parameter ODE, and `compatible` the oracle for
+`liealg.check_compatible`.
 """
 
 import numpy as np
@@ -196,3 +197,42 @@ def bracket_flow_rhs(p):
     # mu' = Q mu(.,.) - mu(Q., .) - mu(., Q.): with Q zero on n and diagonal
     # on a this contracts to A' = -qa A, B' = -qb B, C' = -qc C.
     return np.array([-qa * a1, -qa * a2, -qb * b1, -qb * b2, -qc * c1, -qc * c2])
+
+
+# -- compatibility -----------------------------------------------------------------
+# The per-cluster singular-value rule that decided real diagonalizability
+# before any shortcut: every matrix gets its eigenvalues, and every cluster,
+# one eigenvalue or more, gets its rank count.  The cuts are copies of the
+# package's: 1e-9 for imaginary parts (TOL.eig_imag) and for the
+# independence rank (TOL.rank_rel), 1e-6 for the cluster width.
+
+
+def _real_diagonalizable(M):
+    vals = np.linalg.eigvals(M)
+    if np.abs(vals.imag).max() > 1e-9 * max(1.0, np.abs(vals).max()):
+        return False
+    vals = np.sort(vals.real)
+    width = 1e-6 * max(1.0, np.linalg.norm(M))
+    i = 0
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= width:
+            j += 1
+        s = np.linalg.svd(M - vals[i] * np.eye(len(M)), compute_uv=False)
+        if (s <= 1e-6 * max(1.0, s[0])).sum() < j + 1 - i:
+            return False
+        i = j + 1
+    return True
+
+
+def compatible(A, B, C):
+    """(independent, simultaneously real-diagonalizable) for a commuting
+    triple: independence from the singular values of the three matrices,
+    each divided by its largest entry, and diagonalizability one matrix at
+    a time."""
+    rows = [M.ravel() / np.abs(M).max() for M in (A, B, C) if np.abs(M).max() > 0.0]
+    independent = len(rows) == 3
+    if independent:
+        s = np.linalg.svd(np.array(rows), compute_uv=False)
+        independent = bool(s.min() > 1e-9 * s.max())
+    return independent, all(_real_diagonalizable(M) for M in (A, B, C))

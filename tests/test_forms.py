@@ -26,7 +26,6 @@ from g2solv.forms import (
     format_form,
     hodge,
     inner,
-    interior,
     monomial,
     theta,
     wedge,
@@ -205,47 +204,6 @@ def test_hodge_is_an_isometry(a):
 def test_inner_requires_equal_degrees():
     with pytest.raises(ValueError):
         inner(monomial((1,)), monomial((1, 2)))
-
-
-# -- interior product ----------------------------------------------------------
-
-
-def test_interior_basis_values():
-    assert interior(1, monomial((1,))).coeffs == {(): 1.0}
-    assert interior(2, monomial((1,))).coeffs == {}
-    assert interior(2, monomial((1, 2))).coeffs == {(1,): -1.0}
-    assert interior(1, monomial((1, 2))).coeffs == {(2,): 1.0}
-
-
-def test_interior_rejects_bad_index():
-    with pytest.raises(ValueError):
-        interior(0, monomial((1,)))
-    with pytest.raises(ValueError):
-        interior(8, monomial((1,)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 7), st.data())
-def test_interior_is_an_antiderivation(v, data):
-    a = data.draw(kforms(degree=data.draw(st.integers(1, 4))))
-    b = data.draw(kforms(degree=data.draw(st.integers(1, 7 - a.degree))))
-    lhs = interior(v, wedge(a, b))
-    rhs = wedge(interior(v, a), b) + ((-1.0) ** a.degree) * wedge(a, interior(v, b))
-    assert (lhs - rhs).norm() < 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 7), st.floats(-3, 3), st.data())
-def test_interior_commutes_with_scalar_multiples(v, f, data):
-    b = data.draw(kforms(degree=data.draw(st.integers(1, 7))))
-    scalar = KForm(0, {(): f})
-    assert (interior(v, wedge(scalar, b)) - f * interior(v, b)).norm() < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 7), kforms())
-def test_interior_squares_to_zero(v, a):
-    assert interior(v, interior(v, a)).norm() < 1e-13
 
 
 # -- derivation action ----------------------------------------------------------

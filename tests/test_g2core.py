@@ -106,6 +106,17 @@ def test_torsion_class_flags():
         assert tf.closed is closed
 
 
+@settings(max_examples=60, deadline=None)
+@given(torsion_triples, st.sampled_from([None, 1e-3, 0.1, 0.5, 1.0, 2.0]))
+def test_torsion_class_reads_the_flags_of_torsion_forms(t, zero):
+    # torsion_class skips the forms but must flag as the full report does,
+    # also under another TOL.zero_form
+    with pytest.MonkeyPatch.context() as m:
+        if zero is not None:
+            m.setattr(TOL, "zero_form", zero)
+        assert torsion_class(t) == torsion_forms(t).torsion_class
+
+
 def test_torsion_class_of_flat_structure_is_empty():
     t = BracketTriple(*[np.zeros((4, 4))] * 3)
     assert torsion_class(t) == {

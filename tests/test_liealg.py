@@ -1,6 +1,9 @@
 """Solvable algebra layer: differential, compatibility and curvature."""
 
+import importlib
 import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
+import reference_formulas as rf
 from g2solv.config import TOL
 from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
 from g2solv.liealg import (
     BracketTriple,
     _d_table,
+    _ricci,
     ce_differential,
     check_compatible,
     homothety_invariant,
     homothety_invariants,
-    ricci_operator,
     ricci_report,
     solvsoliton_check,
     to_display_order,
@@ -76,6 +80,23 @@ def test_triple_rejects_noncommuting():
     B[1, 0] = 1.0
     with pytest.raises(ValueError):
         BracketTriple(A, B, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("size", [1e160, 1e200, 1e300])
+def test_triple_checks_hold_near_the_float_range(size):
+    # the commutator products of entries this large overflow unless they
+    # are taken at unit scale; inf - inf is NaN, which `>` never rejects
+    rng = seeded_rng()
+    A, B = np.zeros((4, 4)), np.zeros((4, 4))
+    A[0, 1], B[1, 0] = size, size
+    G = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    Gi = np.linalg.inv(G)
+    conjugated = [G @ (size * D) @ Gi for D in dz.diagonal_triple(rng)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="commute"):
+            BracketTriple(A, B, np.zeros((4, 4)))
+        BracketTriple(*conjugated)
 
 
 def _diagonal_case(kind):
@@ -332,13 +353,134 @@ def test_independence_does_not_depend_on_the_scale_of_each_matrix():
     assert not check_compatible(BracketTriple(D, 0.0 * D, E)).independent
 
 
-def test_rotation_block_triple_is_not_real_diagonalizable():
+def _rotation_triple():
     J = np.zeros((4, 4))
     J[0, 1], J[1, 0] = -1.0, 1.0
     J[2, 3], J[3, 2] = 1.0, -1.0
-    t = BracketTriple(J, np.diag([1.0, 1.0, -1.0, -1.0]), np.zeros((4, 4)))
-    rep = check_compatible(t)
+    return BracketTriple(J, np.diag([1.0, 1.0, -1.0, -1.0]), np.zeros((4, 4)))
+
+
+def test_rotation_block_triple_is_not_real_diagonalizable():
+    rep = check_compatible(_rotation_triple())
     assert not rep.simultaneously_diagonalizable
+
+
+def _conjugator(rng, log_cond):
+    """Random G with cond(G) = 10^log_cond."""
+    Q1 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    return (Q1 * np.logspace(0.0, -log_cond, 4)) @ Q2
+
+
+_STRESS_KINDS = ("distinct", "double", "two doubles", "triple", "close",
+                 "jordan", "jordan3", "rotation")
+
+
+def _stress_base(rng, kind):
+    """A 4x4 matrix with eigenvalues in [-1, 1] and the structure `kind`."""
+    lam = rng.uniform(-1.0, 1.0, 4)
+    if kind in ("double", "jordan", "rotation"):
+        lam[1] = lam[0]
+    elif kind == "two doubles":
+        lam[1], lam[3] = lam[0], lam[2]
+    elif kind in ("triple", "jordan3"):
+        lam[1] = lam[2] = lam[0]
+    elif kind == "close":
+        lam[1] = lam[0] + 10.0 ** rng.uniform(-9.0, -3.0)
+    J = np.diag(lam)
+    if kind in ("jordan", "jordan3"):
+        J[0, 1] = rng.uniform(0.1, 1.0)
+    if kind == "jordan3":
+        J[1, 2] = rng.uniform(0.1, 1.0)
+    if kind == "rotation":  # the double eigenvalue becomes a complex pair
+        J[0, 1] = -rng.uniform(0.1, 1.0)
+        J[1, 0] = -J[0, 1]
+    return J
+
+
+def _stress_triples(n):
+    """n commuting triples: three traceless polynomials in one matrix of each
+    `_STRESS_KINDS` in turn, conjugated by a G with cond(G) up to 1e10."""
+    rng = seeded_rng()
+    triples = []
+    while len(triples) < n:
+        J = _stress_base(rng, _STRESS_KINDS[len(triples) % len(_STRESS_KINDS)])
+        G = _conjugator(rng, rng.uniform(0.0, 10.0))
+        Gi = np.linalg.inv(G)
+        powers = [np.eye(4), J, J @ J, J @ J @ J]
+        mats = []
+        for coef in rng.uniform(-1.0, 1.0, (3, 4)):
+            X = sum(c * P for c, P in zip(coef, powers))
+            mats.append(G @ _traceless(X) @ Gi)
+        try:
+            triples.append(BracketTriple(*mats))
+        except ValueError:  # rounding broke commutation at high cond(G)
+            pass
+    return triples
+
+
+def test_compatibility_agrees_with_the_per_cluster_rank_oracle(monkeypatch):
+    # the shortcuts for diagonal matrices and one-eigenvalue clusters decide
+    # as the rank count of every cluster does, on distinct, repeated and close
+    # eigenvalues, Jordan blocks and rotation blocks, and on the benchmark's
+    # torsion pools
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    pools = [op.data[0] for seed in range(1, 6)
+             for op in itertools.chain.from_iterable(workloads.build_torsion(seed))]
+    triples = _stress_triples(4000) + pools
+    seen = {True: 0, False: 0}
+    for t in triples:
+        rep = check_compatible(t)
+        want = rf.compatible(*t.matrices())
+        assert (rep.independent, rep.simultaneously_diagonalizable) == want
+        seen[want[1]] += 1
+    assert min(seen.values()) > 1000
+
+
+def _conjugated(*diagonals):
+    rng = seeded_rng()
+    G = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    Gi = np.linalg.inv(G)
+    return BracketTriple(*(G @ np.diag(d) @ Gi for d in diagonals))
+
+
+@pytest.mark.parametrize("triple, eigvals, svd, compatible", [
+    # a diagonal matrix needs no eigenvalues; one SVD decides independence
+    (lambda: BracketTriple(np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, -1.0, 1.0, -1.0]),
+                           np.diag([3.0, -1.0, -1.0, -1.0])), 0, 1, True),
+    # simple eigenvalues need no rank count
+    (lambda: _conjugated([3.0, 1.0, -1.0, -3.0], [1.0, -2.0, 4.0, -3.0],
+                         [2.0, 0.5, -1.0, -1.5]), 3, 1, True),
+    # one double eigenvalue of A: exactly one cluster SVD
+    (lambda: _conjugated([1.0, 1.0, 0.0, -2.0], [1.0, -2.0, 4.0, -3.0],
+                         [2.0, 0.5, -1.0, -1.5]), 3, 2, True),
+    # a complex pair in A ends the check at A's eigenvalues
+    (_rotation_triple, 1, None, False),
+], ids=["diagonal", "distinct", "double", "complex"])
+def test_compatibility_lapack_calls(monkeypatch, triple, eigvals, svd, compatible):
+    t = triple()
+    calls = {"eigvals": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert check_compatible(t).compatible is compatible
+    assert calls["eigvals"] == eigvals
+    if svd is not None:
+        assert calls["svd"] == svd
+
+
+def test_a_diagonal_matrix_is_diagonalizable_whatever_its_gaps():
+    # entries 1.2e-6 apart share a cluster (width 1e-6 |M| = 1.4e-6) but are
+    # not both within the rank cut (1e-6 of the largest singular value), so
+    # the rank count alone would reject this diagonal matrix
+    gap = 1.2e-6
+    D = np.diag([0.0, gap, 1.0, -1.0 - gap])
+    t = BracketTriple(D, np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, -1.0, 1.0, -1.0]))
+    assert rf.compatible(*t.matrices()) == (True, False)
+    assert check_compatible(t).compatible
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -346,21 +488,19 @@ def test_rotation_block_triple_is_not_real_diagonalizable():
 
 def test_ricci_blocks_for_diagonal_triples():
     # diagonal matrices are normal, so the fiber block vanishes and the
-    # abelian block is minus the Gram matrix of the triple
+    # abelian block is minus the Gram matrix of the triple; the report is in
+    # display order, the a-block (e7, e1, e2) first
     rng = seeded_rng()
     A, B, C = dz.diagonal_triple(rng)
-    ric = ricci_operator(BracketTriple(A, B, C))
-    assert np.abs(ric[2:6, 2:6]).max() < 1e-14
+    ric = np.array(ricci_report(BracketTriple(A, B, C))["ricci"])
+    assert np.abs(ric[3:, 3:]).max() < 1e-14
     trip = (A, B, C)
-    slots = [6, 0, 1]
     for i in range(3):
         for j in range(3):
-            assert ric[slots[i], slots[j]] == pytest.approx(
-                -np.trace(trip[i] @ trip[j]), abs=1e-13)
+            assert ric[i, j] == pytest.approx(-np.trace(trip[i] @ trip[j]), abs=1e-13)
     # mixed entries between the two blocks vanish identically
-    for s in slots:
-        assert np.abs(ric[s, 2:6]).max() == 0.0
-        assert np.abs(ric[2:6, s]).max() == 0.0
+    assert np.abs(ric[:3, 3:]).max() == 0.0
+    assert np.abs(ric[3:, :3]).max() == 0.0
 
 
 def test_scalar_curvature_is_minus_frobenius_norm_for_symmetric_triples():
@@ -374,10 +514,8 @@ def test_scalar_curvature_is_minus_frobenius_norm_for_symmetric_triples():
 
 def test_ricci_for_equal_scale_closed_triple():
     from g2solv.g2core import closed_triple
-    ric = ricci_operator(closed_triple(1.0, 1.0, 1.0))
-    a_slots = [6, 0, 1]
-    block = ric[np.ix_(a_slots, a_slots)]
-    assert np.abs(block + 4.0 * np.eye(3)).max() < 1e-13
+    ric = np.array(ricci_report(closed_triple(1.0, 1.0, 1.0))["ricci"])
+    assert np.abs(ric[:3, :3] + 4.0 * np.eye(3)).max() < 1e-13
     assert ricci_report(closed_triple(1.0, 1.0, 1.0))["scal"] == pytest.approx(-12.0)
 
 
@@ -387,7 +525,7 @@ def test_ricci_for_symmetric_coclosed_point():
     from g2solv.coflow import CoclosedParams
     a, b, c = 1.3, 0.7, 2.1
     t = CoclosedParams(a, a, b, -b, c, c).to_triple()
-    disp = to_display_order(ricci_operator(t))
+    disp = np.array(ricci_report(t)["ricci"])
     expect = np.diag([-4 * a * a, -4 * b * b, -4 * c * c, 0, 0, 0, 0])
     assert np.abs(disp - expect).max() < 1e-12
 
@@ -396,7 +534,7 @@ def test_ricci_for_general_coclosed_point():
     from g2solv.coflow import CoclosedParams
     a1, a2, b1, b2, c1, c2 = 0.9, -0.4, 1.1, 0.3, -0.7, 0.5
     t = CoclosedParams(a1, a2, b1, b2, c1, c2).to_triple()
-    disp = to_display_order(ricci_operator(t))
+    disp = np.array(ricci_report(t)["ricci"])
     expect_a = -np.array([
         [2 * (a1**2 + a2**2), (a1 - a2) * (b1 - b2), (a1 + a2) * (c1 - c2)],
         [(a1 - a2) * (b1 - b2), 2 * (b1**2 + b2**2), (b1 + b2) * (c1 + c2)],
@@ -555,7 +693,7 @@ def test_ricci_report_reads_the_homothety_invariant(power):
         t = BracketTriple(*(np.ldexp(M, power) for M in mats))
         rep = ricci_report(t)
         assert rep["F"] == homothety_invariant(t) == homothety_invariant(BracketTriple(*mats))
-        ric = to_display_order(ricci_operator(t))
+        ric = to_display_order(_ricci(t.entries.reshape(3, 4, 4)))
         scale = np.abs(ric).max()
         assert np.abs(np.array(rep["ricci"]) - ric).max() <= 1e-14 * scale
         assert rep["scal"] == pytest.approx(np.trace(ric), rel=1e-14)
