@@ -11,9 +11,9 @@ Subcommands
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
 2 usage or input errors, printed as 'error: <message>'.  Numbers must be
 finite; the entries of a triple, a soliton base and --modified-m must be
-below 2^240 in size; a sweep file must hold a start.  Matrix literals use
-';' between rows and ',' between entries; '@path' reads the literal from a
-file.
+below 2^240 in size; a sweep file must hold a start; flow takes at least 2
+--samples.  Matrix literals use ';' between rows and ',' between entries;
+'@path' reads the literal from a file.
 """
 
 from __future__ import annotations

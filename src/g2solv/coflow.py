@@ -36,8 +36,8 @@ import numpy as np
 
 from . import g2core
 from .forms import PSI, KForm, theta
-from .liealg import BracketTriple, homothety_invariants
-from .g2core import MAX_ENTRY, modified_laplacian_psi
+from .liealg import BracketTriple, _diagonal_matrices, homothety_invariants
+from .g2core import MAX_ENTRY, _norm, modified_laplacian_psi
 
 _BLOWUP = 1e8
 # starts with |p| at or above this are rejected: the starting-step estimate
@@ -55,17 +55,19 @@ _WINDOW = 10.0
 _WINDOW_POINTS = 11
 _DRIFT_TOL = 1e-6
 
-# diagonal entries of (A, B, C): the parameter slot and the sign of each
-_DIAGONAL_SLOTS = np.array([0, 0, 1, 1, 2, 3, 2, 3, 4, 5, 5, 4])
-_DIAGONAL_SIGNS = np.array([1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, -1])
-_MATRIX, _ENTRY = np.divmod(np.arange(12), 4)
+# diagonals of (A, B, C): the parameter slot and the sign of each entry
+_DIAGONAL_SLOTS = np.array([[0, 0, 1, 1], [2, 3, 2, 3], [4, 5, 5, 4]])
+_DIAGONAL_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+
+
+def _diagonals(P: np.ndarray) -> np.ndarray:
+    """Diagonals of (A, B, C) of parameter rows (..., 6), shape (..., 3, 4)."""
+    return P[..., _DIAGONAL_SLOTS] * _DIAGONAL_SIGNS
 
 
 def _triples(P: np.ndarray) -> np.ndarray:
     """Matrices (A, B, C) of parameter rows (..., 6), shape (..., 3, 4, 4)."""
-    mats = np.zeros(P.shape[:-1] + (3, 4, 4))
-    mats[..., _MATRIX, _ENTRY, _ENTRY] = P[..., _DIAGONAL_SLOTS] * _DIAGONAL_SIGNS
-    return mats
+    return _diagonal_matrices(_diagonals(P))
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,10 @@ class CoclosedParams:
     Its triple and its lap psi are each evaluated once, on first use, and
     then shared: `soliton_solve`, `soliton_residual` and
     `modified_soliton_residual` all read the one lap psi, taken from the
-    exact table of `g2core.laplacians`.
+    exact table of `g2core.laplacians`.  The triple is built from its
+    diagonals by `BracketTriple.from_diagonals`, which checks only what a
+    diagonal triple can fail: finite entries and traceless diagonals (the
+    family's are, at any finite scale).
     """
 
     a1: float
@@ -94,11 +99,12 @@ class CoclosedParams:
 
     @cached_property
     def _triple(self) -> BracketTriple:
-        return BracketTriple(*_triples(self.as_array()))
+        return BracketTriple.from_diagonals(_diagonals(self.as_array()))
 
     def to_triple(self) -> BracketTriple:
-        """The triple (A, B, C), built and validated on the first call; later
-        calls return the same object."""
+        """The triple (A, B, C), built from its diagonals on the first call
+        (`BracketTriple.from_diagonals`, which checks finiteness and, without
+        overflow, the traces); later calls return the same object."""
         return self._triple
 
     @cached_property
@@ -320,10 +326,13 @@ class FlowTrajectory:
 
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:
-    """Integrate the coflow ODE from t = 0 to t_max >= 0 with adaptive RK45
+    """Integrate the coflow ODE from t = 0 to t_max with adaptive RK45
     steps, sampled at `opts.samples` equally spaced times.
 
-    Raises ValueError for a start with |p| of `_MAX_START` or more.
+    Raises ValueError, before any step, unless t_max is finite and
+    nonnegative, the sample count is at least 2 (the first sample is the
+    start and the last is t_max) and the start is finite with |p| below
+    `_MAX_START`.
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
     p/|p| has settled (see `_DRIFT_TOL`) and "max_time" otherwise.
@@ -331,14 +340,19 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     the trailing window, so the status does not depend on the sample count.
     """
     opts = opts or FlowOptions()
-    if not t_max >= 0.0:
-        raise ValueError("t_max must be nonnegative")
-    if not math.hypot(*p0.as_array()) < _MAX_START:
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
+    if not opts.samples >= 2:
+        raise ValueError(f"samples must be at least 2 (the start and t_max), got {opts.samples!r}")
+    start = p0.as_array()
+    if not np.isfinite(start).all():
+        raise ValueError("the start must be finite")
+    if not math.hypot(*start) < _MAX_START:
         raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
                          "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
     window = np.linspace(max(0.0, t_max - _WINDOW), t_max, _WINDOW_POINTS)
-    params, pts, ok = _rk45(_rate, p0.as_array(), t_max, t_eval, _RTOL, _ATOL, window)
+    params, pts, ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL, window)
     status, drift = "max_time" if ok else "diverged", math.nan
     if ok:
         norms = np.linalg.norm(pts, axis=1)
@@ -403,7 +417,7 @@ def _soliton_fit(target: KForm) -> dict:
     M, pinv = _soliton_tables()
     x = pinv @ target.vec
     return {
-        "residual": float(np.linalg.norm(M @ x - target.vec)),
+        "residual": _norm(M @ x - target.vec),
         "best_lambda": float(x[0]),
         "best_D": x[1:].copy(),
     }
@@ -413,7 +427,7 @@ def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
     fit = _soliton_fit(p._lap_psi)
     # the family's matrices are symmetric, so only the origin is flat
-    fit["flat"] = not p.as_array().any()
+    fit["flat"] = not any((p.a1, p.a2, p.b1, p.b2, p.c1, p.c2))
     return fit
 
 
@@ -485,6 +499,6 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        res = float(np.linalg.norm(p._lap_psi.vec - rhs))
+        res = _norm(p._lap_psi.vec - rhs)
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=res))
     return out

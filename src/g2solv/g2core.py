@@ -206,9 +206,10 @@ def modified_laplacian_psi(t: BracketTriple, m: float, lap_psi: KForm) -> KForm:
 
     On a left-invariant structure m - tr T is constant, so the second term
     is 2 (m - tr T) dphi, with tr T = (7/4) tau0; tau0 and dphi are rows of
-    the one product with `_torsion_map`."""
+    the one product with `_torsion_map`, and the sum is taken on their
+    coefficient vectors."""
     tau0, *_, dphi, _ = _mapped_parts(t)
-    return lap_psi + 2.0 * (m - 1.75 * float(tau0[0])) * KForm._of(4, dphi)
+    return KForm._of(4, lap_psi.vec + 2.0 * (m - 1.75 * float(tau0[0])) * dphi)
 
 
 def erp_residual(t: BracketTriple) -> dict:
@@ -227,12 +228,17 @@ def erp_residual(t: BracketTriple) -> dict:
     return {"residual_norm": res.norm(), "tau_norm_sq": nsq}
 
 
-_D1 = np.diag([1.0, 1.0, -1.0, -1.0])
-_D2 = np.diag([1.0, -1.0, 1.0, -1.0])
-_D3 = np.diag([1.0, -1.0, -1.0, 1.0])
+# diagonals of D1, D2, D3 in `closed_triple`
+_CLOSED_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0],
+                          [1.0, -1.0, 1.0, -1.0],
+                          [1.0, -1.0, -1.0, 1.0]])
 
 
 def closed_triple(a: float, b: float, c: float) -> BracketTriple:
     """The diagonal triples with dphi = 0: (a D1, b D2, c D3) for the three
-    traceless sign patterns pairing off the coefficient constraints."""
-    return BracketTriple(a * _D1, b * _D2, c * _D3)
+    traceless sign patterns pairing off the coefficient constraints.
+
+    Built with `BracketTriple.from_diagonals`, so it raises ValueError for a
+    non-finite coefficient; the traces are tested without overflow, so any
+    finite a, b, c give a triple."""
+    return BracketTriple.from_diagonals(np.array([[a], [b], [c]], dtype=float) * _CLOSED_SIGNS)

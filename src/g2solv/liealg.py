@@ -34,6 +34,34 @@ _A_SLOTS = np.array([6, 0, 1])
 _EIG_CLUSTER = 1e-6
 
 
+def _unit_exponent(scale: float) -> int:
+    """The e with scale / 2^e in [1/2, 1) for a scale above 1, else 0.
+
+    The triple checks compare sums and products of entries with bounds
+    proportional to scale = max(1, largest entry) or its square.  Taken on
+    the entries divided by 2^e, with the bounds divided alike, they decide
+    the same, as dividing by a power of two is exact; but no sum or product
+    can overflow, and no NaN made of inf - inf slips past a comparison."""
+    return math.frexp(scale)[1] if scale > 1.0 else 0
+
+
+def _check_traceless(diagonals: np.ndarray, scale: float):
+    """Raise unless each row of `diagonals`, the (3, 4) diagonals of A, B
+    and C, sums to zero within `TOL.bracket` times the scale, both divided
+    by 2^`_unit_exponent(scale)`."""
+    e = _unit_exponent(scale)
+    bound = TOL.bracket * math.ldexp(scale, -e)
+    if any(abs(a + b + c + d) > bound for a, b, c, d in np.ldexp(diagonals, -e).tolist()):
+        raise ValueError("matrices must be traceless (unimodular algebra)")
+
+
+def _diagonal_matrices(D: np.ndarray) -> np.ndarray:
+    """The 4x4 matrices with diagonals D, shape (..., 4) -> (..., 4, 4)."""
+    stack = np.zeros(D.shape[:-1] + (16,))
+    stack[..., ::5] = D  # the diagonal of a 4x4 matrix is every fifth of its entries
+    return stack.reshape(D.shape + (4,))
+
+
 @dataclass(frozen=True)
 class BracketTriple:
     """Commuting traceless triple (A, B, C) of finite real 4x4 matrices.
@@ -41,6 +69,7 @@ class BracketTriple:
     The triple is immutable: A, B and C are read-only views of one (3, 4, 4)
     copy of the input, and `entries` is its flattened 48-vector, the
     coordinates the Chevalley-Eilenberg differential is linear in.
+    `from_diagonals` builds a diagonal triple from its three diagonals.
     """
 
     A: np.ndarray
@@ -53,32 +82,48 @@ class BracketTriple:
             if np.shape(getattr(self, name)) != (4, 4):
                 raise ValueError(f"{name} must be 4x4")
         mats = np.array([self.A, self.B, self.C], dtype=float)
-        mats.flags.writeable = False
         # NaN or inf entries would pass the comparisons below (inf against inf
         # or NaN compares false)
         if not np.isfinite(mats).all():
             raise ValueError("entries must be finite")
-        scale = max(1.0, np.abs(mats).max())
-        if (np.abs(mats.trace(axis1=1, axis2=2)) > TOL.bracket * scale).any():
-            raise ValueError("matrices must be traceless (unimodular algebra)")
+        scale = max(1.0, float(np.abs(mats).max()))
+        _check_traceless(mats.diagonal(axis1=1, axis2=2), scale)
         # diagonal matrices commute exactly in floating point: M_i M_j and
         # M_j M_i have the same rounded diagonal and exact zeros off it, so
         # the commutator check could only pass them
         if np.count_nonzero(mats) > np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
-            # products of entries of 1e154 or more overflow, and inf - inf is
-            # NaN, which no comparison rejects: above 1 the products are taken
-            # on the stack divided by an exact power of two, which scales
-            # them and the bound alike, and a NaN fails `<=`
-            unit = mats
-            if scale > 1.0:
-                exp = math.frexp(scale)[1]
-                unit, scale = np.ldexp(mats, -exp), math.ldexp(scale, -exp)
+            e = _unit_exponent(scale)
+            unit, scale = np.ldexp(mats, -e), math.ldexp(scale, -e)
             products = unit[:, None] @ unit  # products[i, j] = M_i M_j
             if not np.abs(products - products.swapaxes(0, 1)).max() <= TOL.bracket * scale * scale:
                 raise ValueError("matrices must commute (Jacobi identity)")
+        self._hold(mats)
+
+    def _hold(self, mats: np.ndarray):
+        """Keep the validated (3, 4, 4) stack `mats`, made read-only."""
+        mats.flags.writeable = False
         for name, M in zip(("A", "B", "C"), mats):
             object.__setattr__(self, name, M)
         object.__setattr__(self, "entries", mats.reshape(-1))
+
+    @classmethod
+    def from_diagonals(cls, D) -> "BracketTriple":
+        """The diagonal triple (diag D[0], diag D[1], diag D[2]) of a (3, 4)
+        array D; it raises, with the same message, exactly when
+        `BracketTriple(*map(np.diag, D))` does.
+
+        Diagonal matrices commute, so only finiteness and the traces are
+        checked, and D is written onto the diagonals of one stack."""
+        D = np.array(D, dtype=float)
+        if D.shape != (3, 4):
+            raise ValueError("diagonals must form a 3x4 array")
+        flat = D.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("entries must be finite")
+        _check_traceless(D, max(1.0, max(flat), -min(flat)))
+        out = cls.__new__(cls)
+        out._hold(_diagonal_matrices(D))
+        return out
 
     def matrices(self):
         return (self.A, self.B, self.C)

@@ -406,6 +406,25 @@ def test_flow_start_too_large_for_the_step_estimate(capsys, size):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_flow_needs_two_samples(capsys, samples):
+    # one sample used to print the t = 0 row under "# status converged"
+    code = cli.run(["flow", "--init", "1,1,2,2,1,1", "--t-max", "50", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be at least 2 (the start and t_max), got {samples}\n"
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_flow_rejects_a_non_finite_time_at_parse(capsys, t_max):
+    code = cli.run(["flow", "--init", "1,1,2,2,1,1", "--t-max", t_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: argument --t-max: expected a finite number" in captured.err
+
+
 def test_flow_large_start_below_the_bound_runs(capsys):
     code = cli.run(["flow", "--init=1e30,1,1,1,1,1", "--t-max", "1"])
     assert code == 0

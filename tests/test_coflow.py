@@ -1,5 +1,6 @@
 """Coflow dynamics, conserved quantities and algebraic solitons."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,28 @@ def test_zero_and_negative_flow_times():
     assert np.array_equal(traj.params, np.tile(SOLITON.as_array(), (3, 1)))
     with pytest.raises(ValueError):
         integrate(SOLITON, -1.0)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+def test_flow_times_must_be_finite(t_max):
+    # an infinite t_max used to step forever
+    with pytest.raises(ValueError, match="t_max must be finite and nonnegative"):
+        integrate(SOLITON, t_max)
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_a_flow_needs_two_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        integrate(SOLITON, 50.0, FlowOptions(samples=samples))
+    traj = integrate(SOLITON, 1.0, FlowOptions(samples=2))
+    assert traj.times.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_start_is_rejected_as_such(bad):
+    with pytest.raises(ValueError, match="the start must be finite") as info:
+        integrate(CoclosedParams(1.0, bad, 1.0, 1.0, 1.0, 1.0), 1.0)
+    assert "below" not in str(info.value)
 
 
 def test_stepper_memory_does_not_grow_with_the_step_count():
@@ -440,3 +463,19 @@ def test_coclosed_params_build_their_triple_once():
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     assert {p: "cached"}[q] == "cached"
     assert p != CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 1.0)
+
+
+def test_family_points_are_built_without_the_general_checks(monkeypatch):
+    # a family point's triple comes from its diagonals, which only need the
+    # finiteness and trace checks of `BracketTriple.from_diagonals`
+    calls = []
+    post_init = BracketTriple.__post_init__
+    monkeypatch.setattr(BracketTriple, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
+    for sol in sols:
+        soliton_residual(sol.params)
+        modified_soliton_residual(sol.params, 1.0)
+        g2core.torsion_forms(sol.params.to_triple())
+    assert len(sols) == 4
+    assert calls == []

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import math
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
+from g2solv.coflow import CoclosedParams
 from g2solv.config import TOL
 from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
+from g2solv.g2core import closed_triple
 from g2solv.liealg import (
     BracketTriple,
     _d_table,
@@ -153,6 +156,113 @@ def test_triple_is_immutable():
     A[0, 0] = 7.0
     assert t.A[0, 0] == 1.0
     np.testing.assert_array_equal(t.entries, np.concatenate([M.ravel() for M in t.matrices()]))
+
+
+# entries a diagonal triple's checks must handle: signed zeros, the float
+# limits and values within a rounding of them, NaN and the infinities
+_EDGE_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e308, -1e308,
+                                 1.7976931348623157e308, -1.7976931348623157e308,
+                                 0.5e308, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def diagonal_rows(draw):
+    """Diagonals of one matrix: exactly traceless pairs (x, -x, y, -y) in any
+    order, rows made traceless by their mean, arbitrary rows, or arbitrary
+    rows of small entries."""
+    entry = st.one_of(_EDGE_ENTRIES, st.floats(allow_subnormal=False),
+                      st.floats(min_value=-2.0, max_value=2.0))
+    kind = draw(st.sampled_from(["pairs", "mean", "free", "small"]))
+    if kind == "small":  # below 1, where the bound's scale is 1, not the largest entry
+        return draw(st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=4, max_size=4))
+    if kind == "pairs":
+        x, y = draw(entry), draw(entry)
+        return draw(st.permutations([x, -x, y, -y]))
+    row = draw(st.lists(entry, min_size=4, max_size=4))
+    if kind == "mean":
+        with np.errstate(all="ignore"):
+            row = (np.array(row) - np.mean(row)).tolist()
+    return row
+
+
+def _build_outcome(build):
+    """A triple's entries as bytes, or the message of the ValueError raised."""
+    try:
+        return build().entries.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(diagonal_rows(), min_size=3, max_size=3),
+       st.sampled_from([None, 0.0, 1e-8, 1e-4, 0.5]))
+def test_from_diagonals_decides_as_the_general_constructor(D, bracket):
+    # warnings are errors, so an overflow in either constructor fails here
+    with pytest.MonkeyPatch.context() as m:
+        if bracket is not None:
+            m.setattr(TOL, "bracket", bracket)
+        diagonal = _build_outcome(lambda: BracketTriple.from_diagonals(D))
+        general = _build_outcome(lambda: BracketTriple(*map(np.diag, np.array(D))))
+    assert diagonal == general
+
+
+def test_from_diagonals_rejects_other_shapes():
+    for D in (np.zeros((3, 3)), np.zeros(12), np.zeros((3, 4, 4))):
+        with pytest.raises(ValueError, match="3x4"):
+            BracketTriple.from_diagonals(D)
+
+
+def test_small_traces_are_measured_against_one():
+    # the bound is TOL.bracket times max(1, largest entry): a trace of 2e-11
+    # on entries of 0.1 passes, one of 2e-10 does not
+    for trace, ok in ((2e-11, True), (2e-10, False)):
+        D = [[0.1 + trace, -0.1, 0.05, -0.05], [0.0] * 4, [0.0] * 4]
+        for build in (lambda: BracketTriple.from_diagonals(D),
+                      lambda: BracketTriple(*map(np.diag, np.array(D)))):
+            assert _build_outcome(build) == (np.array([np.diag(r) for r in D]).tobytes() if ok
+                                             else "matrices must be traceless (unimodular algebra)")
+
+
+_TRACELESS_NEAR_THE_LIMIT = [1e308, 1e308, -1e308, -1e308]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda: BracketTriple(np.diag(_TRACELESS_NEAR_THE_LIMIT), np.zeros((4, 4)), np.zeros((4, 4))),
+    lambda: BracketTriple.from_diagonals([_TRACELESS_NEAR_THE_LIMIT, [0.0] * 4, [0.0] * 4]),
+    lambda: CoclosedParams(1, 1, 1e308, 1e308, 1, 1).to_triple(),
+    lambda: closed_triple(1e308, 1e308, 1e308),
+], ids=["general", "from_diagonals", "coclosed", "closed"])
+def test_traces_near_the_float_limit_do_not_overflow(build):
+    # the sum of the first two entries overflows at full scale
+    assert np.abs(build().entries).max() == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("last", [-0.5e308, -1.7976931348623157e308, 0.0])
+def test_a_trace_near_the_float_limit_is_still_rejected(last):
+    row = [1e308, 1e308, -1e308, last]
+    for build in (lambda: BracketTriple.from_diagonals([row, [0.0] * 4, [0.0] * 4]),
+                  lambda: BracketTriple(np.diag(row), np.zeros((4, 4)), np.zeros((4, 4)))):
+        with pytest.raises(ValueError, match="traceless"):
+            build()
+
+
+def test_diagonal_triple_is_immutable():
+    D = np.array([[1.0, -1.0, 2.0, -2.0], [3.0, 1.0, -3.0, -1.0], [0.0] * 4])
+    expected = np.array([np.diag(row) for row in D])
+    t = BracketTriple.from_diagonals(D)
+    for name in ("A", "B", "C", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, np.zeros((4, 4)))
+    for M in (*t.matrices(), t.entries):
+        with pytest.raises(ValueError):
+            M[0] = 5.0
+    # the triple holds its own copy, so the caller's array stays writable
+    D[0, 0] = 7.0
+    assert t.A[0, 0] == 1.0
+    np.testing.assert_array_equal(t.matrices(), expected)
+    np.testing.assert_array_equal(t.entries, expected.ravel())
 
 
 # -- differential ----------------------------------------------------------------
