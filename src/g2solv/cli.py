@@ -217,13 +217,14 @@ def _cmd_flow(args) -> int:
     for start in starts:
         traj = integrate(CoclosedParams(*start), args.t_max, FlowOptions(samples=args.samples))
         diverged |= traj.status == "diverged"
-        rows = np.column_stack([traj.times, traj.params, traj.norms(),
-                                traj.invariants(), traj.coefficients()]).tolist()
+        table = np.column_stack([traj.times, traj.params, traj.norms(),
+                                 traj.invariants(), traj.coefficients()])
         if args.format == "json":
-            run = {"status": traj.status, "columns": _CSV_HEADER.split(","), "rows": rows}
+            run = {"status": traj.status, "columns": _CSV_HEADER.split(","),
+                   "rows": table.tolist()}
             reports.append({"start": start, **run} if args.sweep else run)
             continue
-        csv = "\n".join([_CSV_HEADER, *(_CSV_ROW % tuple(row) for row in rows)])
+        csv = (_CSV_HEADER + ("\n" + _CSV_ROW) * len(table)) % tuple(table.ravel().tolist())
         reports.append(f"# start {','.join(map(str, start))} status {traj.status}\n{csv}"
                        if args.sweep else f"{csv}\n# status {traj.status}")
     if args.format == "json":

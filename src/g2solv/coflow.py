@@ -13,7 +13,10 @@ bracket-flow derivation (theta acting on the structure constants) in the test
 suite rather than assumed.  `integrate` solves it with an in-module
 Dormand-Prince 5(4) stepper (the RK45 method of Hairer, Norsett & Wanner,
 Solving ODEs I, II.4), and the per-sample reports (N, F, r, s, t) are array
-expressions over the whole trajectory.
+expressions over the whole trajectory.  The stepper rounds as scipy's RK45
+does, step for step: the products scipy leaves to BLAS stay numpy products,
+and the arithmetic between them runs on Python floats, with the rate taking
+a list of 6 floats and returning a 6-tuple (see `_rk45`).
 
 Sign convention: the derivation representation entering the soliton equation
 
@@ -117,20 +120,15 @@ class CoclosedParams:
 
 
 def _coefficients(P: np.ndarray) -> np.ndarray:
-    """(r, s, t) of `laplacian_coefficients` for parameter rows (..., 6)."""
+    """Coefficients (r, s, t) of lap psi on the three self-dual components,
+
+        lap psi = r w7^e12 - s w2^e17 + t w1^e27,
+
+    for parameter rows (..., 6), shape (..., 3)."""
     a1, a2, b1, b2, c1, c2 = P.T
     return np.array([(b1 + b2) ** 2 + (c1 + c2) ** 2,
                      (a1 - a2) ** 2 + (b1 - b2) ** 2,
                      (a1 + a2) ** 2 + (c1 - c2) ** 2]).T
-
-
-def laplacian_coefficients(p: CoclosedParams) -> tuple[float, float, float]:
-    """Coefficients (r, s, t) of lap psi on the three self-dual components:
-
-        lap psi = r w7^e12 - s w2^e17 + t w1^e27.
-    """
-    r, s, t = _coefficients(p.as_array()).tolist()
-    return r, s, t
 
 
 def flow_generator(p: CoclosedParams) -> np.ndarray:
@@ -139,7 +137,7 @@ def flow_generator(p: CoclosedParams) -> np.ndarray:
     Slots (e7, e1, e2) carry ((-r+s+t)/2, (r+s-t)/2, (r-s+t)/2); the nilpotent
     slots vanish.  The identity lap psi = theta(-Q) psi is validated in tests.
     """
-    r, s, t = laplacian_coefficients(p)
+    r, s, t = _coefficients(p.as_array()).tolist()
     q = np.zeros((7, 7))
     q[6, 6] = 0.5 * (-r + s + t)
     q[0, 0] = 0.5 * (r + s - t)
@@ -147,13 +145,15 @@ def flow_generator(p: CoclosedParams) -> np.ndarray:
     return q
 
 
-def _rate(y: np.ndarray) -> np.ndarray:
-    """Velocity of the parameter ODE at the 6-vector y; see `ode_rhs`."""
-    a1, a2, b1, b2, c1, c2 = y.tolist()
-    ka = -(a1 * a1 + a2 * a2) + 2 * b1 * b2 + 2 * c1 * c2
-    kb = -(b1 * b1 + b2 * b2) + 2 * a1 * a2 - 2 * c1 * c2
-    kc = -(c1 * c1 + c2 * c2) - 2 * a1 * a2 - 2 * b1 * b2
-    return np.array([ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2])
+def _rate(y) -> tuple:
+    """Velocity of the parameter ODE at the 6 floats y, as a 6-tuple; see
+    `ode_rhs`.  Plain float arithmetic: `_rk45` calls it six times a step."""
+    a1, a2, b1, b2, c1, c2 = y
+    ab, bb, cc = 2.0 * a1 * a2, 2.0 * b1 * b2, 2.0 * c1 * c2
+    ka = -(a1 * a1 + a2 * a2) + bb + cc
+    kb = -(b1 * b1 + b2 * b2) + ab - cc
+    kc = -(c1 * c1 + c2 * c2) - ab - bb
+    return ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2
 
 
 def ode_rhs(p: CoclosedParams) -> np.ndarray:
@@ -166,7 +166,7 @@ def ode_rhs(p: CoclosedParams) -> np.ndarray:
         bi' = (-(b1^2+b2^2) + 2 a1 a2 - 2 c1 c2) bi
         ci' = (-(c1^2+c2^2) - 2 a1 a2 - 2 b1 b2) ci.
     """
-    return _rate(p.as_array())
+    return np.array(_rate(p.as_array().tolist()))
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): stage weights,
@@ -211,7 +211,7 @@ def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    d2 = _rms((rate(y + h0 * f) - f) / scale) / h0
+    d2 = _rms((rate((y + h0 * f).tolist()) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -229,6 +229,18 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
     |y|^2 crosses _BLOWUP upwards at the end of a step or when the step
     drops below 10 ulp of t.
 
+    `rate` takes a list of floats and returns a sequence of as many.  The
+    products that scipy's RK45 hands to BLAS stay numpy products: the stage
+    sums K[:s]^T a_s, the solution sum K[:6]^T b, the error sum K^T e, the
+    squared norm x.dot(x) of the scaled error (as `np.linalg.norm` takes it)
+    and y_new.dot(y_new) of the blow-up guard.  OpenBLAS rounds them with
+    FMA and blocking, not as a sequential sum would, and the error estimate
+    is a difference of nearly equal sums, with relative rounding noise of
+    about 1e-6 at rtol = 1e-10: accept/reject decisions near err = 1 follow
+    those last bits.  Everything between the products (the stage states,
+    the error scale and its quotient, t, h and the 10-ulp floor) is plain
+    float arithmetic, which rounds as numpy's elementwise operations do.
+
     Returns the states at the leading entries of the sorted times t_eval
     that were reached (after a blow-up, those before the first state with
     |y|^2 >= _BLOWUP), the dense-output states at the reached entries of the
@@ -237,27 +249,30 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
     coefficients, so memory grows with the number of times asked for, not
     with the number of steps.
     """
-    y = np.asarray(y0, dtype=float)
-    f = rate(y)
-    norm_sq = y @ y
-    K = np.empty((7, y.size))
-    t, h_abs, ok = 0.0, _initial_step(rate, y, f, t_end, rtol, atol), True
+    y0, t_end = np.asarray(y0, dtype=float), float(t_end)
+    K = np.empty((7, y0.size))
+    K[0] = rate(y0.tolist())
+    t, h_abs, ok = 0.0, _initial_step(rate, y0, K[0], t_end, rtol, atol), True
+    y, norm_sq, root_n = y0.tolist(), y0.dot(y0), y0.size ** 0.5
+    # transposed views of the stage table, made once: stage s reads K[:s]
+    stages = [(K[:s].T, _A_ROWS[s]) for s in range(1, 6)]
+    K6T, KT = K[:6].T, K.T
     # a time belongs to the first step that ends at or after it
     wanted, covered = sorted(np.concatenate([t_eval, t_extra]).tolist()), 0
     starts, ends, steps, states, coefs = [], [], [], [], []
     while ok and t < t_end:
-        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_end)
             h_abs = h = t_new - t
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = rate(y + np.dot(K[:s].T, _A_ROWS[s]) * h)
-            y_new = y + h * np.dot(K[:6].T, _B)
-            K[6] = f_new = rate(y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _E) * h / scale)
+            for s, (Ks, a) in enumerate(stages, 1):
+                K[s] = rate([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
+            y_new = [yi + h * di for yi, di in zip(y, K6T.dot(_B).tolist())]
+            K[6] = rate(y_new)
+            x = np.array([ei * h / (atol + max(abs(yi), abs(zi)) * rtol)
+                          for ei, yi, zi in zip(KT.dot(_E).tolist(), y, y_new)])
+            err = math.sqrt(x.dot(x)) / root_n
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** (-1 / 5))
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -273,10 +288,12 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
             ends.append(t_new)
             steps.append(h)
             states.append(y)
-            coefs.append(K.T.dot(_P))
-        norm_new = y_new @ y_new
+            coefs.append(KT.dot(_P))
+        x = np.array(y_new)
+        norm_new = x.dot(x)
         ok = not norm_sq <= _BLOWUP <= norm_new
-        t, y, f, norm_sq = t_new, y_new, f_new, norm_new
+        t, y, norm_sq = t_new, y_new, norm_new
+        K[0] = K[6]  # first same as last: the new step's first stage
     ok = ok and t >= t_end
     starts, ends, steps = np.array(starts), np.array(ends), np.array(steps)
     states, coefs = np.array(states), np.array(coefs)
@@ -317,7 +334,7 @@ class FlowTrajectory:
         return np.einsum("ij,ij->i", self.params, self.params)
 
     def coefficients(self) -> np.ndarray:
-        """(r, s, t) of `laplacian_coefficients` per sample, shape (n, 3)."""
+        """(r, s, t) of lap psi per sample (see `_coefficients`), shape (n, 3)."""
         return _coefficients(self.params)
 
     def invariants(self) -> np.ndarray:
@@ -330,9 +347,9 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     steps, sampled at `opts.samples` equally spaced times.
 
     Raises ValueError, before any step, unless t_max is finite and
-    nonnegative, the sample count is at least 2 (the first sample is the
-    start and the last is t_max) and the start is finite with |p| below
-    `_MAX_START`.
+    nonnegative, the sample count is an integer of at least 2 (the first
+    sample is the start and the last is t_max) and the start is finite with
+    |p| below `_MAX_START`.
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
     p/|p| has settled (see `_DRIFT_TOL`) and "max_time" otherwise.
@@ -342,6 +359,8 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     opts = opts or FlowOptions()
     if not 0.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
+    if not isinstance(opts.samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {opts.samples!r}")
     if not opts.samples >= 2:
         raise ValueError(f"samples must be at least 2 (the start and t_max), got {opts.samples!r}")
     start = p0.as_array()

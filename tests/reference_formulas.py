@@ -162,21 +162,24 @@ def coclosed_tau3(p):
             + wedge((p.b1 - p.b2) * OMEGA2_BAR - (p.c1 - p.c2) * OMEGA1_BAR, _e(7)))
 
 
-def _coclosed_coefficients(p):
-    r = (p.b1 + p.b2) ** 2 + (p.c1 + p.c2) ** 2
-    s = (p.b1 - p.b2) ** 2 + (p.a1 - p.a2) ** 2
-    t = (p.c1 - p.c2) ** 2 + (p.a1 + p.a2) ** 2
-    return r, s, t
+def coclosed_coefficients(p):
+    """(r, s, t) of lap psi = r w7^e12 - s w2^e17 + t w1^e27 at the point p.
+    Squares are products, which round as numpy's `** 2` does (a float `** 2`
+    goes through pow and may differ in the last bit), so reports may be
+    compared with these exactly."""
+    bp, bm, cp, cm = p.b1 + p.b2, p.b1 - p.b2, p.c1 + p.c2, p.c1 - p.c2
+    ap, am = p.a1 + p.a2, p.a1 - p.a2
+    return bp * bp + cp * cp, bm * bm + am * am, cm * cm + ap * ap
 
 
 def coclosed_lap_phi(p):
-    r, s, t = _coclosed_coefficients(p)
+    r, s, t = coclosed_coefficients(p)
     return (wedge(r * OMEGA7, _e(7)) + wedge(s * OMEGA2, _e(2))
             + wedge(t * OMEGA1, _e(1)))
 
 
 def coclosed_lap_psi(p):
-    r, s, t = _coclosed_coefficients(p)
+    r, s, t = coclosed_coefficients(p)
     return (wedge(r * OMEGA7, _e(1, 2)) - wedge(s * OMEGA2, _e(1, 7))
             + wedge(t * OMEGA1, _e(2, 7)))
 
@@ -185,7 +188,7 @@ def bracket_flow_generator(p):
     """The a-slots (e7, e1, e2) of the diagonal Q, zero on n, with
     theta(-Q) psi = `coclosed_lap_psi`: each slot is half the two of r, s, t
     whose 4-forms contain its covector, less the third."""
-    r, s, t = _coclosed_coefficients(p)
+    r, s, t = coclosed_coefficients(p)
     return 0.5 * (-r + s + t), 0.5 * (r + s - t), 0.5 * (r - s + t)
 
 

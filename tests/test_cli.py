@@ -10,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from reference_formulas import coclosed_coefficients
+
 import g2solv
 from g2solv import cli, coflow, g2core, liealg
-from g2solv.coflow import CoclosedParams, laplacian_coefficients
+from g2solv.coflow import CoclosedParams
 from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES
 
@@ -355,7 +357,7 @@ def test_flow_csv_rows_equal_the_per_row_formulas(capsys):
         p = CoclosedParams.from_array(row[1:7])
         assert row[7] == pytest.approx(p.norm_sq(), rel=1e-15)
         assert row[8] == pytest.approx(homothety_invariant(p.to_triple()), rel=1e-12)
-        assert tuple(row[9:]) == laplacian_coefficients(p)
+        assert tuple(row[9:]) == coclosed_coefficients(p)
 
 
 def test_flow_status_does_not_depend_on_the_sample_count(capsys):
@@ -521,7 +523,7 @@ def test_audit_reports_five_claims(capsys):
 
 def test_audit_reads_the_package_ode(monkeypatch, capsys):
     rate = coflow._rate
-    monkeypatch.setattr(coflow, "_rate", lambda y: -rate(y))
+    monkeypatch.setattr(coflow, "_rate", lambda y: -np.asarray(rate(y)))
     _, payload = run_json(capsys, ["audit"])
     claim, = [c for c in payload["claims"] if c["claim_id"] == "ode_coefficient_identity"]
     assert claim["agrees"] is False

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_formulas import bracket_flow_generator, bracket_flow_rhs, coclosed_lap_psi
+from reference_formulas import (
+    bracket_flow_generator,
+    bracket_flow_rhs,
+    coclosed_coefficients,
+    coclosed_lap_psi,
+)
 from g2solv import forms, g2core
 from g2solv.coflow import (
     CoclosedParams,
@@ -17,7 +22,6 @@ from g2solv.coflow import (
     conserved_ab,
     flow_generator,
     integrate,
-    laplacian_coefficients,
     modified_soliton_residual,
     normalized_limit,
     ode_rhs,
@@ -53,13 +57,13 @@ def test_family_is_coclosed(p):
 
 
 def test_coefficients_at_the_soliton_point():
-    assert laplacian_coefficients(SOLITON) == (4.0, 4.0, 4.0)
+    assert coclosed_coefficients(SOLITON) == (4.0, 4.0, 4.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(params_st())
 def test_laplacian_matches_selfdual_expansion(p):
-    r, s, t = laplacian_coefficients(p)
+    r, s, t = coclosed_coefficients(p)
     expect = (r * wedge(W7, monomial((1, 2)))
               - s * wedge(W2, monomial((1, 7)))
               + t * wedge(W1, monomial((2, 7))))
@@ -204,6 +208,14 @@ def test_a_flow_needs_two_samples(samples):
     assert traj.times.tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+def test_a_flow_needs_an_integer_sample_count(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        integrate(SOLITON, 50.0, FlowOptions(samples=samples))
+    traj = integrate(SOLITON, 1.0, FlowOptions(samples=np.int64(3)))
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_start_is_rejected_as_such(bad):
     with pytest.raises(ValueError, match="the start must be finite") as info:
@@ -299,7 +311,7 @@ def test_batched_reports_match_the_per_row_formulas():
     assert inv.shape == (len(rows),) and coef.shape == (len(rows), 3)
     for row, F, rst in zip(rows, inv, coef):
         p = CoclosedParams.from_array(row)
-        assert tuple(rst) == laplacian_coefficients(p)
+        assert tuple(rst) == coclosed_coefficients(p)
         try:
             want = homothety_invariant(p.to_triple())
         except ValueError:
@@ -403,7 +415,7 @@ def test_residual_separates_solitons_from_generic_points():
 @settings(max_examples=40, deadline=None)
 @given(params_st())
 def test_residual_vanishes_exactly_when_coefficients_agree(p):
-    r, s, t = laplacian_coefficients(p)
+    r, s, t = coclosed_coefficients(p)
     spread = max(abs(r - s), abs(s - t), abs(r - t))
     res = soliton_residual(p)["residual"]
     if spread < 1e-12:

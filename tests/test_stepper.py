@@ -15,6 +15,7 @@ from g2solv.coflow import (
     _WINDOW,
     CoclosedParams,
     FlowOptions,
+    _rate,
     _rk45,
     integrate,
     ode_rhs,
@@ -71,8 +72,14 @@ def assert_matches_oracle(p0, t_max, samples):
 
 
 def seeded_starts(n=32, seed=6):
+    """n starts ~ U(-1.5, 1.5)^6, then 8 at 1/100 and 8 at 3 times that scale,
+    then one on the soliton ray f (1, 1, 1, -1, 1, 1) that the flow sweep
+    samples, with f ~ U(0.3, 1.5)."""
     rng = np.random.default_rng(seed)
-    return [CoclosedParams(*rng.uniform(-1.5, 1.5, size=6)) for _ in range(n)]
+    rows = [rng.uniform(-1.5, 1.5, size=6) for _ in range(n)]
+    rows += [scale * rng.uniform(-1.5, 1.5, size=6) for scale in (0.01, 3.0) for _ in range(8)]
+    rows.append(rng.uniform(0.3, 1.5) * np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+    return [CoclosedParams(*row) for row in rows]
 
 
 @pytest.mark.parametrize("p0", seeded_starts())
@@ -89,12 +96,27 @@ def test_integrate_matches_solve_ivp_on_the_symmetric_family():
     assert_matches_oracle(CoclosedParams(1.0, 1.0, 2.0, 2.0, 1.0, 1.0), 50.0, 501)
 
 
+@pytest.mark.parametrize("start, t_end, calls", [(1.0, 1000.0, 9848), (10.0, 10.0, 18578)])
+def test_stiff_runs_take_the_documented_rate_calls(start, t_end, calls):
+    # the README's counts: near a nonzero stationary point the steps are held
+    # at the stability limit, the longest runs and the most accept/reject
+    # decisions near err = 1, where a changed last bit would show
+    counted = []
+
+    def rate(y):
+        counted.append(None)
+        return _rate(y)
+
+    _rk45(rate, np.full(6, start), t_end, np.array([t_end]), RTOL, ATOL)
+    assert len(counted) == calls
+
+
 def _square(y):
-    return y * y
+    return np.square(y)
 
 
 def _inverse_sqrt_drop(y):
-    return -0.5 / y
+    return -0.5 / np.asarray(y)
 
 
 def test_stepper_stops_at_a_blowup_like_a_terminal_event():
