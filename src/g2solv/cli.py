@@ -329,15 +329,13 @@ def _cmd_audit(args) -> int:
 
 
 def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
-    """--tol, --format and --out, accepted before and after the subcommand.
+    """--format and --out, accepted before and after the subcommand.
 
     Only the top level has defaults: a subcommand leaves an absent option
     unset, so it keeps a value given before the subcommand."""
     def default(value):
         return value if top_level else argparse.SUPPRESS
 
-    p.add_argument("--tol", type=_finite_float, default=default(1e-9),
-                   help="verdict threshold where one applies (default 1e-9)")
     p.add_argument("--format", choices=["json", "csv", "text"], default=default(None),
                    help="json (default) or text for verify-lattice and torsion, "
                         "csv (default) or json for flow, json for the others")
@@ -386,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ec = add_parser("erp-check", help="extremal-pinching residual (closed case)")
     add_triple_args(ec, closed_only=True)
+    ec.add_argument("--tol", type=_finite_float, default=1e-9,
+                    help="pinched when the residual is below this (default 1e-9)")
     ec.set_defaults(func=_cmd_erp_check)
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")

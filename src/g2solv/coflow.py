@@ -39,7 +39,7 @@ import numpy as np
 
 from . import g2core
 from .forms import PSI, KForm, theta
-from .liealg import BracketTriple, _diagonal_matrices, homothety_invariants
+from .liealg import BracketTriple, _homothety
 from .g2core import MAX_ENTRY, _norm, modified_laplacian_psi
 
 _BLOWUP = 1e8
@@ -66,11 +66,6 @@ _DIAGONAL_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0
 def _diagonals(P: np.ndarray) -> np.ndarray:
     """Diagonals of (A, B, C) of parameter rows (..., 6), shape (..., 3, 4)."""
     return P[..., _DIAGONAL_SLOTS] * _DIAGONAL_SIGNS
-
-
-def _triples(P: np.ndarray) -> np.ndarray:
-    """Matrices (A, B, C) of parameter rows (..., 6), shape (..., 3, 4, 4)."""
-    return _diagonal_matrices(_diagonals(P))
 
 
 @dataclass(frozen=True)
@@ -338,8 +333,14 @@ class FlowTrajectory:
         return _coefficients(self.params)
 
     def invariants(self) -> np.ndarray:
-        """Homothety invariant per sample; NaN on flat points."""
-        return homothety_invariants(_triples(self.params))
+        """Homothety invariant per sample; NaN on flat points.  Diagonal
+        matrices are normal, so a family point's Ricci n-block vanishes and
+        its a-block is -W W^T, W its (3, 4) diagonals, here at unit scale."""
+        W = _diagonals(self.params)
+        scale = np.abs(W).max(axis=(1, 2), keepdims=True, initial=0.0)
+        W = W / np.where(scale > 0.0, scale, 1.0)
+        gram = W @ W.swapaxes(1, 2)
+        return _homothety(-np.trace(gram, axis1=1, axis2=2), np.einsum("kij,kij->k", gram, gram))
 
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:

@@ -22,8 +22,6 @@ import numpy as np
 from .config import TOL
 from .forms import BASIS, DIM, KForm, _covector_wedge, zero_form
 
-# presentation permutation: internal order (e1..e7) -> display order (e7,e1,e2,e3..e6)
-_DISPLAY = [6, 0, 1, 2, 3, 4, 5]
 # a-block order (e7, e1, e2), the covectors paired with A, B, C -> internal slots
 _A_SLOTS = np.array([6, 0, 1])
 # width of an eigenvalue cluster in `_real_diagonalizable`, relative to |M|:
@@ -53,13 +51,6 @@ def _check_traceless(diagonals: np.ndarray, scale: float):
     bound = TOL.bracket * math.ldexp(scale, -e)
     if any(abs(a + b + c + d) > bound for a, b, c, d in np.ldexp(diagonals, -e).tolist()):
         raise ValueError("matrices must be traceless (unimodular algebra)")
-
-
-def _diagonal_matrices(D: np.ndarray) -> np.ndarray:
-    """The 4x4 matrices with diagonals D, shape (..., 4) -> (..., 4, 4)."""
-    stack = np.zeros(D.shape[:-1] + (16,))
-    stack[..., ::5] = D  # the diagonal of a 4x4 matrix is every fifth of its entries
-    return stack.reshape(D.shape + (4,))
 
 
 @dataclass(frozen=True)
@@ -121,8 +112,10 @@ class BracketTriple:
         if not all(map(math.isfinite, flat)):
             raise ValueError("entries must be finite")
         _check_traceless(D, max(1.0, max(flat), -min(flat)))
+        stack = np.zeros((3, 16))
+        stack[:, ::5] = D  # the diagonal of a 4x4 matrix is every fifth of its entries
         out = cls.__new__(cls)
-        out._hold(_diagonal_matrices(D))
+        out._hold(stack.reshape(3, 4, 4))
         return out
 
     def matrices(self):
@@ -231,7 +224,9 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
     simultaneously so (Horn & Johnson, Matrix Analysis, 2nd ed., Thm
     1.3.21), and `BracketTriple` guarantees that A, B and C commute; so the
     triple is decided one matrix at a time, without building a joint
-    eigenbasis.
+    eigenbasis.  A compatible general triple takes 4 LAPACK calls (the SVD
+    and one eigenvalue solve per matrix) instead of the 16 a joint
+    eigenbasis took, and a closed triple 1 (the SVD) instead of 10.
     """
     stack = t.entries.reshape(3, -1)
     scale = np.abs(stack).max(axis=1, keepdims=True)
@@ -255,57 +250,54 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
     )
 
 
-def _ricci(mats: np.ndarray) -> np.ndarray:
-    """Ricci operators of triples stacked as (..., 3, 4, 4), shape (..., 7, 7),
-    in the internal basis (e_1..e_7).
-
-    The a-block (slots e_7, e_1, e_2) is -[tr S(X)S(Y)] for X, Y running over
-    (A, B, C) with S the symmetrization; the n-block is
-    (1/2)([A,A^T] + [B,B^T] + [C,C^T]); the two blocks never mix.
-    """
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    ric = np.zeros(mats.shape[:-3] + (DIM, DIM))
-    ric[..., _A_SLOTS[:, None], _A_SLOTS] = -np.einsum("...iab,...jba->...ij", sym, sym)
-    ric[..., 2:6, 2:6] = 0.5 * (mats @ np.swapaxes(mats, -1, -2)
-                                - np.swapaxes(mats, -1, -2) @ mats).sum(axis=-3)
-    return ric
+@cache
+def _ricci_table():
+    """Index tables over the 48 entries u of (A, B, C), M_a[i, j] at
+    u[16 a + 4 i + j]: u[transposed] holds the rows M_a^T flattened, shape
+    (3, 16), and u[xy] stacks X = [A|B|C] on Y = [A^T|B^T|C^T], (2, 4, 12)."""
+    a, i, j = np.indices((3, 4, 4))
+    transposed = 16 * a + 4 * j + i
+    xy = np.stack([16 * a + 4 * i + j, transposed]).transpose(0, 2, 1, 3).reshape(2, 4, 12)
+    return transposed.reshape(3, 16), xy
 
 
-def _unit_ricci(mats: np.ndarray):
-    """Ricci operators of triples stacked as (..., 3, 4, 4), each triple first
-    divided by its largest entry, and those divisors, shape (..., 1, 1, 1)
-    (1 for a zero triple)."""
-    scale = np.abs(mats).max(axis=(-3, -2, -1), keepdims=True, initial=0.0)
-    scale[scale == 0.0] = 1.0
-    return _ricci(mats / scale), scale
+def _ricci_blocks(u: np.ndarray):
+    """The two blocks of the Ricci operator of the triple with entries u,
+    which has no entry outside them: the a-block (e_7, e_1, e_2) is
+    -(1/4) S S^T with S the rows M + M^T flattened, M = A, B, C, and the
+    n-block (e_3..e_6) is (1/2)(X X^T - Y Y^T) = (1/2) sum [M, M^T]."""
+    transposed, xy = _ricci_table()
+    S = u.reshape(3, 16) + u[transposed]
+    XY = u[xy]
+    G = XY @ XY.swapaxes(1, 2)
+    return -0.25 * (S @ S.T), 0.5 * (G[0] - G[1])
 
 
-def _curvature_scalars(ric: np.ndarray):
-    """scal, tr(Ric^2) and F = scal^2 / tr(Ric^2) of Ricci operators
-    (..., 7, 7) at unit scale; F is NaN where flat, that is where tr(Ric^2)
-    is not above `TOL.zero_form`^2."""
-    scal = np.trace(ric, axis1=-2, axis2=-1)
-    ric_sq = np.einsum("...ij,...ji->...", ric, ric)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return scal, ric_sq, np.where(ric_sq > TOL.zero_form ** 2, scal ** 2 / ric_sq, np.nan)
+def _homothety(scal, ric_sq):
+    """F = scal^2 / tr(Ric^2), elementwise, of curvatures taken on entries
+    divided by the largest one; NaN where flat, that is where tr(Ric^2) is
+    not above `TOL.zero_form`^2."""
+    return scal * scal / np.where(ric_sq > TOL.zero_form ** 2, ric_sq, np.nan)
 
 
-def homothety_invariants(mats: np.ndarray) -> np.ndarray:
-    """scal^2 / tr(Ric^2) for triples stacked as (..., 3, 4, 4); NaN where flat.
-
-    Each triple is first divided by its largest entry, so flatness is judged
-    at unit scale: the zero triple and triples with vanishing Ricci curvature
-    (commuting skew-symmetric matrices, say) give NaN, while any nonzero
-    multiple of a non-flat triple gets the same value as the triple itself.
-    """
-    return _curvature_scalars(_unit_ricci(np.asarray(mats, dtype=float))[0])[2]
+def _unit_curvature(t: BracketTriple):
+    """(a, n, scal, ric_sq, F, scale): the Ricci blocks, scal = tr(a) (the
+    n-block is a sum of commutators, so traceless), tr(Ric^2) = |a|^2 +
+    |n|^2 and F of t divided by its largest entry, and that divisor (1 for
+    the zero triple)."""
+    scale = float(np.abs(t.entries).max()) or 1.0
+    a, n = _ricci_blocks(t.entries / scale)
+    scal, ric_sq = float(a.trace()), float(np.vdot(a, a) + np.vdot(n, n))
+    return a, n, scal, ric_sq, float(_homothety(scal, ric_sq)), scale
 
 
 def homothety_invariant(t: BracketTriple) -> float:
-    """scal^2 / tr(Ric^2), invariant under rescaling of the metric: the
-    one-triple case of `homothety_invariants`, raising on a flat metric."""
-    F = float(homothety_invariants(t.entries.reshape(3, 4, 4)))
-    if np.isnan(F):
+    """scal^2 / tr(Ric^2), invariant under rescaling of the metric.  Flatness
+    is judged at unit scale (`_unit_curvature`), so it raises on the zero
+    triple and on triples with vanishing Ricci curvature (commuting
+    skew-symmetric matrices, say) at any scale."""
+    F = _unit_curvature(t)[4]
+    if math.isnan(F):
         raise ValueError("homothety invariant undefined on a flat metric")
     return F
 
@@ -321,32 +313,25 @@ def solvsoliton_check(t: BracketTriple) -> dict:
         np.abs(M @ M.T - M.T @ M).max() <= TOL.solvsoliton * scale * scale
         for M in (A, B, C)
     )
-    ric = _ricci(t.entries.reshape(3, 4, 4))
-    block = ric[np.ix_(_A_SLOTS, _A_SLOTS)]
+    block = _ricci_blocks(t.entries)[0]
     c = float(np.trace(block)) / 3.0
     isotropic = np.abs(block - c * np.eye(3)).max() <= TOL.solvsoliton * max(1.0, abs(c))
     ok = bool(normal and isotropic)
     return {"is_solvsoliton": ok, "lam": c if ok else None, "flat": False}
 
 
-def to_display_order(M: np.ndarray) -> np.ndarray:
-    """Permute a 7x7 matrix from internal (e1..e7) to (e7,e1,e2,e3..e6) order."""
-    M = np.asarray(M)
-    return M[np.ix_(_DISPLAY, _DISPLAY)]
-
-
 def ricci_report(t: BracketTriple) -> dict:
-    """JSON-ready curvature summary in display basis order.
-
-    One Ricci pass at unit scale, as in `homothety_invariants`, gives F;
-    the operator, scal and tr(Ric^2) are then scaled back by powers of the
-    largest entry."""
-    unit, scale = _unit_ricci(t.entries.reshape(3, 4, 4))
-    scal, ric_sq, F = _curvature_scalars(unit)
-    sq = scale[0, 0, 0] ** 2
+    """JSON-ready curvature summary in display basis order (e_7, e_1, e_2,
+    e_3..e_6), the a-block first.  F is read at unit scale, as in
+    `homothety_invariant`, and the rest is scaled back from there."""
+    a, n, scal, ric_sq, F, scale = _unit_curvature(t)
+    sq = scale * scale
+    ric = np.zeros((DIM, DIM))
+    ric[:3, :3] = a * sq
+    ric[3:, 3:] = n * sq
     return {
-        "ricci": to_display_order(unit * sq).tolist(),
-        "scal": float(scal * sq),
-        "trace_ric_sq": float(ric_sq * sq * sq),
-        "F": None if np.isnan(F) else float(F),
+        "ricci": ric.tolist(),
+        "scal": scal * sq,
+        "trace_ric_sq": ric_sq * sq * sq,
+        "F": None if math.isnan(F) else F,
     }

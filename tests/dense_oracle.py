@@ -120,6 +120,25 @@ def structure_tensor(A, B, C):
     return c
 
 
+def ricci(c):
+    """Ricci tensor of the metric Lie algebra with orthonormal basis e_1..e_7
+    and structure tensor c (as from `structure_tensor`), zero-based.
+
+    Besse, Einstein Manifolds (1987), 7.38, for a unimodular algebra (mean
+    curvature vector H = 0):
+
+        Ric(x, y) = -1/2 sum_i <[x, e_i], [y, e_i]> - 1/2 B(x, y)
+                    + 1/4 sum_ij <[e_i, e_j], x> <[e_i, e_j], y>,
+
+    with B(x, y) = tr(ad x ad y) the Killing form and (ad e_x)[k, j] =
+    c[x, j, k].
+    """
+    brackets = np.einsum("xik,yik->xy", c, c)
+    killing = np.einsum("xjk,ykj->xy", c, c)
+    dual = np.einsum("ijx,ijy->xy", c, c)
+    return -0.5 * brackets - 0.5 * killing + 0.25 * dual
+
+
 def d(c, T, degree):
     """Koszul-sum differential (dx)(x_0..x_p) = sum (-1)^{i+j} x([xi,xj],..)."""
     if degree >= N:

@@ -199,9 +199,15 @@ def test_erp_check_tol_after_the_subcommand(capsys):
     code, payload = run_json(capsys, ["erp-check", "--closed", "1,1,1", "--tol", "1e-6"])
     assert code == 0
     assert payload["threshold"] == 1e-6
-    # a value before the subcommand is kept when none follows it
-    _, payload = run_json(capsys, ["--tol", "1e-7", "erp-check", "--closed", "1,1,1"])
-    assert payload["threshold"] == 1e-7
+    # --tol is an erp-check option, not a global one
+    code = cli.run(["--tol", "1e-7", "erp-check", "--closed", "1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: argument command: invalid choice: '1e-7'" in captured.err
+    code = cli.run(["torsion", "--closed", "1,1,1", "--tol", "1e-7"])
+    assert code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_erp_check_requires_a_closed_structure(capsys):
@@ -267,7 +273,7 @@ def test_non_finite_numbers_are_input_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv, option", [
     (["erp-check", "--closed", "1,1,1", "--tol", "nan"], "--tol"),
-    (["--tol", "inf", "erp-check", "--closed", "1,1,1"], "--tol"),
+    (["erp-check", "--tol", "inf", "--closed", "1,1,1"], "--tol"),
     (["flow", "--init", "1,1,2,2,1,1", "--t-max", "inf"], "--t-max"),
     (["soliton", "--base", "1,1,1,-1", "--modified-m=-inf"], "--modified-m"),
 ])

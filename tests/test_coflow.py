@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dz
 from reference_formulas import (
     bracket_flow_generator,
     bracket_flow_rhs,
@@ -319,6 +320,11 @@ def test_batched_reports_match_the_per_row_formulas():
             continue
         assert F == pytest.approx(want, rel=1e-12)
     assert np.isnan(inv[-2])
+    # Besse's Ricci tensor on the rows at scale 1 (the scaled copies would
+    # underflow or overflow its unscaled products)
+    for row, F in zip(np.vstack([rows[:40], rows[-1]]), np.append(inv[:40], inv[-1])):
+        ric = dz.ricci(dz.structure_tensor(*CoclosedParams.from_array(row).to_triple().matrices()))
+        assert F == pytest.approx(np.trace(ric) ** 2 / np.sum(ric * ric), rel=1e-12)
     # the scaled copies keep the invariant of the row they were made from
     np.testing.assert_allclose(inv[40:50], inv[:10], rtol=1e-12)
     np.testing.assert_allclose(inv[50:60], inv[:10], rtol=1e-12)

@@ -20,14 +20,11 @@ from g2solv.g2core import closed_triple
 from g2solv.liealg import (
     BracketTriple,
     _d_table,
-    _ricci,
     ce_differential,
     check_compatible,
     homothety_invariant,
-    homothety_invariants,
     ricci_report,
     solvsoliton_check,
-    to_display_order,
 )
 
 RNG_SEED = 2024
@@ -695,34 +692,6 @@ def test_homothety_invariant_rejects_flat():
             homothety_invariant(BracketTriple(scale * A, scale * B, np.zeros((4, 4))))
 
 
-def test_batched_invariants_match_the_one_triple_case():
-    rng = seeded_rng()
-    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    Gi = np.linalg.inv(G)
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    Z = np.zeros((2, 2))
-    skew = [np.block([[J, Z], [Z, Z]]), np.block([[Z, Z], [Z, J]]), np.zeros((4, 4))]
-    triples = [np.zeros((3, 4, 4)), np.array(skew)]
-    for _ in range(8):
-        D = np.array(dz.diagonal_triple(rng))
-        for mats in (D, G @ D @ Gi, np.array(dz.commuting_triple(rng))):
-            triples += [mats, 1e-300 * mats, 1e100 * mats]
-    stack = np.array(triples)
-    got = homothety_invariants(stack)
-    assert got.shape == (len(triples),)
-    assert np.isnan(got[:2]).all()
-    for F, mats in zip(got, triples):
-        try:
-            want = homothety_invariant(BracketTriple(*mats))
-        except ValueError:
-            assert np.isnan(F)
-            continue
-        assert F == pytest.approx(want, rel=1e-12)
-    # a leading axis of any shape
-    np.testing.assert_allclose(homothety_invariants(stack[2:].reshape(8, 9, 3, 4, 4)),
-                               got[2:].reshape(8, 9), rtol=1e-14)
-
-
 def test_invariant_upper_bound_is_dimension():
     rng = seeded_rng()
     for _ in range(20):
@@ -776,15 +745,6 @@ def test_solvsoliton_characterization_on_coclosed_family():
 # -- reporting ---------------------------------------------------------------------
 
 
-def test_display_order_permutation():
-    M = np.arange(49, dtype=float).reshape(7, 7)
-    disp = to_display_order(M)
-    assert disp[0, 0] == M[6, 6]
-    assert disp[1, 1] == M[0, 0]
-    assert disp[3, 3] == M[2, 2]
-    assert disp[0, 3] == M[6, 2]
-
-
 def test_ricci_report_structure():
     from g2solv.g2core import closed_triple
     rep = ricci_report(closed_triple(1.0, 1.0, 1.0))
@@ -794,20 +754,63 @@ def test_ricci_report_structure():
     assert rep["trace_ric_sq"] == pytest.approx(48.0)
 
 
+# display order (e7, e1, e2, e3..e6) of the internal basis e1..e7, zero-based
+_DISPLAY = [6, 0, 1, 2, 3, 4, 5]
+
+
+def _oracle_ricci(t):
+    """Besse's Ricci operator of t in display order (orthonormal basis)."""
+    ric = dz.ricci(dz.structure_tensor(*t.matrices()))
+    return ric[np.ix_(_DISPLAY, _DISPLAY)]
+
+
+def _commuting_skew_triple(rng):
+    # rotations in the planes (e3, e4) and (e5, e6) commute, and each is normal
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Z = np.zeros((2, 2))
+    return [np.block([[x * J, Z], [Z, y * J]]) for x, y in rng.uniform(-1.0, 1.0, (3, 2))]
+
+
+def _curvature_triples():
+    """(kind, matrices): commuting, diagonal, conjugated-diagonal and
+    commuting skew-symmetric triples."""
+    rng = seeded_rng()
+    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    Gi = np.linalg.inv(G)
+    out = []
+    for _ in range(5):
+        D = dz.diagonal_triple(rng)
+        out += [("commuting", dz.commuting_triple(rng)), ("diagonal", D),
+                ("conjugated", [G @ M @ Gi for M in D]),
+                ("skew", _commuting_skew_triple(rng))]
+    return out
+
+
 @pytest.mark.parametrize("power", [-200, 0, 200])
 def test_ricci_report_reads_the_homothety_invariant(power):
-    # scaling by a power of two leaves the unit-scale pass bit for bit alone
-    rng = seeded_rng()
-    for _ in range(20):
-        mats = dz.commuting_triple(rng)
+    # every field against Besse's Ricci tensor; scaling by a power of two
+    # leaves the unit-scale pass, and so F, bit for bit alone
+    for kind, mats in _curvature_triples():
         t = BracketTriple(*(np.ldexp(M, power) for M in mats))
         rep = ricci_report(t)
+        want = _oracle_ricci(t)
+        unit = math.ldexp(1.0, 2 * power)  # the square of the scale
+        got = np.array(rep["ricci"])
+        assert got.shape == (7, 7)
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), unit), kind
+        # the blocks never mix
+        assert not got[:3, 3:].any() and not got[3:, :3].any()
+        assert rep["scal"] == pytest.approx(np.trace(want), rel=1e-13, abs=1e-13 * unit)
+        ric_sq = np.sum(want * want)
+        assert rep["trace_ric_sq"] == pytest.approx(ric_sq, rel=1e-13, abs=1e-13 * unit * unit)
+        if kind == "skew":
+            # normal skew matrices: vanishing Ricci curvature
+            assert rep["F"] is None
+            with pytest.raises(ValueError):
+                homothety_invariant(t)
+            continue
         assert rep["F"] == homothety_invariant(t) == homothety_invariant(BracketTriple(*mats))
-        ric = to_display_order(_ricci(t.entries.reshape(3, 4, 4)))
-        scale = np.abs(ric).max()
-        assert np.abs(np.array(rep["ricci"]) - ric).max() <= 1e-14 * scale
-        assert rep["scal"] == pytest.approx(np.trace(ric), rel=1e-14)
-        assert rep["trace_ric_sq"] == pytest.approx(np.trace(ric @ ric), rel=1e-14)
+        assert rep["F"] == pytest.approx(np.trace(want) ** 2 / ric_sq, rel=1e-13)
 
 
 def test_ricci_report_flat_has_no_invariant():
