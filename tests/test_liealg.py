@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
-from g2solv.coflow import CoclosedParams
+from g2solv.coflow import CoclosedParams, FlowTrajectory
 from g2solv.config import TOL
 from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
 from g2solv.g2core import closed_triple
 from g2solv.liealg import (
     BracketTriple,
     _d_table,
+    _homothety,
+    _unit_curvature,
     ce_differential,
     check_compatible,
     homothety_invariant,
@@ -690,6 +692,50 @@ def test_homothety_invariant_rejects_flat():
     for scale in (1e-300, 1.0, 1e100):
         with pytest.raises(ValueError):
             homothety_invariant(BracketTriple(scale * A, scale * B, np.zeros((4, 4))))
+
+
+def test_batched_invariants_match_the_one_triple_case():
+    rng = seeded_rng()
+    # the batched path of the flow: FlowTrajectory.invariants on family points
+    rows = rng.uniform(-2.0, 2.0, size=(24, 6))
+    rows = np.vstack([np.zeros(6), rows, 1e-300 * rows, 1e100 * rows])
+    traj = FlowTrajectory(times=np.arange(len(rows), dtype=float), params=rows,
+                          status="max_time")
+    got = traj.invariants()
+    assert got.shape == (len(rows),)
+    assert np.isnan(got[0])
+    for F, row in zip(got, rows):
+        try:
+            want = homothety_invariant(CoclosedParams.from_array(row).to_triple())
+        except ValueError:
+            assert np.isnan(F)
+            continue
+        assert F == pytest.approx(want, rel=1e-12)
+    # the elementwise rule on unit-scale curvatures of general triples, over
+    # a leading axis of any shape
+    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    Gi = np.linalg.inv(G)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Z = np.zeros((2, 2))
+    skew = [np.block([[J, Z], [Z, Z]]), np.block([[Z, Z], [Z, J]]), np.zeros((4, 4))]
+    triples = [np.zeros((3, 4, 4)), np.array(skew)]
+    for _ in range(8):
+        D = np.array(dz.diagonal_triple(rng))
+        for mats in (D, G @ D @ Gi, np.array(dz.commuting_triple(rng))):
+            triples += [mats, 1e-300 * mats, 1e100 * mats]
+    curv = np.array([_unit_curvature(BracketTriple(*mats))[2:4] for mats in triples])
+    batched = _homothety(curv[:, 0], curv[:, 1])
+    assert np.isnan(batched[:2]).all()
+    for F, mats in zip(batched, triples):
+        try:
+            want = homothety_invariant(BracketTriple(*mats))
+        except ValueError:
+            assert np.isnan(F)
+            continue
+        assert F == want
+    np.testing.assert_array_equal(
+        _homothety(curv[2:, 0].reshape(8, 9), curv[2:, 1].reshape(8, 9)),
+        batched[2:].reshape(8, 9))
 
 
 def test_invariant_upper_bound_is_dimension():
