@@ -10,10 +10,12 @@ Subcommands
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
 2 usage or input errors, printed as 'error: <message>'.  Numbers must be
-finite; the entries of a triple, a soliton base and --modified-m must be
-below 2^240 in size; a sweep file must hold a start; flow takes at least 2
---samples.  Matrix literals use ';' between rows and ',' between entries;
-'@path' reads the literal from a file.
+finite; a sweep file must hold a start; flow takes at least 2 --samples.
+Verdicts are decided on the triple scaled by a power of two to unit size,
+so they do not depend on its scale, and a reported value beyond the float
+range is an input error.  erp-check's --tol bounds |residual| / |tau|^2.
+Matrix literals use ';' between rows and ',' between entries; '@path'
+reads the literal from a file.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .coflow import (
     soliton_candidates,
     soliton_solve,
 )
-from .g2core import MAX_ENTRY, closed_triple, erp_residual, laplacians, torsion_forms
+from .g2core import closed_triple, erp_residual, laplacians, torsion_forms
 from .liealg import BracketTriple, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
 
@@ -90,21 +92,12 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
-def _bounded(values):
-    """Return the parsed entries of a triple after checking that each is
-    below `MAX_ENTRY` in size, so that no report leaves the float range."""
-    if not np.all(np.abs(values) < MAX_ENTRY):
-        raise ValueError(f"triple entries must be below {MAX_ENTRY:.3g} in size: "
-                         "the torsion and curvature reports would leave the float range")
-    return values
-
-
 def _triple_from_args(args) -> BracketTriple:
     if getattr(args, "closed", None):
-        return closed_triple(*_bounded(_parse_floats(args.closed, 3)))
+        return closed_triple(*_parse_floats(args.closed, 3))
     if getattr(args, "coclosed", None):
-        return CoclosedParams(*_bounded(_parse_floats(args.coclosed, 6))).to_triple()
-    return BracketTriple(*_bounded([_parse_matrix(m) for m in args.triple]))
+        return CoclosedParams(*_parse_floats(args.coclosed, 6)).to_triple()
+    return BracketTriple(*[_parse_matrix(m) for m in args.triple])
 
 
 def _cmd_verify_lattice(args) -> int:
@@ -170,8 +163,9 @@ def _cmd_erp_check(args) -> int:
     payload = {
         "residual_norm": res["residual_norm"],
         "tau_norm_sq": res["tau_norm_sq"],
+        "relative_residual": res["relative_residual"],
         "threshold": args.tol,
-        "extremally_pinched": res["residual_norm"] < args.tol,
+        "extremally_pinched": res["relative_residual"] < args.tol,
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return 0 if payload["extremally_pinched"] else 1
@@ -385,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     ec = add_parser("erp-check", help="extremal-pinching residual (closed case)")
     add_triple_args(ec, closed_only=True)
     ec.add_argument("--tol", type=_finite_float, default=1e-9,
-                    help="pinched when the residual is below this (default 1e-9)")
+                    help="pinched when the relative residual |residual| / |tau|^2 "
+                         "is below this (default 1e-9)")
     ec.set_defaults(func=_cmd_erp_check)
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")

@@ -38,9 +38,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import g2core
-from .forms import PSI, KForm, theta
-from .liealg import BracketTriple, _homothety
-from .g2core import MAX_ENTRY, _norm, modified_laplacian_psi
+from .forms import PSI, theta
+from .liealg import BracketTriple, _homothety, _scaled, _to_unit
+from .g2core import _norm, _unit_modified
 
 _BLOWUP = 1e8
 # starts with |p| at or above this are rejected: the starting-step estimate
@@ -75,10 +75,10 @@ class CoclosedParams:
     Its triple and its lap psi are each evaluated once, on first use, and
     then shared: `soliton_solve`, `soliton_residual` and
     `modified_soliton_residual` all read the one lap psi, taken from the
-    exact table of `g2core.laplacians`.  The triple is built from its
-    diagonals by `BracketTriple.from_diagonals`, which checks only what a
-    diagonal triple can fail: finite entries and traceless diagonals (the
-    family's are, at any finite scale).
+    exact table of `g2core.laplacians` at the triple's unit scale.  The
+    triple is built from its diagonals by `BracketTriple.from_diagonals`,
+    which checks only what a diagonal triple can fail: finite entries and
+    traceless diagonals (the family's are, at any finite scale).
     """
 
     a1: float
@@ -106,8 +106,8 @@ class CoclosedParams:
         return self._triple
 
     @cached_property
-    def _lap_psi(self) -> KForm:
-        return g2core._lap_psi(self._triple)
+    def _unit_lap_psi(self) -> np.ndarray:
+        return g2core._unit_lap_psi(self._triple)
 
     def norm_sq(self) -> float:
         p = self.as_array()
@@ -335,10 +335,11 @@ class FlowTrajectory:
     def invariants(self) -> np.ndarray:
         """Homothety invariant per sample; NaN on flat points.  Diagonal
         matrices are normal, so a family point's Ricci n-block vanishes and
-        its a-block is -W W^T, W its (3, 4) diagonals, here at unit scale."""
+        its a-block is -W W^T, W its (3, 4) diagonals, taken per sample at
+        unit scale by the rule of `liealg._to_unit`."""
         W = _diagonals(self.params)
-        scale = np.abs(W).max(axis=(1, 2), keepdims=True, initial=0.0)
-        W = W / np.where(scale > 0.0, scale, 1.0)
+        e = np.frexp(np.abs(W).max(axis=(1, 2), initial=0.0))[1]
+        W = np.ldexp(W, -e[:, None, None])
         gram = W @ W.swapaxes(1, 2)
         return _homothety(-np.trace(gram, axis1=1, axis2=2), np.einsum("kij,kij->k", gram, gram))
 
@@ -400,13 +401,14 @@ def normalized_limit(traj: FlowTrajectory) -> dict:
 
 def conserved_ab(traj: FlowTrajectory) -> dict:
     """Drift of the product a*b along a trajectory of the symmetric subfamily
-    (a, a, b, b, c1, c2).  Errors out when the trajectory leaves the family."""
-    P = traj.params
-    cut = 1e-7 * max(1.0, float(np.abs(P).max()))
-    if np.abs(P[:, 0] - P[:, 1]).max() > cut or np.abs(P[:, 2] - P[:, 3]).max() > cut:
+    (a, a, b, b, c1, c2).  Errors out when the trajectory leaves the family,
+    by 1e-7 in a1 - a2 or b1 - b2 on the unit trajectory (`_to_unit`)."""
+    P, e = _to_unit(traj.params)
+    if np.abs(P[:, 0] - P[:, 1]).max() > 1e-7 or np.abs(P[:, 2] - P[:, 3]).max() > 1e-7:
         raise ValueError("trajectory is not in the (a,a,b,b,c1,c2) family")
     ab = P[:, 0] * P[:, 2]
-    return {"value": float(ab[-1]), "drift": float(np.abs(ab - ab[0]).max())}
+    return {"value": _scaled(float(ab[-1]), 2 * e),
+            "drift": _scaled(float(np.abs(ab - ab[0]).max()), 2 * e)}
 
 
 @dataclass
@@ -431,21 +433,20 @@ def _soliton_tables() -> tuple[np.ndarray, np.ndarray]:
     return M, np.linalg.solve(M.T @ M, M.T)
 
 
-def _soliton_fit(target: KForm) -> dict:
-    """Least-squares fit of target by lam psi + theta_plus(D) psi over the
-    symmetric derivations D = Diag(0,0,0,d3..d6)."""
+def _soliton_fit(target: np.ndarray, k: int) -> dict:
+    """Least-squares fit of the 4-form 2^k target by lam psi +
+    theta_plus(D) psi over the symmetric derivations D = Diag(0,0,0,d3..d6),
+    taken on target and scaled back."""
     M, pinv = _soliton_tables()
-    x = pinv @ target.vec
-    return {
-        "residual": _norm(M @ x - target.vec),
-        "best_lambda": float(x[0]),
-        "best_D": x[1:].copy(),
-    }
+    x = pinv @ target
+    res = _norm(M @ x - target)
+    x = _scaled(x, k)
+    return {"residual": _scaled(res, k), "best_lambda": float(x[0]), "best_D": x[1:]}
 
 
 def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
-    fit = _soliton_fit(p._lap_psi)
+    fit = _soliton_fit(p._unit_lap_psi, 2 * p._triple.exponent)
     # the family's matrices are symmetric, so only the origin is flat
     fit["flat"] = not any((p.a1, p.a2, p.b1, p.b2, p.c1, p.c2))
     return fit
@@ -456,16 +457,12 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
 
         lap psi + 2 d((m - tr T) phi) = lam psi + theta_plus(D) psi,
 
-    with m != 0 and |m| below `MAX_ENTRY`: like tr T, m scales as the
-    entries do, and 2 (m - tr T) dphi is squared in the residual norm.  tr T
-    and dphi are read off rows of the torsion map's product
-    (`g2core.modified_laplacian_psi`), lap psi is the point's shared one."""
+    with m != 0.  tr T and dphi are read off rows of the torsion map's
+    product, and lap psi is the point's shared one; the fit is taken where
+    the larger of the two terms is of order 1 (`g2core._unit_modified`)."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
-    if not abs(m) < MAX_ENTRY:
-        raise ValueError(f"m must be below {MAX_ENTRY:.3g} in size: "
-                         "the modified residual would leave the float range")
-    return _soliton_fit(modified_laplacian_psi(p.to_triple(), m, p._lap_psi))
+    return _soliton_fit(*_unit_modified(p.to_triple(), m, p._unit_lap_psi))
 
 
 def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
@@ -479,12 +476,11 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
     solvable iff both right-hand sides are nonnegative; the sign choices are
     enumerated and deduplicated when a square vanishes.  The list is empty
     when either right-hand side is negative.  The squares are taken on the
-    base divided by a power of two near its largest entry, which is exact,
-    so no intermediate overflows; a pair that itself exceeds the float range
-    raises OverflowError.
+    unit base (`liealg._to_unit`), so no intermediate overflows; a pair
+    that itself leaves the float range raises ValueError.
     """
-    e = math.frexp(max(abs(a1), abs(a2), abs(b1), abs(b2)))[1]
-    a1, a2, b1, b2 = (math.ldexp(x, -e) for x in (a1, a2, b1, b2))
+    u, e = _to_unit(np.array([a1, a2, b1, b2]))
+    a1, a2, b1, b2 = u.tolist()
     P = (a1 - a2) ** 2 - 4 * b1 * b2
     Q = (b1 - b2) ** 2 - 4 * a1 * a2
     if P < 0 or Q < 0:
@@ -493,7 +489,7 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
     # a set of the two signs holds one 0.0 when the root vanishes, so the
     # pairs are deduplicated exactly, at any scale of the base
     pairs = {(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}}
-    return sorted((math.ldexp(c1, e), math.ldexp(c2, e)) for c1, c2 in pairs)
+    return sorted((_scaled(c1, e), _scaled(c2, e)) for c1, c2 in pairs)
 
 
 def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSolution]:
@@ -506,19 +502,20 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     +-1 quadratic table of `g2core.laplacians` on the candidate's triple,
     once per candidate, and the returned `params` keeps it, so that
     `soliton_residual` and `modified_soliton_residual` on them reuse it.
-    Raises ValueError for a base with an entry of size `g2core.MAX_ENTRY`
-    or more, where the Laplacian's squared norm would overflow.
+    lam is taken on the unit base and the residual at the candidate's unit
+    scale; either raises ValueError when it leaves the float range.
     """
-    if not all(abs(x) < MAX_ENTRY for x in (a1, a2, b1, b2)):
-        raise ValueError(f"base entries must be below {MAX_ENTRY:.3g} in size: "
-                         "the Laplacian would leave the float range")
     pairs = soliton_candidates(a1, a2, b1, b2)
-    lam = 2.0 * ((a1 - a2) ** 2 + (b1 - b2) ** 2)
+    u, e = _to_unit(np.array([a1, a2, b1, b2]))
+    u1, u2, v1, v2 = u.tolist()
+    lam = 2.0 * ((u1 - u2) ** 2 + (v1 - v2) ** 2)
     d = -lam / 4.0
     rhs = _soliton_tables()[0] @ [lam, d, d, d, d]
+    lam, d = _scaled(lam, 2 * e), _scaled(d, 2 * e)
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        res = _norm(p._lap_psi.vec - rhs)
-        out.append(SolitonSolution(params=p, lam=lam, d=d, residual=res))
+        k = p.to_triple().exponent  # at least e: the triple holds the base
+        res = _norm(p._unit_lap_psi - np.ldexp(rhs, 2 * (e - k)))
+        out.append(SolitonSolution(params=p, lam=lam, d=d, residual=_scaled(res, 2 * k)))
     return out

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 class Tolerances:
     # coefficients of at most this size are left out of KForm.coeffs and printing
     prune: float = 1e-14
-    # a form counts as zero when its norm is below this (forms here have O(1) scale)
+    # a form counts as zero when its norm is below this, taken on the unit
+    # triple (liealg._to_unit), so the verdict does not depend on the scale
     zero_form: float = 1e-10
     # eigenvalues are accepted as real when |imag| stays below this
     eig_imag: float = 1e-9
@@ -22,13 +23,9 @@ class Tolerances:
     unit_log_sigma: float = 1e-6
     # convergence target for Newton polishing of polynomial roots
     newton: float = 1e-12
-    # BracketTriple's traceless and commuting checks: a trace may reach this
-    # times the largest entry, a commutator entry this times its square
+    # BracketTriple's traceless and commuting checks: on the unit triple, a
+    # trace and a commutator entry may reach this
     bracket: float = 1e-10
-    # solvsoliton_check: M M^T - M^T M may reach this times the squared
-    # largest entry, and the a-block of Ricci may differ from c I by this
-    # times max(1, |c|)
-    solvsoliton: float = 1e-9
 
 
 TOL = Tolerances()

@@ -22,7 +22,9 @@ dpsi = 4 tau1 ^ psi + tau2 ^ phi.
 dphi, dpsi and so every torsion part are linear in the 48 entries of
 (A, B, C), and the Laplacians are quadratic in them.  Each is read off one
 table built on first use: `_torsion_map`, the formulas above applied once
-per entry, and `_laplacian_table`, whose coefficients are all +-1.
+per entry, and `_laplacian_table`, whose coefficients are all +-1.  Both
+take the unit entries `BracketTriple.unit`, where every verdict is decided
+and from where every magnitude is scaled back (`liealg._scaled`).
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ import numpy as np
 
 from .config import TOL
 from .forms import BASIS, PHI, PSI, KForm, _hodge_table, hodge, inner, wedge
-from .liealg import BracketTriple, _d_table, ce_differential
-
-# dphi, the Laplacians, the ERP residual and tr(Ric^2) are at most quadratic
-# in the entries of (A, B, C), and their norms square them again, so the
-# reports reach fourth powers of the entries; entries below this bound leave
-# those a margin of 2^64 below the float range
-MAX_ENTRY = 2.0 ** 240
+from .liealg import BracketTriple, _d_table, _differential, _scaled
 
 _ENTRIES = 48  # entries of (A, B, C), the length of `BracketTriple.entries`
 
@@ -100,10 +96,9 @@ def _torsion_map() -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _mapped_parts(t: BracketTriple) -> list:
-    """Coefficient vectors of the `_torsion_parts` of t (tau0 one entry
-    long): slices of one product with `_torsion_map`."""
-    v = _torsion_map() @ t.entries
+def _parts(v: np.ndarray) -> list:
+    """Coefficient vectors of the `_torsion_parts` (tau0 one entry long):
+    slices of a product v of `_torsion_map`, here always with t.unit."""
     return [v[rows] for rows in _PART_ROWS]
 
 
@@ -114,7 +109,7 @@ def _norm(x: np.ndarray) -> float:
 
 def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarray) -> dict:
     """W1..W4: whether tau0, tau2, tau3, tau1 are nonzero, by norm against
-    `TOL.zero_form`, from the coefficient vectors of `_mapped_parts`."""
+    `TOL.zero_form`, from the unit triple's coefficient vectors (`_parts`)."""
     return {
         "W1": abs(tau0) > TOL.zero_form,
         "W2": _norm(tau2) > TOL.zero_form,
@@ -124,27 +119,28 @@ def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarr
 
 
 def torsion_forms(t: BracketTriple) -> TorsionForms:
-    """Torsion parts, |tau|^2 and class flags of t, every one read off the
-    vector of one product with `_torsion_map`."""
-    tau0, tau1, tau2, tau3, dphi, tau = _mapped_parts(t)
-    tau0 = float(tau0[0])
+    """Torsion parts, |tau|^2 and class flags of t, all read off v, one
+    product of `_torsion_map` with the unit entries: the flags and `closed`
+    on v, the parts (degree 1) and |tau|^2 (degree 2) scaled back."""
+    v = _torsion_map() @ t.unit
+    tau0, tau1, tau2, tau3, dphi, tau = _parts(v)
+    full = _parts(_scaled(v, t.exponent))
     return TorsionForms(
-        tau0=tau0,
-        tau1=KForm._of(1, tau1),
-        tau2=KForm._of(2, tau2),
-        tau3=KForm._of(3, tau3),
-        tau_two_form=KForm._of(2, tau),
-        norm_sq_tau=float(tau @ tau),
+        tau0=float(full[0][0]),
+        tau1=KForm._of(1, full[1]),
+        tau2=KForm._of(2, full[2]),
+        tau3=KForm._of(3, full[3]),
+        tau_two_form=KForm._of(2, full[5]),
+        norm_sq_tau=_scaled(float(tau @ tau), 2 * t.exponent),
         closed=_norm(dphi) <= TOL.zero_form,
-        torsion_class=_class_flags(tau0, tau1, tau2, tau3),
+        torsion_class=_class_flags(float(tau0[0]), tau1, tau2, tau3),
     )
 
 
 def torsion_class(t: BracketTriple) -> dict:
-    """Flags for the four torsion components, by norm against `TOL.zero_form`:
-    the class flags of `torsion_forms`, read off the one mapped vector
-    without building its forms."""
-    tau0, tau1, tau2, tau3, *_ = _mapped_parts(t)
+    """Flags for the four torsion components, by norm against `TOL.zero_form`
+    at unit scale: the class flags of `torsion_forms`, without its forms."""
+    tau0, tau1, tau2, tau3, *_ = _parts(_torsion_map() @ t.unit)
     return _class_flags(float(tau0[0]), tau1, tau2, tau3)
 
 
@@ -187,29 +183,33 @@ def _laplacian_table():
             np.array([c for c in acc.values() if c != 0.0]))
 
 
-def _lap_psi(t: BracketTriple) -> KForm:
+def _unit_lap_psi(t: BracketTriple) -> np.ndarray:
+    """Coefficients of lap psi of the unit triple t.unit, from the
+    quadratic table `_laplacian_table`."""
     out, i, j, coef = _laplacian_table()
-    e = t.entries
-    return KForm._of(4, np.bincount(out, coef * e[i] * e[j], minlength=len(BASIS[4])))
+    u = t.unit
+    return np.bincount(out, coef * u[i] * u[j], minlength=len(BASIS[4]))
 
 
 def laplacians(t: BracketTriple) -> dict:
-    """Hodge Laplacians of psi and phi: lap_psi = d*dphi - *d*dpsi, read
-    off the quadratic table `_laplacian_table`, and lap_phi = *lap_psi."""
-    lap_psi = _lap_psi(t)
+    """Hodge Laplacians of psi and phi: lap_psi = d*dphi - *d*dpsi from
+    `_unit_lap_psi`, scaled back (degree 2), and lap_phi = *lap_psi."""
+    lap_psi = KForm._of(4, _scaled(_unit_lap_psi(t), 2 * t.exponent))
     return {"phi": hodge(lap_psi), "psi": lap_psi}
 
 
-def modified_laplacian_psi(t: BracketTriple, m: float, lap_psi: KForm) -> KForm:
-    """Velocity of the modified coflow, lap psi + 2 d((m - tr T) phi), given
-    lap psi of t (`laplacians(t)["psi"]`).
-
-    On a left-invariant structure m - tr T is constant, so the second term
-    is 2 (m - tr T) dphi, with tr T = (7/4) tau0; tau0 and dphi are rows of
-    the one product with `_torsion_map`, and the sum is taken on their
-    coefficient vectors."""
-    tau0, *_, dphi, _ = _mapped_parts(t)
-    return KForm._of(4, lap_psi.vec + 2.0 * (m - 1.75 * float(tau0[0])) * dphi)
+def _unit_modified(t: BracketTriple, m: float, unit_lap: np.ndarray):
+    """(v, k) with 2^k v the modified coflow's velocity lap psi +
+    2 d((m - tr T) phi) = lap psi + 2 (m - (7/4) tau0) dphi, given
+    `_unit_lap_psi(t)`.  With e = t.exponent and m - tr T = 2^h mu, h the
+    larger of e and the exponent of m, it is 2^(e + h) (2^(e - h) lap +
+    2 mu dphi) with lap and dphi at unit scale, whose larger term is of
+    order 1 however m and the entries compare."""
+    e = t.exponent
+    h = max(e, math.frexp(m)[1])
+    tau0, *_, dphi, _ = _parts(_torsion_map() @ t.unit)
+    mu = math.ldexp(m, -h) - 1.75 * math.ldexp(float(tau0[0]), e - h)
+    return np.ldexp(unit_lap, e - h) + 2.0 * mu * dphi, e + h
 
 
 def erp_residual(t: BracketTriple) -> dict:
@@ -217,15 +217,20 @@ def erp_residual(t: BracketTriple) -> dict:
 
         d tau = (1/6)|tau|^2 phi + (1/6) * (tau ^ tau),   tau = -*d*phi.
 
-    Raises when dphi != 0, since tau is only the full torsion there.
+    Raises when dphi != 0, since tau is only the full torsion there.  The
+    residual and |tau|^2 are taken at unit scale; `relative_residual` is
+    their quotient, 0 where tau counts as zero (`TOL.zero_form`).
     """
-    *_, dphi, tau = _mapped_parts(t)
+    *_, dphi, tau = _parts(_torsion_map() @ t.unit)
     if _norm(dphi) > TOL.zero_form:
         raise ValueError("extremal pinching residual needs a closed structure")
     tau = KForm._of(2, tau)
     nsq = inner(tau, tau)
-    res = ce_differential(t, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
-    return {"residual_norm": res.norm(), "tau_norm_sq": nsq}
+    res = _differential(t.unit, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
+    r = res.norm()
+    return {"residual_norm": _scaled(r, 2 * t.exponent),
+            "tau_norm_sq": _scaled(nsq, 2 * t.exponent),
+            "relative_residual": r / nsq if nsq > TOL.zero_form ** 2 else 0.0}
 
 
 # diagonals of D1, D2, D3 in `closed_triple`

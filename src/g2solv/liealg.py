@@ -32,25 +32,34 @@ _A_SLOTS = np.array([6, 0, 1])
 _EIG_CLUSTER = 1e-6
 
 
-def _unit_exponent(scale: float) -> int:
-    """The e with scale / 2^e in [1/2, 1) for a scale above 1, else 0.
+def _to_unit(x):
+    """(u, e) with x = 2^e u and the largest |u| in [1/2, 1) (e = 0 for
+    x = 0), exact but for underflow (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 2.1): the one scale rule.  Verdicts
+    are decided on u, and a magnitude of degree k is scaled back by
+    `_scaled(value, k e)`.  Raises ValueError for inf or NaN, which would
+    pass every comparison with a bound."""
+    largest = float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError("entries must be finite")
+    e = math.frexp(largest)[1]
+    return np.ldexp(x, -e), e
 
-    The triple checks compare sums and products of entries with bounds
-    proportional to scale = max(1, largest entry) or its square.  Taken on
-    the entries divided by 2^e, with the bounds divided alike, they decide
-    the same, as dividing by a power of two is exact; but no sum or product
-    can overflow, and no NaN made of inf - inf slips past a comparison."""
-    return math.frexp(scale)[1] if scale > 1.0 else 0
 
-
-def _check_traceless(diagonals: np.ndarray, scale: float):
-    """Raise unless each row of `diagonals`, the (3, 4) diagonals of A, B
-    and C, sums to zero within `TOL.bracket` times the scale, both divided
-    by 2^`_unit_exponent(scale)`."""
-    e = _unit_exponent(scale)
-    bound = TOL.bracket * math.ldexp(scale, -e)
-    if any(abs(a + b + c + d) > bound for a, b, c, d in np.ldexp(diagonals, -e).tolist()):
-        raise ValueError("matrices must be traceless (unimodular algebra)")
+def _scaled(x, k: int):
+    """x 2^k for a float or array x taken at unit scale (`_to_unit`); raises
+    ValueError, not a numpy warning, when that leaves the float range.  The
+    reports' unit-scale values stay below 2^16, so an array can only leave
+    it, and is searched for its largest entry, when k exceeds 1000."""
+    try:
+        if isinstance(x, float):
+            return math.ldexp(x, k)
+        if k > 1000:
+            math.ldexp(float(np.abs(x).max(initial=0.0)), k)
+        return np.ldexp(x, k)
+    except OverflowError:
+        raise ValueError(f"a value 2^{k} times its unit-scale one leaves the float range "
+                         "(about 1.8e308)") from None
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,9 @@ class BracketTriple:
 
     The triple is immutable: A, B and C are read-only views of one (3, 4, 4)
     copy of the input, and `entries` is its flattened 48-vector, the
-    coordinates the Chevalley-Eilenberg differential is linear in.
+    coordinates the Chevalley-Eilenberg differential is linear in, held as
+    2^`exponent` times the read-only unit entries `unit` (`_to_unit`), on
+    which the traces and commutators are checked against `TOL.bracket`.
     `from_diagonals` builds a diagonal triple from its three diagonals.
     """
 
@@ -67,35 +78,41 @@ class BracketTriple:
     B: np.ndarray
     C: np.ndarray
     entries: np.ndarray = field(init=False, repr=False, compare=False)
+    exponent: int = field(init=False, repr=False, compare=False)
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
             if np.shape(getattr(self, name)) != (4, 4):
                 raise ValueError(f"{name} must be 4x4")
         mats = np.array([self.A, self.B, self.C], dtype=float)
-        # NaN or inf entries would pass the comparisons below (inf against inf
-        # or NaN compares false)
-        if not np.isfinite(mats).all():
-            raise ValueError("entries must be finite")
-        scale = max(1.0, float(np.abs(mats).max()))
-        _check_traceless(mats.diagonal(axis1=1, axis2=2), scale)
         # diagonal matrices commute exactly in floating point: M_i M_j and
         # M_j M_i have the same rounded diagonal and exact zeros off it, so
         # the commutator check could only pass them
-        if np.count_nonzero(mats) > np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
-            e = _unit_exponent(scale)
-            unit, scale = np.ldexp(mats, -e), math.ldexp(scale, -e)
-            products = unit[:, None] @ unit  # products[i, j] = M_i M_j
-            if not np.abs(products - products.swapaxes(0, 1)).max() <= TOL.bracket * scale * scale:
-                raise ValueError("matrices must commute (Jacobi identity)")
-        self._hold(mats)
+        diagonal = np.count_nonzero(mats) == np.count_nonzero(mats.diagonal(axis1=1, axis2=2))
+        self._hold(mats, diagonal)
 
-    def _hold(self, mats: np.ndarray):
-        """Keep the validated (3, 4, 4) stack `mats`, made read-only."""
+    def _hold(self, mats: np.ndarray, diagonal: bool):
+        """Check the (3, 4, 4) stack `mats` at unit scale (`_to_unit` checks
+        finiteness), the commutators only unless `diagonal`, and keep it,
+        made read-only."""
         mats.flags.writeable = False
+        entries = mats.reshape(-1)
+        unit, e = _to_unit(entries)
+        U = unit.reshape(3, 4, 4)
+        traces = U.diagonal(axis1=1, axis2=2).tolist()
+        if any(abs(a + b + c + d) > TOL.bracket for a, b, c, d in traces):
+            raise ValueError("matrices must be traceless (unimodular algebra)")
+        if not diagonal:
+            products = U[:, None] @ U  # products[i, j] = M_i M_j
+            if np.abs(products - products.swapaxes(0, 1)).max() > TOL.bracket:
+                raise ValueError("matrices must commute (Jacobi identity)")
+        unit.flags.writeable = False
         for name, M in zip(("A", "B", "C"), mats):
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "entries", mats.reshape(-1))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "unit", unit)
 
     @classmethod
     def from_diagonals(cls, D) -> "BracketTriple":
@@ -108,14 +125,10 @@ class BracketTriple:
         D = np.array(D, dtype=float)
         if D.shape != (3, 4):
             raise ValueError("diagonals must form a 3x4 array")
-        flat = D.ravel().tolist()
-        if not all(map(math.isfinite, flat)):
-            raise ValueError("entries must be finite")
-        _check_traceless(D, max(1.0, max(flat), -min(flat)))
         stack = np.zeros((3, 16))
         stack[:, ::5] = D  # the diagonal of a 4x4 matrix is every fifth of its entries
         out = cls.__new__(cls)
-        out._hold(stack.reshape(3, 4, 4))
+        out._hold(stack.reshape(3, 4, 4), True)
         return out
 
     def matrices(self):
@@ -169,11 +182,16 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     d is linear in the 48 entries of (A, B, C), so it is evaluated from the
     signed index table `_d_table`.
     """
+    return _differential(t.entries, alpha)
+
+
+def _differential(entries: np.ndarray, alpha: KForm) -> KForm:
+    """d alpha for the triple with these 48 entries (`ce_differential`)."""
     k = alpha.degree
     if k >= DIM:
         return zero_form(DIM)
     out, src, entry, sign = _d_table(k)
-    terms = sign * alpha.vec[src] * t.entries[entry]
+    terms = sign * alpha.vec[src] * entries[entry]
     return KForm._of(k + 1, np.bincount(out, terms, minlength=len(BASIS[k + 1])))
 
 
@@ -274,21 +292,19 @@ def _ricci_blocks(u: np.ndarray):
 
 
 def _homothety(scal, ric_sq):
-    """F = scal^2 / tr(Ric^2), elementwise, of curvatures taken on entries
-    divided by the largest one; NaN where flat, that is where tr(Ric^2) is
-    not above `TOL.zero_form`^2."""
+    """F = scal^2 / tr(Ric^2), elementwise, of curvatures taken at unit
+    scale; NaN where flat, that is where tr(Ric^2) is not above
+    `TOL.zero_form`^2."""
     return scal * scal / np.where(ric_sq > TOL.zero_form ** 2, ric_sq, np.nan)
 
 
 def _unit_curvature(t: BracketTriple):
-    """(a, n, scal, ric_sq, F, scale): the Ricci blocks, scal = tr(a) (the
-    n-block is a sum of commutators, so traceless), tr(Ric^2) = |a|^2 +
-    |n|^2 and F of t divided by its largest entry, and that divisor (1 for
-    the zero triple)."""
-    scale = float(np.abs(t.entries).max()) or 1.0
-    a, n = _ricci_blocks(t.entries / scale)
+    """(a, n, scal, ric_sq, F): the Ricci blocks, scal = tr(a) (the n-block
+    is a sum of commutators, so traceless), tr(Ric^2) = |a|^2 + |n|^2 and F
+    of the unit triple `t.unit`."""
+    a, n = _ricci_blocks(t.unit)
     scal, ric_sq = float(a.trace()), float(np.vdot(a, a) + np.vdot(n, n))
-    return a, n, scal, ric_sq, float(_homothety(scal, ric_sq)), scale
+    return a, n, scal, ric_sq, float(_homothety(scal, ric_sq))
 
 
 def homothety_invariant(t: BracketTriple) -> float:
@@ -302,36 +318,19 @@ def homothety_invariant(t: BracketTriple) -> float:
     return F
 
 
-def solvsoliton_check(t: BracketTriple) -> dict:
-    """Test the algebraic Ricci-soliton condition for this split class:
-    A, B, C normal and the a-block of Ric a multiple of the identity."""
-    A, B, C = t.matrices()
-    if all(np.abs(M).max() == 0.0 for M in (A, B, C)):
-        return {"is_solvsoliton": False, "lam": None, "flat": True}
-    scale = max(1.0, *(np.abs(M).max() for M in (A, B, C)))
-    normal = all(
-        np.abs(M @ M.T - M.T @ M).max() <= TOL.solvsoliton * scale * scale
-        for M in (A, B, C)
-    )
-    block = _ricci_blocks(t.entries)[0]
-    c = float(np.trace(block)) / 3.0
-    isotropic = np.abs(block - c * np.eye(3)).max() <= TOL.solvsoliton * max(1.0, abs(c))
-    ok = bool(normal and isotropic)
-    return {"is_solvsoliton": ok, "lam": c if ok else None, "flat": False}
-
-
 def ricci_report(t: BracketTriple) -> dict:
     """JSON-ready curvature summary in display basis order (e_7, e_1, e_2,
     e_3..e_6), the a-block first.  F is read at unit scale, as in
-    `homothety_invariant`, and the rest is scaled back from there."""
-    a, n, scal, ric_sq, F, scale = _unit_curvature(t)
-    sq = scale * scale
+    `homothety_invariant`, and the rest is scaled back from there (Ric and
+    scal have degree 2 in the entries, tr(Ric^2) degree 4)."""
+    a, n, scal, ric_sq, F = _unit_curvature(t)
+    e = t.exponent
     ric = np.zeros((DIM, DIM))
-    ric[:3, :3] = a * sq
-    ric[3:, 3:] = n * sq
+    ric[:3, :3] = a
+    ric[3:, 3:] = n
     return {
-        "ricci": ric.tolist(),
-        "scal": scal * sq,
-        "trace_ric_sq": ric_sq * sq * sq,
+        "ricci": _scaled(ric, 2 * e).tolist(),
+        "scal": _scaled(scal, 2 * e),
+        "trace_ric_sq": _scaled(ric_sq, 4 * e),
         "F": None if math.isnan(F) else F,
     }

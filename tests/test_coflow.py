@@ -261,8 +261,13 @@ def test_product_ab_is_conserved_on_the_symmetric_family():
 def test_conserved_ab_rejects_other_trajectories():
     traj = integrate(CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5), 5.0,
                      FlowOptions(samples=101))
-    with pytest.raises(ValueError):
-        conserved_ab(traj)
+    # a1 != a2, far beyond rounding once taken at unit scale
+    tiny = FlowTrajectory(times=np.array([0.0, 1.0]), status="max_time",
+                          params=1e-9 * np.array([[2.0, 2.0, 1.0, -1.0, 0.5, 0.5],
+                                                  [1.9, 2.1, 1.0, -1.0, 0.5, 0.5]]))
+    for traj in (traj, tiny):
+        with pytest.raises(ValueError):
+            conserved_ab(traj)
 
 
 def test_soliton_start_keeps_its_direction():
@@ -442,20 +447,25 @@ def test_modified_residual_rejects_zero_m():
         modified_soliton_residual(SOLITON, 0.0)
 
 
-@pytest.mark.parametrize("m", [1e308, -2.0 ** 240])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1e308, -1e308])
 def test_modified_residual_rejects_m_beyond_the_float_range(m):
-    with pytest.raises(ValueError, match="m must be below"):
+    # the residual is 4 sqrt(6) |m| at the soliton (see above)
+    with pytest.raises(ValueError, match="float range"):
         modified_soliton_residual(SOLITON, m)
 
 
 def test_modified_residual_is_finite_just_below_the_bound_on_m():
     assert np.isfinite(modified_soliton_residual(SOLITON, 2.0 ** 239)["residual"])
+    # far beyond the entries, m sets the unit scale: no norm overflows
+    r = modified_soliton_residual(SOLITON, 1e200)["residual"]
+    assert r == pytest.approx(4.0 * np.sqrt(6.0) * 1e200, rel=1e-12)
 
 
 def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
     calls = []
-    lap_psi = g2core._lap_psi
-    monkeypatch.setattr(g2core, "_lap_psi", lambda t: calls.append(t) or lap_psi(t))
+    lap_psi = g2core._unit_lap_psi
+    monkeypatch.setattr(g2core, "_unit_lap_psi", lambda t: calls.append(t) or lap_psi(t))
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
     for sol in sols:
         soliton_residual(sol.params)
@@ -470,7 +480,8 @@ def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
 def test_shared_laplacian_is_a_fresh_evaluation_bit_for_bit(p):
     soliton_residual(p)
     fresh = laplacians(BracketTriple(*p.to_triple().matrices()))["psi"]
-    assert p._lap_psi.vec.tobytes() == fresh.vec.tobytes()
+    shared = np.ldexp(p._unit_lap_psi, 2 * p.to_triple().exponent)
+    assert shared.tobytes() == fresh.vec.tobytes()
 
 
 def test_coclosed_params_build_their_triple_once():

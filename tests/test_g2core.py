@@ -1,5 +1,8 @@
 """Torsion forms, torsion classes, Laplacians and the pinching residual."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,18 +11,22 @@ from hypothesis import strategies as st
 import dense_oracle as dz
 import reference_formulas as rf
 from g2solv import g2core
-from g2solv.coflow import CoclosedParams
+from g2solv.coflow import CoclosedParams, modified_soliton_residual, soliton_residual
 from g2solv.config import TOL
-from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, hodge, inner, wedge
+from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, KForm, hodge, inner, wedge
 from g2solv.g2core import (
     closed_triple,
     erp_residual,
     laplacians,
-    modified_laplacian_psi,
     torsion_class,
     torsion_forms,
 )
-from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
+from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant, ricci_report
+
+
+def unit_triple(t):
+    """The unit triple of t as a triple of its own, whose exponent is 0."""
+    return BracketTriple(*t.unit.reshape(3, 4, 4))
 
 
 @st.composite
@@ -55,7 +62,8 @@ def test_torsion_reconstructs_dphi(t):
     dphi = ce_differential(t, PHI)
     rebuilt = tf.tau0 * PSI + 3.0 * wedge(tf.tau1, PHI) + hodge(tf.tau3)
     assert (rebuilt - dphi).norm() < 1e-11
-    assert tf.closed == dphi.is_zero()
+    # closed is decided on the unit triple
+    assert tf.closed == ce_differential(unit_triple(t), PHI).is_zero()
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,15 +134,17 @@ def test_torsion_class_of_flat_structure_is_empty():
 @settings(max_examples=40, deadline=None)
 @given(torsion_triples)
 def test_torsion_report_scalars_match_its_forms(t):
-    # the norms, flags and |tau|^2 are read off the mapped vector; they
-    # must be those of the returned forms, bit for bit (`closed` is checked
-    # against d itself in test_torsion_reconstructs_dphi)
-    tf = torsion_forms(t)
-    assert tf.norm_sq_tau == inner(tf.tau_two_form, tf.tau_two_form)
+    # the norms, flags and |tau|^2 are read off the mapped vector of the
+    # unit triple; they must be those of its returned forms, bit for bit,
+    # and t's |tau|^2 theirs scaled back (`closed` is checked against d
+    # itself in test_torsion_reconstructs_dphi)
+    tf, unit = torsion_forms(t), torsion_forms(unit_triple(t))
+    assert unit.norm_sq_tau == inner(unit.tau_two_form, unit.tau_two_form)
+    assert tf.norm_sq_tau == math.ldexp(unit.norm_sq_tau, 2 * t.exponent)
     zero = TOL.zero_form
-    assert tf.torsion_class == {
-        "W1": abs(tf.tau0) > zero, "W2": tf.tau2.norm() > zero,
-        "W3": tf.tau3.norm() > zero, "W4": tf.tau1.norm() > zero}
+    assert tf.torsion_class == unit.torsion_class == {
+        "W1": abs(unit.tau0) > zero, "W2": unit.tau2.norm() > zero,
+        "W3": unit.tau3.norm() > zero, "W4": unit.tau1.norm() > zero}
 
 
 @settings(max_examples=25, deadline=None)
@@ -318,8 +328,8 @@ def test_torsion_map_and_laplacian_table_match_dense_oracle(family, t):
     assert abs(tf.tau0 - tau0) < 1e-11
     for name, (T, degree) in parts.items():
         assert dz.max_dev(T, degree, getattr(tf, name)) < 1e-11, name
-    got = modified_laplacian_psi(t, 0.7, laplacians(t)["psi"])
-    assert dz.max_dev(modified, 4, got) < 1e-11
+    got = np.ldexp(*g2core._unit_modified(t, 0.7, g2core._unit_lap_psi(t)))
+    assert dz.max_dev(modified, 4, KForm._of(4, got)) < 1e-11
 
 
 def test_laplacian_table_is_exact():
@@ -327,3 +337,102 @@ def test_laplacian_table_is_exact():
     assert set(coef.tolist()) == {-1.0, 1.0}
     assert (i <= j).all()
     assert len(set(zip(out.tolist(), i.tolist(), j.tolist()))) == len(out)
+
+
+# -- scale equivariance ------------------------------------------------------------
+
+
+def _scale_cases():
+    """(kind, build): build(k) is a triple times 2^k and, for the coclosed
+    family, its point, with the modified-flow m (degree 1) scaled alike."""
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    D = dz.diagonal_triple(rng)
+    params = np.array([0.9, -0.4, 1.1, 0.3, -0.7, 0.5])
+
+    def general(mats):
+        return lambda k: (BracketTriple(*np.ldexp(mats, k)), None, None)
+
+    def coclosed(k):
+        p = CoclosedParams(*np.ldexp(params, k))
+        return p.to_triple(), p, math.ldexp(0.7, k)
+
+    return [("diagonal", general(D)),
+            ("closed", lambda k: (closed_triple(*np.ldexp([0.7, -1.3, 0.4], k)), None, None)),
+            ("coclosed", coclosed),
+            ("conjugated", general([G @ M @ np.linalg.inv(G) for M in D])),
+            ("commuting", general(dz.commuting_triple(rng)))]
+
+
+def _reports(t, p, m):
+    """name -> call returning (verdicts, [(degree, values)]) of one report."""
+    def torsion():
+        tf = torsion_forms(t)
+        return (tf.closed, tf.torsion_class), [
+            (1, [tf.tau0]), (1, tf.tau1.vec), (1, tf.tau2.vec), (1, tf.tau3.vec),
+            (1, tf.tau_two_form.vec), (2, [tf.norm_sq_tau])]
+
+    def ricci():
+        rep = ricci_report(t)
+        return rep["F"] is None, [(2, np.ravel(rep["ricci"])), (2, [rep["scal"]]),
+                                  (4, [rep["trace_ric_sq"]]), (0, [rep["F"] or 0.0])]
+
+    def erp():
+        res = erp_residual(t)
+        return None, [(2, [res["residual_norm"]]), (2, [res["tau_norm_sq"]]),
+                      (0, [res["relative_residual"]])]
+
+    def fit(res):
+        return res.get("flat"), [(2, [res["residual"]]), (2, [res["best_lambda"]]),
+                                 (2, res["best_D"])]
+
+    reports = {
+        "torsion_forms": torsion,
+        "torsion_class": lambda: (torsion_class(t), []),
+        "laplacians": lambda: (None, [(2, laplacians(t)["psi"].vec),
+                                      (2, laplacians(t)["phi"].vec)]),
+        "ricci_report": ricci,
+        "homothety_invariant": lambda: (None, [(0, [homothety_invariant(t)])]),
+        "erp_residual": erp,
+    }
+    if p is not None:
+        reports["soliton_residual"] = lambda: fit(soliton_residual(p))
+        reports["modified_soliton_residual"] = lambda: fit(modified_soliton_residual(p, m))
+    return reports
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, build", _scale_cases(), ids=[k for k, _ in _scale_cases()])
+def test_reports_are_scale_equivariant(kind, build):
+    # every quantity is homogeneous in the entries: at 2^k times a triple
+    # the verdicts are those at k = 0, and a value of degree d is the k = 0
+    # value times 2^(d k), bit for bit, wherever that is a normal float (or
+    # zero); where it leaves the float range, the report raises
+    base = {name: _outcome(call) for name, call in _reports(*build(0)).items()}
+    assert all(isinstance(out, tuple) for name, out in base.items()
+               if name not in ("erp_residual", "homothety_invariant")), base
+    for k in (-900, -300, -40, 0, 40, 120, 300):
+        for name, call in _reports(*build(k)).items():
+            if isinstance(base[name], str):
+                assert _outcome(call) == base[name], (k, name)
+                continue
+            verdicts, values = base[name]
+            try:
+                want = [[math.ldexp(x, d * k) for x in xs] for d, xs in values]
+            except OverflowError:
+                with pytest.raises(ValueError, match="float range"):
+                    call()
+                continue
+            got_verdicts, got = call()
+            assert got_verdicts == verdicts, (k, name)
+            for w, (_, g) in zip(want, got):
+                for x, y in zip(w, g):
+                    if x == 0.0 or abs(x) >= sys.float_info.min:
+                        assert y == x, (k, name, x, y)

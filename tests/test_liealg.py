@@ -26,7 +26,6 @@ from g2solv.liealg import (
     check_compatible,
     homothety_invariant,
     ricci_report,
-    solvsoliton_check,
 )
 
 RNG_SEED = 2024
@@ -84,6 +83,18 @@ def test_triple_rejects_noncommuting():
         BracketTriple(A, B, np.zeros((4, 4)))
 
 
+def test_small_triples_are_checked_at_unit_scale():
+    # a trace and a commutator as large as the entries, or their squares,
+    # fail at any scale, however small
+    Z = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="traceless"):
+        BracketTriple(np.diag([1e-12, 0.0, 0.0, 0.0]), Z, Z)
+    A, B = np.zeros((4, 4)), np.zeros((4, 4))
+    A[0, 1], B[1, 0] = 1e-6, 1e-6
+    with pytest.raises(ValueError, match="commute"):
+        BracketTriple(A, B, Z)
+
+
 @pytest.mark.parametrize("size", [1e160, 1e200, 1e300])
 def test_triple_checks_hold_near_the_float_range(size):
     # the commutator products of entries this large overflow unless they
@@ -134,14 +145,6 @@ def test_triple_checks_follow_their_named_tolerance(monkeypatch):
             BracketTriple(*mats)
 
 
-def test_solvsoliton_follows_its_named_tolerance(monkeypatch):
-    from g2solv.g2core import closed_triple
-    t = closed_triple(1.0 + 1e-8, 1.0, 1.0)  # a-block of Ric off c I by ~5e-8
-    assert solvsoliton_check(t)["is_solvsoliton"] is False
-    monkeypatch.setattr(TOL, "solvsoliton", 1e-6)
-    assert solvsoliton_check(t)["is_solvsoliton"] is True
-
-
 def test_triple_is_immutable():
     A = np.diag([1.0, -1.0, 2.0, -2.0])
     t = BracketTriple(A, np.diag([3.0, 1.0, -3.0, -1.0]), np.zeros((4, 4)))
@@ -172,7 +175,7 @@ def diagonal_rows(draw):
     entry = st.one_of(_EDGE_ENTRIES, st.floats(allow_subnormal=False),
                       st.floats(min_value=-2.0, max_value=2.0))
     kind = draw(st.sampled_from(["pairs", "mean", "free", "small"]))
-    if kind == "small":  # below 1, where the bound's scale is 1, not the largest entry
+    if kind == "small":
         return draw(st.lists(st.floats(min_value=-1e-3, max_value=1e-3), min_size=4, max_size=4))
     if kind == "pairs":
         x, y = draw(entry), draw(entry)
@@ -211,10 +214,11 @@ def test_from_diagonals_rejects_other_shapes():
             BracketTriple.from_diagonals(D)
 
 
-def test_small_traces_are_measured_against_one():
-    # the bound is TOL.bracket times max(1, largest entry): a trace of 2e-11
-    # on entries of 0.1 passes, one of 2e-10 does not
-    for trace, ok in ((2e-11, True), (2e-10, False)):
+def test_small_traces_are_measured_against_the_largest_entry():
+    # the bound is TOL.bracket on the unit triple, whose largest entry lies
+    # in [1/2, 1): on entries of 0.1 (0.8 at unit scale) a trace of 2e-12
+    # passes and one of 2e-11 does not
+    for trace, ok in ((2e-12, True), (2e-11, False)):
         D = [[0.1 + trace, -0.1, 0.05, -0.05], [0.0] * 4, [0.0] * 4]
         for build in (lambda: BracketTriple.from_diagonals(D),
                       lambda: BracketTriple(*map(np.diag, np.array(D)))):
@@ -745,47 +749,6 @@ def test_invariant_upper_bound_is_dimension():
         if all(np.abs(M).max() < 1e-12 for M in t.matrices()):
             continue
         assert homothety_invariant(t) <= 7.0 + 1e-12
-
-
-# -- soliton condition ---------------------------------------------------------------
-
-
-def test_solvsoliton_on_equal_scale_closed_triple():
-    from g2solv.g2core import closed_triple
-    res = solvsoliton_check(closed_triple(1.0, 1.0, 1.0))
-    assert res["is_solvsoliton"] is True
-    assert res["lam"] == pytest.approx(-4.0)
-
-
-def test_solvsoliton_fails_off_the_diagonal_ray():
-    from g2solv.g2core import closed_triple
-    res = solvsoliton_check(closed_triple(2.0, 1.0, 1.0))
-    assert res["is_solvsoliton"] is False
-    assert res["lam"] is None
-
-
-def test_solvsoliton_flat_case():
-    t = BracketTriple(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-    res = solvsoliton_check(t)
-    assert res["flat"] is True
-    assert res["is_solvsoliton"] is False
-
-
-def test_solvsoliton_characterization_on_coclosed_family():
-    # within (a1, a2, b1, b2, c1, c2) the condition holds exactly on the two
-    # sign patterns (a, a, b, -b, c, c) and (a, -a, b, b, c, -c) with equal
-    # squares
-    from g2solv.coflow import CoclosedParams
-
-    def check(p):
-        return solvsoliton_check(p.to_triple())["is_solvsoliton"]
-
-    assert check(CoclosedParams(1, 1, 1, -1, 1, 1))
-    assert check(CoclosedParams(1, 1, -1, 1, -1, -1))
-    assert check(CoclosedParams(1, -1, 1, 1, 1, -1))
-    assert not check(CoclosedParams(1, 1, 1, -1, 2, 2))
-    assert not check(CoclosedParams(1, 1, 1, 1, 1, 1))
-    assert not check(CoclosedParams(2, 2, 2, -2, 1, 1))
 
 
 # -- reporting ---------------------------------------------------------------------
