@@ -38,8 +38,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import g2core
-from .forms import PSI, theta
-from .liealg import BracketTriple, _homothety, _scaled, _to_unit
+from .forms import PSI, _scaled, _to_unit, theta
+from .liealg import BracketTriple, _homothety
 from .g2core import _norm, _unit_modified
 
 _BLOWUP = 1e8
@@ -65,19 +65,36 @@ _DIAGONAL_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0
 
 def _diagonals(P: np.ndarray) -> np.ndarray:
     """Diagonals of (A, B, C) of parameter rows (..., 6), shape (..., 3, 4)."""
-    return P[..., _DIAGONAL_SLOTS] * _DIAGONAL_SIGNS
+    return P.take(_DIAGONAL_SLOTS, axis=-1) * _DIAGONAL_SIGNS
+
+
+@cache
+def _laplacian_terms():
+    """The family's restriction of `g2core._laplacian_table`
+    (`g2core._diagonal_laplacian`): lap psi as 72 signed products of two
+    parameters, built on first use from the slot and sign tables."""
+    return g2core._diagonal_laplacian(_DIAGONAL_SLOTS, _DIAGONAL_SIGNS)
+
+
+def _family_lap_psi(u: np.ndarray) -> np.ndarray:
+    """lap psi of the family point with unit parameters u, the 35
+    coefficients of `g2core._unit_lap_psi` of its triple, bit for bit."""
+    return g2core._quadratic(_laplacian_terms(), u)
 
 
 @dataclass(frozen=True)
 class CoclosedParams:
     """A point (a1, a2, b1, b2, c1, c2) of the coclosed family.
 
-    Its triple and its lap psi are each evaluated once, on first use, and
-    then shared: `soliton_solve`, `soliton_residual` and
-    `modified_soliton_residual` all read the one lap psi, taken from the
-    exact table of `g2core.laplacians` at the triple's unit scale.  The
-    triple is built from its diagonals by `BracketTriple.from_diagonals`,
-    which checks only what a diagonal triple can fail: finite entries and
+    Its unit scale and its lap psi are each evaluated once, on first use,
+    from the six parameters, and then shared.  Every parameter is an entry
+    of the triple with sign +-1, so one `_to_unit` of the 6-vector gives
+    the triple's exponent and unit entries; lap psi is `_family_lap_psi`
+    of the unit parameters, read off the exact table of `g2core.laplacians`
+    restricted to the family.  So `soliton_solve` and `soliton_residual`
+    build no triple, and `modified_soliton_residual` reads the one lap psi.
+    The triple is built on the first `to_triple`, from the diagonals and
+    their unit scale, checking only what a diagonal triple can fail:
     traceless diagonals (the family's are, at any finite scale).
     """
 
@@ -96,18 +113,26 @@ class CoclosedParams:
         return CoclosedParams(*(float(x) for x in p))
 
     @cached_property
+    def _unit(self) -> tuple[np.ndarray, int]:
+        """(u, e) with the parameters 2^e u (`_to_unit`, which raises
+        ValueError unless they are finite)."""
+        return _to_unit(self.as_array())
+
+    @cached_property
     def _triple(self) -> BracketTriple:
-        return BracketTriple.from_diagonals(_diagonals(self.as_array()))
+        u, e = self._unit
+        return BracketTriple._of_diagonals(_diagonals(np.array([self.as_array(), u])), e)
 
     def to_triple(self) -> BracketTriple:
-        """The triple (A, B, C), built from its diagonals on the first call
-        (`BracketTriple.from_diagonals`, which checks finiteness and, without
-        overflow, the traces); later calls return the same object."""
+        """The triple (A, B, C), built on the first call from its diagonals
+        and their unit scale (`BracketTriple._of_diagonals`, which checks,
+        without overflow, the traces); later calls return the same object.
+        It is `BracketTriple.from_diagonals` of the diagonals, bit for bit."""
         return self._triple
 
     @cached_property
     def _unit_lap_psi(self) -> np.ndarray:
-        return g2core._unit_lap_psi(self._triple)
+        return _family_lap_psi(self._unit[0])
 
     def norm_sq(self) -> float:
         p = self.as_array()
@@ -336,7 +361,7 @@ class FlowTrajectory:
         """Homothety invariant per sample; NaN on flat points.  Diagonal
         matrices are normal, so a family point's Ricci n-block vanishes and
         its a-block is -W W^T, W its (3, 4) diagonals, taken per sample at
-        unit scale by the rule of `liealg._to_unit`."""
+        unit scale by the rule of `forms._to_unit`."""
         W = _diagonals(self.params)
         e = np.frexp(np.abs(W).max(axis=(1, 2), initial=0.0))[1]
         W = np.ldexp(W, -e[:, None, None])
@@ -438,15 +463,15 @@ def _soliton_fit(target: np.ndarray, k: int) -> dict:
     theta_plus(D) psi over the symmetric derivations D = Diag(0,0,0,d3..d6),
     taken on target and scaled back."""
     M, pinv = _soliton_tables()
-    x = pinv @ target
-    res = _norm(M @ x - target)
+    x = pinv.dot(target)
+    res = _norm(M.dot(x) - target)
     x = _scaled(x, k)
     return {"residual": _scaled(res, k), "best_lambda": float(x[0]), "best_D": x[1:]}
 
 
 def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
-    fit = _soliton_fit(p._unit_lap_psi, 2 * p._triple.exponent)
+    fit = _soliton_fit(p._unit_lap_psi, 2 * p._unit[1])
     # the family's matrices are symmetric, so only the origin is flat
     fit["flat"] = not any((p.a1, p.a2, p.b1, p.b2, p.c1, p.c2))
     return fit
@@ -459,10 +484,25 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
 
     with m != 0.  tr T and dphi are read off rows of the torsion map's
     product, and lap psi is the point's shared one; the fit is taken where
-    the larger of the two terms is of order 1 (`g2core._unit_modified`)."""
+    the larger of the two terms is of order 1 (`g2core._unit_modified`).
+    The point's triple is built here, on first use, for the torsion rows."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
     return _soliton_fit(*_unit_modified(p.to_triple(), m, p._unit_lap_psi))
+
+
+def _candidates(a1: float, a2: float, b1: float, b2: float, e: int) -> list[tuple[float, float]]:
+    """`soliton_candidates` of the base 2^e (a1, a2, b1, b2), given at unit
+    scale (`_to_unit`)."""
+    P = (a1 - a2) ** 2 - 4 * b1 * b2
+    Q = (b1 - b2) ** 2 - 4 * a1 * a2
+    if P < 0 or Q < 0:
+        return []
+    su, dv = math.sqrt(P), math.sqrt(Q)
+    # a set of the two signs holds one 0.0 when the root vanishes, so the
+    # pairs are deduplicated exactly, at any scale of the base
+    pairs = {(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}}
+    return sorted((_scaled(c1, e), _scaled(c2, e)) for c1, c2 in pairs)
 
 
 def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
@@ -476,20 +516,11 @@ def soliton_candidates(a1: float, a2: float, b1: float, b2: float) -> list[tuple
     solvable iff both right-hand sides are nonnegative; the sign choices are
     enumerated and deduplicated when a square vanishes.  The list is empty
     when either right-hand side is negative.  The squares are taken on the
-    unit base (`liealg._to_unit`), so no intermediate overflows; a pair
+    unit base (`forms._to_unit`), so no intermediate overflows; a pair
     that itself leaves the float range raises ValueError.
     """
     u, e = _to_unit(np.array([a1, a2, b1, b2]))
-    a1, a2, b1, b2 = u.tolist()
-    P = (a1 - a2) ** 2 - 4 * b1 * b2
-    Q = (b1 - b2) ** 2 - 4 * a1 * a2
-    if P < 0 or Q < 0:
-        return []
-    su, dv = math.sqrt(P), math.sqrt(Q)
-    # a set of the two signs holds one 0.0 when the root vanishes, so the
-    # pairs are deduplicated exactly, at any scale of the base
-    pairs = {(0.5 * (x + y), 0.5 * (x - y)) for x in {su, -su} for y in {dv, -dv}}
-    return sorted((_scaled(c1, e), _scaled(c2, e)) for c1, c2 in pairs)
+    return _candidates(*u.tolist(), e)
 
 
 def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSolution]:
@@ -498,24 +529,27 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     Each candidate from `soliton_candidates` carries
     lam = 2((a1-a2)^2 + (b1-b2)^2) and the derivation entry d = -lam/4; the
     returned residual is the norm of lap psi - lam psi - theta_plus(D) psi,
-    verified rather than assumed zero: lap psi is evaluated from the exact
-    +-1 quadratic table of `g2core.laplacians` on the candidate's triple,
-    once per candidate, and the returned `params` keeps it, so that
-    `soliton_residual` and `modified_soliton_residual` on them reuse it.
-    lam is taken on the unit base and the residual at the candidate's unit
-    scale; either raises ValueError when it leaves the float range.
+    verified rather than assumed zero.  The base is taken to unit scale
+    once, for the candidates and lam.  Each candidate's lap psi is read off
+    its six parameters (`CoclosedParams`: the exact table of
+    `g2core.laplacians` restricted to the family, at the point's unit
+    scale), so the solve builds no `BracketTriple`; the returned `params`
+    keeps lap psi, so that `soliton_residual` and
+    `modified_soliton_residual` on them reuse it.  lam is taken on the unit
+    base and the residual at the candidate's unit scale; either raises
+    ValueError when it leaves the float range.
     """
-    pairs = soliton_candidates(a1, a2, b1, b2)
     u, e = _to_unit(np.array([a1, a2, b1, b2]))
     u1, u2, v1, v2 = u.tolist()
+    pairs = _candidates(u1, u2, v1, v2, e)
     lam = 2.0 * ((u1 - u2) ** 2 + (v1 - v2) ** 2)
     d = -lam / 4.0
-    rhs = _soliton_tables()[0] @ [lam, d, d, d, d]
+    rhs = _soliton_tables()[0].dot([lam, d, d, d, d])
     lam, d = _scaled(lam, 2 * e), _scaled(d, 2 * e)
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        k = p.to_triple().exponent  # at least e: the triple holds the base
-        res = _norm(p._unit_lap_psi - np.ldexp(rhs, 2 * (e - k)))
+        k = p._unit[1]  # at least e: the point holds the base
+        res = _norm(p._unit_lap_psi - _scaled(rhs, 2 * (e - k)))
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=_scaled(res, 2 * k)))
     return out

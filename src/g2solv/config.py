@@ -12,7 +12,7 @@ class Tolerances:
     # coefficients of at most this size are left out of KForm.coeffs and printing
     prune: float = 1e-14
     # a form counts as zero when its norm is below this, taken on the unit
-    # triple (liealg._to_unit), so the verdict does not depend on the scale
+    # triple (forms._to_unit), so the verdict does not depend on the scale
     zero_form: float = 1e-10
     # eigenvalues are accepted as real when |imag| stays below this
     eig_imag: float = 1e-9

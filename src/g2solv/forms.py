@@ -8,6 +8,9 @@ tables: wedge an index-and-sign table per degree pair, the Hodge star a
 signed permutation per degree, e^v ^ (.) a signed 0/1 matrix whose transpose
 is the interior product, and theta(D) = -sum D[k, m] e^m ^ i(e_k).
 
+`_to_unit` and `_scaled` are the package's one scale rule: a value is held
+as 2^e times its unit-scale value, decided on there and scaled back.
+
 `KForm(degree, {I: c})` is the validated entry point; `.coeffs` is a
 read-only {I: c} view that leaves out entries of size at most `TOL.prune`.
 Wedging past top degree returns the zero 7-form rather than raising; this
@@ -16,6 +19,7 @@ keeps derivations and antiderivations uniform at the boundary.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import combinations
 from types import MappingProxyType
@@ -28,6 +32,44 @@ DIM = 7
 _FULL = tuple(range(1, DIM + 1))
 BASIS = tuple(tuple(combinations(_FULL, k)) for k in range(DIM + 1))
 _INDEX = tuple({I: n for n, I in enumerate(b)} for b in BASIS)
+
+
+def _to_unit(x):
+    """(u, e) with x = 2^e u and the largest |u| in [1/2, 1) (e = 0 for
+    x = 0), exact but for underflow (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 2.1): the one scale rule.  Verdicts
+    are decided on u, and a magnitude of degree k is scaled back by
+    `_scaled(value, k e)`.  Raises ValueError for inf or NaN, which would
+    pass every comparison with a bound."""
+    largest = float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError("entries must be finite")
+    e = math.frexp(largest)[1]
+    return np.ldexp(x, -e), e
+
+
+def _scaled(x, k: int):
+    """x 2^k for a float or array x taken at unit scale (`_to_unit`), x
+    itself when k = 0; raises ValueError, not a numpy warning, when that
+    leaves the float range.  The reports' unit-scale values stay below
+    2^16, so an array can only leave it, and is searched for its largest
+    entry, when k exceeds 1000."""
+    if k == 0:
+        return x
+    try:
+        if isinstance(x, float):
+            return math.ldexp(x, k)
+        if k > 1000:
+            math.ldexp(float(np.abs(x).max(initial=0.0)), k)
+        return np.ldexp(x, k)
+    except OverflowError:
+        raise ValueError(f"a value 2^{k} times its unit-scale one leaves the float range "
+                         "(about 1.8e308)") from None
+
+
+# below this largest coefficient the squares of a form's coefficients (35
+# at most) sum without overflow: 35 (2^500)^2 < 2^1006
+_NORM_DIRECT = 2.0 ** 500
 
 
 def _sign(seq) -> int:
@@ -96,7 +138,14 @@ class KForm:
     # -- queries -------------------------------------------------------------
 
     def norm(self) -> float:
-        return float(np.sqrt(self.vec @ self.vec))
+        """sqrt(vec . vec), taken at unit scale (`_to_unit`) and scaled
+        back once the largest coefficient reaches `_NORM_DIRECT`, so it
+        raises ValueError only when the norm itself leaves the float range."""
+        x = self.vec
+        if _NORM_DIRECT <= np.abs(x).max(initial=0.0) < math.inf:
+            u, e = _to_unit(x)
+            return _scaled(math.sqrt(u.dot(u)), e)
+        return math.sqrt(x.dot(x))
 
     def is_zero(self) -> bool:
         return self.norm() <= TOL.zero_form
@@ -218,17 +267,7 @@ def format_form(alpha: KForm) -> str:
     return " ".join(parts)
 
 
-# Fixed forms of the model structure.  omega_7/1/2 span the self-dual 2-forms
-# on the nilpotent directions e_3..e_6 that enter phi; the barred ones span
-# the anti-self-dual complement and show up in every exterior derivative.
-
-OMEGA7 = KForm(2, {(3, 4): 1.0, (5, 6): 1.0})
-OMEGA1 = KForm(2, {(3, 5): 1.0, (4, 6): -1.0})
-OMEGA2 = KForm(2, {(3, 6): -1.0, (4, 5): -1.0})
-
-OMEGA7_BAR = KForm(2, {(3, 4): 1.0, (5, 6): -1.0})
-OMEGA1_BAR = KForm(2, {(3, 5): 1.0, (4, 6): 1.0})
-OMEGA2_BAR = KForm(2, {(3, 6): -1.0, (4, 5): 1.0})
+# The fixed forms of the model structure.
 
 PHI = KForm(3, {
     (1, 2, 7): 1.0,
@@ -241,5 +280,3 @@ PHI = KForm(3, {
 })
 
 PSI = hodge(PHI)
-
-VOL = monomial(_FULL)

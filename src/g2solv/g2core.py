@@ -24,7 +24,9 @@ dphi, dpsi and so every torsion part are linear in the 48 entries of
 table built on first use: `_torsion_map`, the formulas above applied once
 per entry, and `_laplacian_table`, whose coefficients are all +-1.  Both
 take the unit entries `BracketTriple.unit`, where every verdict is decided
-and from where every magnitude is scaled back (`liealg._scaled`).
+and from where every magnitude is scaled back (`forms._scaled`).  A
+triple takes its product with `_torsion_map` once
+(`BracketTriple._unit_torsion`), and every torsion report reads it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from functools import cache
 import numpy as np
 
 from .config import TOL
-from .forms import BASIS, PHI, PSI, KForm, _hodge_table, hodge, inner, wedge
-from .liealg import BracketTriple, _d_table, _differential, _scaled
+from .forms import BASIS, PHI, PSI, KForm, _hodge_table, _scaled, hodge, inner, wedge
+from .liealg import BracketTriple, _d_table, _differential
 
 _ENTRIES = 48  # entries of (A, B, C), the length of `BracketTriple.entries`
 
@@ -103,8 +105,10 @@ def _parts(v: np.ndarray) -> list:
 
 
 def _norm(x: np.ndarray) -> float:
-    """`KForm.norm` of the form with coefficients x, bit for bit."""
-    return math.sqrt(x @ x)
+    """`KForm.norm` of the form with coefficients x, bit for bit, at unit
+    scale.  `ndarray.dot` calls the same BLAS dot as `@`, with less of
+    numpy's per-call overhead."""
+    return math.sqrt(x.dot(x))
 
 
 def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarray) -> dict:
@@ -119,19 +123,19 @@ def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarr
 
 
 def torsion_forms(t: BracketTriple) -> TorsionForms:
-    """Torsion parts, |tau|^2 and class flags of t, all read off v, one
-    product of `_torsion_map` with the unit entries: the flags and `closed`
-    on v, the parts (degree 1) and |tau|^2 (degree 2) scaled back."""
-    v = _torsion_map() @ t.unit
+    """Torsion parts, |tau|^2 and class flags of t, all read off v, the
+    triple's product of `_torsion_map` with its unit entries: the flags and
+    `closed` on v, the parts (degree 1) and |tau|^2 (degree 2) scaled back."""
+    v = t._unit_torsion
     tau0, tau1, tau2, tau3, dphi, tau = _parts(v)
-    full = _parts(_scaled(v, t.exponent))
+    full = _scaled(v, t.exponent)
     return TorsionForms(
-        tau0=float(full[0][0]),
-        tau1=KForm._of(1, full[1]),
-        tau2=KForm._of(2, full[2]),
-        tau3=KForm._of(3, full[3]),
-        tau_two_form=KForm._of(2, full[5]),
-        norm_sq_tau=_scaled(float(tau @ tau), 2 * t.exponent),
+        tau0=float(full[0]),
+        tau1=KForm._of(1, full[_PART_ROWS[1]]),
+        tau2=KForm._of(2, full[_PART_ROWS[2]]),
+        tau3=KForm._of(3, full[_PART_ROWS[3]]),
+        tau_two_form=KForm._of(2, full[_PART_ROWS[5]]),
+        norm_sq_tau=_scaled(float(tau.dot(tau)), 2 * t.exponent),
         closed=_norm(dphi) <= TOL.zero_form,
         torsion_class=_class_flags(float(tau0[0]), tau1, tau2, tau3),
     )
@@ -140,7 +144,7 @@ def torsion_forms(t: BracketTriple) -> TorsionForms:
 def torsion_class(t: BracketTriple) -> dict:
     """Flags for the four torsion components, by norm against `TOL.zero_form`
     at unit scale: the class flags of `torsion_forms`, without its forms."""
-    tau0, tau1, tau2, tau3, *_ = _parts(_torsion_map() @ t.unit)
+    tau0, tau1, tau2, tau3, *_ = _parts(t._unit_torsion)
     return _class_flags(float(tau0[0]), tau1, tau2, tau3)
 
 
@@ -183,12 +187,39 @@ def _laplacian_table():
             np.array([c for c in acc.values() if c != 0.0]))
 
 
+def _diagonal_laplacian(slots: np.ndarray, signs: np.ndarray):
+    """`_laplacian_table` restricted to a diagonal family whose triple has
+    diagonal entry M_a[k, k] = signs[a, k] p[slots[a, k]] for a parameter
+    vector p and zeros off the diagonals: (out, i, j, coef) with lap psi =
+    sum coef p_i p_j, the signs folded into coef.
+
+    It keeps, in their order, the terms of the table on two diagonal
+    entries (72 of its 1128, reaching 6 of the 35 rows); the others vanish
+    exactly on the family.  The kept terms are the table's products up to
+    signs +-1, and the dropped ones are zeros, so `_quadratic` of the
+    restriction on the unit parameters is `_unit_lap_psi` of the triple,
+    bit for bit."""
+    out, i, j, coef = _laplacian_table()
+    diagonal = np.arange(_ENTRIES) % 16 % 5 == 0  # M_a[k, k] is entry 16 a + 5 k
+    slot = np.zeros(_ENTRIES, dtype=np.int64)
+    sign = np.zeros(_ENTRIES)
+    slot[diagonal], sign[diagonal] = np.ravel(slots), np.ravel(signs)
+    keep = diagonal[i] & diagonal[j]
+    i, j = i[keep], j[keep]
+    return out[keep], slot[i], slot[j], coef[keep] * sign[i] * sign[j]
+
+
+def _quadratic(table, u: np.ndarray) -> np.ndarray:
+    """The 4-form coefficients sum coef u_i u_j of a table (out, i, j, coef)
+    of `_laplacian_table`'s layout, term by term in its order."""
+    out, i, j, coef = table
+    return np.bincount(out, coef * u[i] * u[j], minlength=len(BASIS[4]))
+
+
 def _unit_lap_psi(t: BracketTriple) -> np.ndarray:
     """Coefficients of lap psi of the unit triple t.unit, from the
     quadratic table `_laplacian_table`."""
-    out, i, j, coef = _laplacian_table()
-    u = t.unit
-    return np.bincount(out, coef * u[i] * u[j], minlength=len(BASIS[4]))
+    return _quadratic(_laplacian_table(), t.unit)
 
 
 def laplacians(t: BracketTriple) -> dict:
@@ -200,16 +231,17 @@ def laplacians(t: BracketTriple) -> dict:
 
 def _unit_modified(t: BracketTriple, m: float, unit_lap: np.ndarray):
     """(v, k) with 2^k v the modified coflow's velocity lap psi +
-    2 d((m - tr T) phi) = lap psi + 2 (m - (7/4) tau0) dphi, given
-    `_unit_lap_psi(t)`.  With e = t.exponent and m - tr T = 2^h mu, h the
-    larger of e and the exponent of m, it is 2^(e + h) (2^(e - h) lap +
-    2 mu dphi) with lap and dphi at unit scale, whose larger term is of
-    order 1 however m and the entries compare."""
+    2 d((m - tr T) phi) = lap psi + 2 (m - (7/4) tau0) dphi, given the
+    unit lap psi of t (`_unit_lap_psi`).  With e = t.exponent and
+    m - tr T = 2^h mu, h the larger of e and the exponent of m, it is
+    2^(e + h) (2^(e - h) lap + 2 mu dphi) with lap and dphi at unit scale,
+    whose larger term is of order 1 however m and the entries compare."""
     e = t.exponent
     h = max(e, math.frexp(m)[1])
-    tau0, *_, dphi, _ = _parts(_torsion_map() @ t.unit)
-    mu = math.ldexp(m, -h) - 1.75 * math.ldexp(float(tau0[0]), e - h)
-    return np.ldexp(unit_lap, e - h) + 2.0 * mu * dphi, e + h
+    v = t._unit_torsion
+    tau0, dphi = float(v[0]), v[_PART_ROWS[4]]
+    mu = math.ldexp(m, -h) - 1.75 * math.ldexp(tau0, e - h)
+    return _scaled(unit_lap, e - h) + 2.0 * mu * dphi, e + h
 
 
 def erp_residual(t: BracketTriple) -> dict:
@@ -221,7 +253,7 @@ def erp_residual(t: BracketTriple) -> dict:
     residual and |tau|^2 are taken at unit scale; `relative_residual` is
     their quotient, 0 where tau counts as zero (`TOL.zero_form`).
     """
-    *_, dphi, tau = _parts(_torsion_map() @ t.unit)
+    *_, dphi, tau = _parts(t._unit_torsion)
     if _norm(dphi) > TOL.zero_form:
         raise ValueError("extremal pinching residual needs a closed structure")
     tau = KForm._of(2, tau)

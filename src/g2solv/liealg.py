@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
 from .config import TOL
-from .forms import BASIS, DIM, KForm, _covector_wedge, zero_form
+from .forms import BASIS, DIM, KForm, _covector_wedge, _scaled, _to_unit, zero_form
 
 # a-block order (e7, e1, e2), the covectors paired with A, B, C -> internal slots
 _A_SLOTS = np.array([6, 0, 1])
@@ -32,46 +32,18 @@ _A_SLOTS = np.array([6, 0, 1])
 _EIG_CLUSTER = 1e-6
 
 
-def _to_unit(x):
-    """(u, e) with x = 2^e u and the largest |u| in [1/2, 1) (e = 0 for
-    x = 0), exact but for underflow (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Sec. 2.1): the one scale rule.  Verdicts
-    are decided on u, and a magnitude of degree k is scaled back by
-    `_scaled(value, k e)`.  Raises ValueError for inf or NaN, which would
-    pass every comparison with a bound."""
-    largest = float(np.abs(x).max(initial=0.0))
-    if not math.isfinite(largest):
-        raise ValueError("entries must be finite")
-    e = math.frexp(largest)[1]
-    return np.ldexp(x, -e), e
-
-
-def _scaled(x, k: int):
-    """x 2^k for a float or array x taken at unit scale (`_to_unit`); raises
-    ValueError, not a numpy warning, when that leaves the float range.  The
-    reports' unit-scale values stay below 2^16, so an array can only leave
-    it, and is searched for its largest entry, when k exceeds 1000."""
-    try:
-        if isinstance(x, float):
-            return math.ldexp(x, k)
-        if k > 1000:
-            math.ldexp(float(np.abs(x).max(initial=0.0)), k)
-        return np.ldexp(x, k)
-    except OverflowError:
-        raise ValueError(f"a value 2^{k} times its unit-scale one leaves the float range "
-                         "(about 1.8e308)") from None
-
-
 @dataclass(frozen=True)
 class BracketTriple:
     """Commuting traceless triple (A, B, C) of finite real 4x4 matrices.
 
-    The triple is immutable: A, B and C are read-only views of one (3, 4, 4)
-    copy of the input, and `entries` is its flattened 48-vector, the
-    coordinates the Chevalley-Eilenberg differential is linear in, held as
-    2^`exponent` times the read-only unit entries `unit` (`_to_unit`), on
-    which the traces and commutators are checked against `TOL.bracket`.
-    `from_diagonals` builds a diagonal triple from its three diagonals.
+    The triple is immutable: A, B and C are read-only views of `entries`,
+    the flattened 48-vector of a copy of the input, the coordinates the
+    Chevalley-Eilenberg differential is linear in, held as 2^`exponent`
+    times the read-only unit entries `unit` (`_to_unit`), on which the
+    traces and commutators are checked against `TOL.bracket`.
+    `from_diagonals` builds a diagonal triple from its three diagonals, and
+    the torsion reports share one product of the unit entries
+    (`_unit_torsion`).
     """
 
     A: np.ndarray
@@ -86,33 +58,27 @@ class BracketTriple:
             if np.shape(getattr(self, name)) != (4, 4):
                 raise ValueError(f"{name} must be 4x4")
         mats = np.array([self.A, self.B, self.C], dtype=float)
-        # diagonal matrices commute exactly in floating point: M_i M_j and
-        # M_j M_i have the same rounded diagonal and exact zeros off it, so
-        # the commutator check could only pass them
-        diagonal = np.count_nonzero(mats) == np.count_nonzero(mats.diagonal(axis1=1, axis2=2))
-        self._hold(mats, diagonal)
-
-    def _hold(self, mats: np.ndarray, diagonal: bool):
-        """Check the (3, 4, 4) stack `mats` at unit scale (`_to_unit` checks
-        finiteness), the commutators only unless `diagonal`, and keep it,
-        made read-only."""
         mats.flags.writeable = False
         entries = mats.reshape(-1)
         unit, e = _to_unit(entries)
+        unit.flags.writeable = False
         U = unit.reshape(3, 4, 4)
-        traces = U.diagonal(axis1=1, axis2=2).tolist()
-        if any(abs(a + b + c + d) > TOL.bracket for a, b, c, d in traces):
-            raise ValueError("matrices must be traceless (unimodular algebra)")
-        if not diagonal:
+        _check_traceless(U.diagonal(axis1=1, axis2=2))
+        # diagonal matrices commute exactly in floating point: M_i M_j and
+        # M_j M_i have the same rounded diagonal and exact zeros off it, so
+        # the commutator check could only pass them
+        if np.count_nonzero(mats) != np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
             products = U[:, None] @ U  # products[i, j] = M_i M_j
             if np.abs(products - products.swapaxes(0, 1)).max() > TOL.bracket:
                 raise ValueError("matrices must commute (Jacobi identity)")
-        unit.flags.writeable = False
-        for name, M in zip(("A", "B", "C"), mats):
-            object.__setattr__(self, name, M)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "exponent", e)
-        object.__setattr__(self, "unit", unit)
+        self._keep(entries, unit, e)
+
+    def _keep(self, entries: np.ndarray, unit: np.ndarray, e: int):
+        """Hold the checked read-only 48-vectors `entries` = 2^e `unit`, with
+        A, B and C views of `entries`."""
+        A, B, C = entries.reshape(3, 4, 4)
+        # a frozen dataclass's fields are written past its __setattr__
+        vars(self).update(A=A, B=B, C=C, entries=entries, exponent=e, unit=unit)
 
     @classmethod
     def from_diagonals(cls, D) -> "BracketTriple":
@@ -121,18 +87,49 @@ class BracketTriple:
         `BracketTriple(*map(np.diag, D))` does.
 
         Diagonal matrices commute, so only finiteness and the traces are
-        checked, and D is written onto the diagonals of one stack."""
+        checked (`_of_diagonals`)."""
         D = np.array(D, dtype=float)
         if D.shape != (3, 4):
             raise ValueError("diagonals must form a 3x4 array")
-        stack = np.zeros((3, 16))
-        stack[:, ::5] = D  # the diagonal of a 4x4 matrix is every fifth of its entries
+        U, e = _to_unit(D)
+        return cls._of_diagonals(np.array([D, U]), e)
+
+    @classmethod
+    def _of_diagonals(cls, DU: np.ndarray, e: int) -> "BracketTriple":
+        """The diagonal triple of finite (3, 4) diagonals D, given as the
+        (2, 3, 4) stack DU of D and its unit scale U, D = 2^e U
+        (`_to_unit`).  Only the traces are checked, on U, and D and U are
+        written onto the diagonals of the entries and of the unit entries:
+        D is not rebuilt from U, where entries far below the largest would
+        underflow."""
+        _check_traceless(DU[1])
+        stack = np.zeros((2, 3, 16))
+        stack[:, :, ::5] = DU  # the diagonal of a 4x4 matrix is every fifth of its entries
+        stack.flags.writeable = False
         out = cls.__new__(cls)
-        out._hold(stack.reshape(3, 4, 4), True)
+        out._keep(*stack.reshape(2, -1), e)
         return out
+
+    @cached_property
+    def _unit_torsion(self) -> np.ndarray:
+        """`g2core._torsion_map() @ self.unit`, the rows of every torsion
+        part at unit scale, taken once and shared by the torsion reports;
+        the triple is immutable, so it cannot go stale."""
+        from .g2core import _torsion_map  # g2core builds on this module
+
+        v = _torsion_map().dot(self.unit)
+        v.flags.writeable = False
+        return v
 
     def matrices(self):
         return (self.A, self.B, self.C)
+
+
+def _check_traceless(diagonals: np.ndarray):
+    """Raise unless each row of the (3, 4) unit-scale diagonals sums to
+    within `TOL.bracket` of zero."""
+    if any(abs(a + b + c + d) > TOL.bracket for a, b, c, d in diagonals.tolist()):
+        raise ValueError("matrices must be traceless (unimodular algebra)")
 
 
 @dataclass
@@ -180,9 +177,12 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     n-covector f^k (dual to e_{k+2}) to its share of the rule de(x, y) =
     -e([x, y]):  df^k = -sum_j (A[k,j] e^7 + B[k,j] e^1 + C[k,j] e^2) ^ f^j.
     d is linear in the 48 entries of (A, B, C), so it is evaluated from the
-    signed index table `_d_table`.
+    signed index table `_d_table`, on the unit entries, and scaled back
+    (degree 1, `_scaled`): where d alpha leaves the float range it raises
+    ValueError instead of returning inf or NaN.
     """
-    return _differential(t.entries, alpha)
+    d = _differential(t.unit, alpha)
+    return KForm._of(d.degree, _scaled(d.vec, t.exponent))
 
 
 def _differential(entries: np.ndarray, alpha: KForm) -> KForm:

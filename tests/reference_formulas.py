@@ -11,17 +11,18 @@ for the coflow parameter ODE, and `compatible` the oracle for
 
 import numpy as np
 
-from g2solv.forms import (
-    OMEGA1,
-    OMEGA1_BAR,
-    OMEGA2,
-    OMEGA2_BAR,
-    OMEGA7,
-    OMEGA7_BAR,
-    monomial,
-    theta,
-    wedge,
-)
+from g2solv.forms import KForm, monomial, theta, wedge
+
+# omega_7/1/2 span the self-dual 2-forms on the nilpotent directions e_3..e_6
+# that enter phi; the barred ones span the anti-self-dual complement and show
+# up in every exterior derivative.
+OMEGA7 = KForm(2, {(3, 4): 1.0, (5, 6): 1.0})
+OMEGA1 = KForm(2, {(3, 5): 1.0, (4, 6): -1.0})
+OMEGA2 = KForm(2, {(3, 6): -1.0, (4, 5): -1.0})
+
+OMEGA7_BAR = KForm(2, {(3, 4): 1.0, (5, 6): -1.0})
+OMEGA1_BAR = KForm(2, {(3, 5): 1.0, (4, 6): 1.0})
+OMEGA2_BAR = KForm(2, {(3, 6): -1.0, (4, 5): 1.0})
 
 
 def _e(*idx):

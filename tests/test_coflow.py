@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
@@ -15,7 +15,7 @@ from reference_formulas import (
     coclosed_coefficients,
     coclosed_lap_psi,
 )
-from g2solv import forms, g2core
+from g2solv import coflow, forms, g2core
 from g2solv.coflow import (
     CoclosedParams,
     FlowOptions,
@@ -463,25 +463,68 @@ def test_modified_residual_is_finite_just_below_the_bound_on_m():
 
 
 def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
+    # lap psi of a family point is read off its unit parameters, once
     calls = []
-    lap_psi = g2core._unit_lap_psi
-    monkeypatch.setattr(g2core, "_unit_lap_psi", lambda t: calls.append(t) or lap_psi(t))
+    lap_psi = coflow._family_lap_psi
+    monkeypatch.setattr(coflow, "_family_lap_psi", lambda u: calls.append(u) or lap_psi(u))
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
     for sol in sols:
         soliton_residual(sol.params)
         modified_soliton_residual(sol.params, 1.0)
         modified_soliton_residual(sol.params, -2.0)
     assert len(sols) == 4
-    assert [id(t) for t in calls] == [id(sol.params.to_triple()) for sol in sols]
+    assert [id(u) for u in calls] == [id(sol.params._unit[0]) for sol in sols]
+
+
+def test_soliton_solve_builds_no_triple(monkeypatch):
+    built = []
+    for name in ("__post_init__", "_keep"):
+        method = getattr(BracketTriple, name)
+        monkeypatch.setattr(BracketTriple, name,
+                            lambda self, *a, _m=method: built.append(self) or _m(self, *a))
+    sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
+    assert len(sols) == 4 and built == []
+    # the triples are built on demand, once each, and only then
+    triples = [sol.params.to_triple() for sol in sols]
+    assert [id(t) for t in built] == [id(t) for t in triples]
+
+
+def test_each_triple_takes_one_torsion_product(monkeypatch):
+    calls = []
+    torsion_map = g2core._torsion_map
+    monkeypatch.setattr(g2core, "_torsion_map", lambda: calls.append(1) or torsion_map())
+    sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
+    for sol in sols:
+        modified_soliton_residual(sol.params, 1.0)
+        g2core.torsion_forms(sol.params.to_triple())
+        g2core.torsion_class(sol.params.to_triple())
+    assert len(calls) == len(sols) == 4
+
+
+def _general_triple(p):
+    """p's triple by the general constructor, from the family's formula."""
+    a1, a2, b1, b2, c1, c2 = p.as_array()
+    return BracketTriple(np.diag([a1, -a1, a2, -a2]), np.diag([b1, b2, -b1, -b2]),
+                         np.diag([c1, c2, -c2, -c1]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(params_st())
+@example(CoclosedParams(0.0, 1.0, -2.0, 0.5, 3.0, -1.5))
+@example(CoclosedParams(*(2.0 ** 900 * x for x in (1.0, -1.0, 1.0, -0.5, 0.3, 2.0))))
+@example(CoclosedParams(*(2.0 ** -900 * x for x in (1.0, -1.0, 1.0, -0.5, 0.3, 2.0))))
+# the small entries underflow at unit scale, but not in the triple's entries
+@example(CoclosedParams(1e300, 1e-300, 1.0, -1.0, 2.0, 3.0))
 def test_shared_laplacian_is_a_fresh_evaluation_bit_for_bit(p):
-    soliton_residual(p)
-    fresh = laplacians(BracketTriple(*p.to_triple().matrices()))["psi"]
-    shared = np.ldexp(p._unit_lap_psi, 2 * p.to_triple().exponent)
-    assert shared.tobytes() == fresh.vec.tobytes()
+    shared = p._unit_lap_psi  # from the parameters, before the triple exists
+    t, general = p.to_triple(), _general_triple(p)
+    assert t.exponent == general.exponent
+    assert t.entries.tobytes() == general.entries.tobytes()
+    assert t.unit.tobytes() == general.unit.tobytes()
+    assert shared.tobytes() == g2core._unit_lap_psi(general).tobytes()
+    if 2 * t.exponent <= 1000:  # lap psi fits the float range
+        fresh = laplacians(general)["psi"]
+        assert np.ldexp(shared, 2 * t.exponent).tobytes() == fresh.vec.tobytes()
 
 
 def test_coclosed_params_build_their_triple_once():

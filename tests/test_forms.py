@@ -3,6 +3,7 @@ dense brute-force oracle."""
 
 import ast
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
+from reference_formulas import OMEGA1, OMEGA1_BAR, OMEGA2, OMEGA2_BAR, OMEGA7, OMEGA7_BAR
 from g2solv import forms
+from g2solv.coflow import CoclosedParams
+from g2solv.g2core import torsion_forms
 from g2solv.forms import (
     KForm,
     PHI,
     PSI,
-    VOL,
-    OMEGA1,
-    OMEGA2,
-    OMEGA7,
-    OMEGA1_BAR,
-    OMEGA2_BAR,
-    OMEGA7_BAR,
     format_form,
     hodge,
     inner,
@@ -34,6 +31,7 @@ from g2solv.forms import (
 
 COMBOS = {deg: list(itertools.combinations(range(1, 8), deg)) for deg in range(8)}
 BASIS_FORMS = [KForm(deg, {I: 1.0}) for deg in range(8) for I in COMBOS[deg]]
+VOL = monomial(range(1, 8))  # the unit volume form e^1234567
 
 
 @st.composite
@@ -112,6 +110,24 @@ def test_scalar_extraction():
 def test_norm_is_euclidean_on_coefficients():
     a = monomial((1, 2), 3.0) + monomial((4, 5), 4.0)
     assert a.norm() == pytest.approx(5.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_of_a_large_form_does_not_overflow():
+    # the squares of the coefficients overflow, the norm does not
+    tau3 = torsion_forms(CoclosedParams(1e160, 1e160, 1e160, -1e160, 1e160, 1e160).to_triple()).tau3
+    assert tau3.norm() == pytest.approx(2.0 * math.sqrt(6.0) * 1e160, rel=1e-15)
+    for scale in (1e200, 1e300, 2.0 ** 500):
+        assert (scale * monomial((1, 2), 3.0) + scale * monomial((4, 5), 4.0)).norm() == 5.0 * scale
+    with pytest.raises(ValueError, match="float range"):
+        (1.5e308 * monomial((1, 2)) + 1.5e308 * monomial((4, 5))).norm()
+
+
+def test_norm_below_the_large_range_is_the_plain_one():
+    rng = np.random.default_rng(7)
+    for k in (-1000, -300, 0, 300, 499):
+        x = np.ldexp(rng.standard_normal(35), k)
+        assert KForm(3, dict(zip(COMBOS[3], x))).norm() == math.sqrt(x @ x)
 
 
 def test_format_form():

@@ -13,7 +13,7 @@ import reference_formulas as rf
 from g2solv import g2core
 from g2solv.coflow import CoclosedParams, modified_soliton_residual, soliton_residual
 from g2solv.config import TOL
-from g2solv.forms import OMEGA1_BAR, OMEGA2_BAR, OMEGA7_BAR, PHI, PSI, KForm, hodge, inner, wedge
+from g2solv.forms import PHI, PSI, KForm, hodge, inner, wedge
 from g2solv.g2core import (
     closed_triple,
     erp_residual,
@@ -266,7 +266,7 @@ def test_pinching_residual_scales_and_vanishes_on_the_ray():
 def test_torsion_two_form_on_the_distinguished_point():
     t = closed_triple(1.0, 1.0, 1.0)
     tf = torsion_forms(t)
-    expect = -2.0 * (OMEGA7_BAR + OMEGA1_BAR + OMEGA2_BAR)
+    expect = -2.0 * (rf.OMEGA7_BAR + rf.OMEGA1_BAR + rf.OMEGA2_BAR)
     assert (tf.tau_two_form - expect).norm() < 1e-13
     assert (tf.tau2 - expect).norm() < 1e-13
     assert tf.norm_sq_tau == pytest.approx(24.0)

@@ -361,6 +361,27 @@ def test_differential_is_a_graded_derivation(seed):
     assert (lhs - rhs).norm() < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_differential_is_homogeneous_bit_for_bit(k):
+    # d is linear in the entries and taken at unit scale, so scaling the
+    # triple by 2^k scales d alpha by exactly 2^k
+    mats = np.array(dz.commuting_triple(seeded_rng()))
+    t, scaled = BracketTriple(*mats), BracketTriple(*np.ldexp(mats, k))
+    for alpha in (PHI, PSI, monomial((3, 5)) + monomial((1, 4), -2.0)):
+        got = ce_differential(scaled, alpha)
+        assert np.isfinite(got.vec).all()
+        assert got.vec.tobytes() == np.ldexp(ce_differential(t, alpha).vec, k).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_differential_raises_where_it_leaves_the_float_range():
+    t = closed_triple(1e308, 1e308, 1e308)
+    with pytest.raises(ValueError, match="float range"):
+        ce_differential(t, PSI)
+    assert ce_differential(t, PHI).norm() == 0.0  # the triple is closed
+
+
 def test_top_degree_differential_is_zero():
     rng = seeded_rng()
     t = BracketTriple(*dz.commuting_triple(rng))
