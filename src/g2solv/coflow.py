@@ -37,7 +37,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import g2core
 from .forms import PSI, _scaled, _to_unit, theta
 from .liealg import BracketTriple, _homothety
 from .g2core import _norm, _unit_modified
@@ -68,34 +67,14 @@ def _diagonals(P: np.ndarray) -> np.ndarray:
     return P.take(_DIAGONAL_SLOTS, axis=-1) * _DIAGONAL_SIGNS
 
 
-@cache
-def _laplacian_terms():
-    """The family's restriction of `g2core._laplacian_table`
-    (`g2core._diagonal_laplacian`): lap psi as 72 signed products of two
-    parameters, built on first use from the slot and sign tables."""
-    return g2core._diagonal_laplacian(_DIAGONAL_SLOTS, _DIAGONAL_SIGNS)
-
-
-def _family_lap_psi(u: np.ndarray) -> np.ndarray:
-    """lap psi of the family point with unit parameters u, the 35
-    coefficients of `g2core._unit_lap_psi` of its triple, bit for bit."""
-    return g2core._quadratic(_laplacian_terms(), u)
-
-
 @dataclass(frozen=True)
 class CoclosedParams:
     """A point (a1, a2, b1, b2, c1, c2) of the coclosed family.
 
-    Its unit scale and its lap psi are each evaluated once, on first use,
-    from the six parameters, and then shared.  Every parameter is an entry
-    of the triple with sign +-1, so one `_to_unit` of the 6-vector gives
-    the triple's exponent and unit entries; lap psi is `_family_lap_psi`
-    of the unit parameters, read off the exact table of `g2core.laplacians`
-    restricted to the family.  So `soliton_solve` and `soliton_residual`
-    build no triple, and `modified_soliton_residual` reads the one lap psi.
-    The triple is built on the first `to_triple`, from the diagonals and
-    their unit scale, checking only what a diagonal triple can fail:
-    traceless diagonals (the family's are, at any finite scale).
+    Its triple is built once, on the first `to_triple`, by
+    `BracketTriple.from_diagonals` of its diagonals, and then shared: the
+    soliton fits read the triple's one lap psi, taken from the diagonal
+    terms of the Laplacian table (`BracketTriple._unit_lap_psi`).
     """
 
     a1: float
@@ -108,31 +87,15 @@ class CoclosedParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.a1, self.a2, self.b1, self.b2, self.c1, self.c2])
 
-    @staticmethod
-    def from_array(p) -> "CoclosedParams":
-        return CoclosedParams(*(float(x) for x in p))
-
-    @cached_property
-    def _unit(self) -> tuple[np.ndarray, int]:
-        """(u, e) with the parameters 2^e u (`_to_unit`, which raises
-        ValueError unless they are finite)."""
-        return _to_unit(self.as_array())
-
     @cached_property
     def _triple(self) -> BracketTriple:
-        u, e = self._unit
-        return BracketTriple._of_diagonals(_diagonals(np.array([self.as_array(), u])), e)
+        return BracketTriple.from_diagonals(_diagonals(self.as_array()))
 
     def to_triple(self) -> BracketTriple:
-        """The triple (A, B, C), built on the first call from its diagonals
-        and their unit scale (`BracketTriple._of_diagonals`, which checks,
-        without overflow, the traces); later calls return the same object.
-        It is `BracketTriple.from_diagonals` of the diagonals, bit for bit."""
+        """The triple (A, B, C), built on the first call (`from_diagonals`,
+        which raises ValueError unless the parameters are finite); later
+        calls return the same object."""
         return self._triple
-
-    @cached_property
-    def _unit_lap_psi(self) -> np.ndarray:
-        return _family_lap_psi(self._unit[0])
 
     def norm_sq(self) -> float:
         p = self.as_array()
@@ -471,7 +434,8 @@ def _soliton_fit(target: np.ndarray, k: int) -> dict:
 
 def soliton_residual(p: CoclosedParams) -> dict:
     """Least-squares residual of lap psi = lam psi + theta_plus(D) psi."""
-    fit = _soliton_fit(p._unit_lap_psi, 2 * p._unit[1])
+    t = p.to_triple()
+    fit = _soliton_fit(t._unit_lap_psi, 2 * t.exponent)
     # the family's matrices are symmetric, so only the origin is flat
     fit["flat"] = not any((p.a1, p.a2, p.b1, p.b2, p.c1, p.c2))
     return fit
@@ -483,12 +447,11 @@ def modified_soliton_residual(p: CoclosedParams, m: float) -> dict:
         lap psi + 2 d((m - tr T) phi) = lam psi + theta_plus(D) psi,
 
     with m != 0.  tr T and dphi are read off rows of the torsion map's
-    product, and lap psi is the point's shared one; the fit is taken where
-    the larger of the two terms is of order 1 (`g2core._unit_modified`).
-    The point's triple is built here, on first use, for the torsion rows."""
+    product, and lap psi is the triple's shared one; the fit is taken where
+    the larger of the two terms is of order 1 (`g2core._unit_modified`)."""
     if m == 0:
         raise ValueError("m must be nonzero (m = 0 is the plain coflow)")
-    return _soliton_fit(*_unit_modified(p.to_triple(), m, p._unit_lap_psi))
+    return _soliton_fit(*_unit_modified(p.to_triple(), m))
 
 
 def _candidates(a1: float, a2: float, b1: float, b2: float, e: int) -> list[tuple[float, float]]:
@@ -530,11 +493,9 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     lam = 2((a1-a2)^2 + (b1-b2)^2) and the derivation entry d = -lam/4; the
     returned residual is the norm of lap psi - lam psi - theta_plus(D) psi,
     verified rather than assumed zero.  The base is taken to unit scale
-    once, for the candidates and lam.  Each candidate's lap psi is read off
-    its six parameters (`CoclosedParams`: the exact table of
-    `g2core.laplacians` restricted to the family, at the point's unit
-    scale), so the solve builds no `BracketTriple`; the returned `params`
-    keeps lap psi, so that `soliton_residual` and
+    once, for the candidates and lam.  Each candidate's residual reads the
+    lap psi of its triple (`CoclosedParams.to_triple`, built here), which
+    the returned `params` keep, so that `soliton_residual` and
     `modified_soliton_residual` on them reuse it.  lam is taken on the unit
     base and the residual at the candidate's unit scale; either raises
     ValueError when it leaves the float range.
@@ -549,7 +510,8 @@ def soliton_solve(a1: float, a2: float, b1: float, b2: float) -> list[SolitonSol
     out = []
     for c1, c2 in pairs:
         p = CoclosedParams(a1, a2, b1, b2, c1, c2)
-        k = p._unit[1]  # at least e: the point holds the base
-        res = _norm(p._unit_lap_psi - _scaled(rhs, 2 * (e - k)))
+        t = p.to_triple()
+        k = t.exponent  # at least e: the point holds the base
+        res = _norm(t._unit_lap_psi - _scaled(rhs, 2 * (e - k)))
         out.append(SolitonSolution(params=p, lam=lam, d=d, residual=_scaled(res, 2 * k)))
     return out

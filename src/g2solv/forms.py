@@ -147,9 +147,6 @@ class KForm:
             return _scaled(math.sqrt(u.dot(u)), e)
         return math.sqrt(x.dot(x))
 
-    def is_zero(self) -> bool:
-        return self.norm() <= TOL.zero_form
-
     def scalar(self) -> float:
         """Coefficient of a 0- or 7-form as a plain number."""
         if self.degree not in (0, DIM):

@@ -26,7 +26,9 @@ per entry, and `_laplacian_table`, whose coefficients are all +-1.  Both
 take the unit entries `BracketTriple.unit`, where every verdict is decided
 and from where every magnitude is scaled back (`forms._scaled`).  A
 triple takes its product with `_torsion_map` once
-(`BracketTriple._unit_torsion`), and every torsion report reads it.
+(`BracketTriple._unit_torsion`), and every torsion report reads it; it
+takes lap psi once too (`BracketTriple._unit_lap_psi`), a diagonal triple
+from the table's diagonal terms alone (`_diagonal_laplacian`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .config import TOL
 from .forms import BASIS, PHI, PSI, KForm, _hodge_table, _scaled, hodge, inner, wedge
-from .liealg import BracketTriple, _d_table, _differential
+from .liealg import _DIAGONAL, BracketTriple, _d_table, _differential
 
 _ENTRIES = 48  # entries of (A, B, C), the length of `BracketTriple.entries`
 
@@ -187,26 +189,18 @@ def _laplacian_table():
             np.array([c for c in acc.values() if c != 0.0]))
 
 
-def _diagonal_laplacian(slots: np.ndarray, signs: np.ndarray):
-    """`_laplacian_table` restricted to a diagonal family whose triple has
-    diagonal entry M_a[k, k] = signs[a, k] p[slots[a, k]] for a parameter
-    vector p and zeros off the diagonals: (out, i, j, coef) with lap psi =
-    sum coef p_i p_j, the signs folded into coef.
-
-    It keeps, in their order, the terms of the table on two diagonal
-    entries (72 of its 1128, reaching 6 of the 35 rows); the others vanish
-    exactly on the family.  The kept terms are the table's products up to
-    signs +-1, and the dropped ones are zeros, so `_quadratic` of the
-    restriction on the unit parameters is `_unit_lap_psi` of the triple,
-    bit for bit."""
+@cache
+def _diagonal_laplacian():
+    """The terms of `_laplacian_table` on two diagonal entries
+    (`liealg._DIAGONAL`), in their order: 72 of its 1128, reaching 6 of the
+    35 rows.  Every other term has an off-diagonal factor, which is an
+    exact zero on a diagonal triple, so `_quadratic` of the restriction is
+    that of the full table there, bit for bit."""
     out, i, j, coef = _laplacian_table()
-    diagonal = np.arange(_ENTRIES) % 16 % 5 == 0  # M_a[k, k] is entry 16 a + 5 k
-    slot = np.zeros(_ENTRIES, dtype=np.int64)
-    sign = np.zeros(_ENTRIES)
-    slot[diagonal], sign[diagonal] = np.ravel(slots), np.ravel(signs)
+    diagonal = np.zeros(_ENTRIES, dtype=bool)
+    diagonal[_DIAGONAL] = True
     keep = diagonal[i] & diagonal[j]
-    i, j = i[keep], j[keep]
-    return out[keep], slot[i], slot[j], coef[keep] * sign[i] * sign[j]
+    return out[keep], i[keep], j[keep], coef[keep]
 
 
 def _quadratic(table, u: np.ndarray) -> np.ndarray:
@@ -216,23 +210,18 @@ def _quadratic(table, u: np.ndarray) -> np.ndarray:
     return np.bincount(out, coef * u[i] * u[j], minlength=len(BASIS[4]))
 
 
-def _unit_lap_psi(t: BracketTriple) -> np.ndarray:
-    """Coefficients of lap psi of the unit triple t.unit, from the
-    quadratic table `_laplacian_table`."""
-    return _quadratic(_laplacian_table(), t.unit)
-
-
 def laplacians(t: BracketTriple) -> dict:
-    """Hodge Laplacians of psi and phi: lap_psi = d*dphi - *d*dpsi from
-    `_unit_lap_psi`, scaled back (degree 2), and lap_phi = *lap_psi."""
-    lap_psi = KForm._of(4, _scaled(_unit_lap_psi(t), 2 * t.exponent))
+    """Hodge Laplacians of psi and phi: lap_psi = d*dphi - *d*dpsi from the
+    triple's shared `_unit_lap_psi`, scaled back (degree 2), and
+    lap_phi = *lap_psi."""
+    lap_psi = KForm._of(4, _scaled(t._unit_lap_psi, 2 * t.exponent))
     return {"phi": hodge(lap_psi), "psi": lap_psi}
 
 
-def _unit_modified(t: BracketTriple, m: float, unit_lap: np.ndarray):
+def _unit_modified(t: BracketTriple, m: float):
     """(v, k) with 2^k v the modified coflow's velocity lap psi +
-    2 d((m - tr T) phi) = lap psi + 2 (m - (7/4) tau0) dphi, given the
-    unit lap psi of t (`_unit_lap_psi`).  With e = t.exponent and
+    2 d((m - tr T) phi) = lap psi + 2 (m - (7/4) tau0) dphi, from the
+    triple's shared unit lap psi and torsion rows.  With e = t.exponent and
     m - tr T = 2^h mu, h the larger of e and the exponent of m, it is
     2^(e + h) (2^(e - h) lap + 2 mu dphi) with lap and dphi at unit scale,
     whose larger term is of order 1 however m and the entries compare."""
@@ -241,7 +230,7 @@ def _unit_modified(t: BracketTriple, m: float, unit_lap: np.ndarray):
     v = t._unit_torsion
     tau0, dphi = float(v[0]), v[_PART_ROWS[4]]
     mu = math.ldexp(m, -h) - 1.75 * math.ldexp(tau0, e - h)
-    return _scaled(unit_lap, e - h) + 2.0 * mu * dphi, e + h
+    return _scaled(t._unit_lap_psi, e - h) + 2.0 * mu * dphi, e + h
 
 
 def erp_residual(t: BracketTriple) -> dict:

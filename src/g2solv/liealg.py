@@ -32,6 +32,11 @@ _A_SLOTS = np.array([6, 0, 1])
 _EIG_CLUSTER = 1e-6
 
 
+# M_a[k, k] is entry 16 a + 5 k of the 48 entries of (A, B, C): the (3, 4)
+# positions of the diagonals, the one diagonal layout of the package
+_DIAGONAL = 16 * np.arange(3)[:, None] + 5 * np.arange(4)
+
+
 @dataclass(frozen=True)
 class BracketTriple:
     """Commuting traceless triple (A, B, C) of finite real 4x4 matrices.
@@ -41,9 +46,11 @@ class BracketTriple:
     Chevalley-Eilenberg differential is linear in, held as 2^`exponent`
     times the read-only unit entries `unit` (`_to_unit`), on which the
     traces and commutators are checked against `TOL.bracket`.
-    `from_diagonals` builds a diagonal triple from its three diagonals, and
-    the torsion reports share one product of the unit entries
-    (`_unit_torsion`).
+    `diagonal` says whether every nonzero entry lies on a diagonal
+    (`_DIAGONAL`); `from_diagonals` builds such a triple from its three
+    diagonals.  The torsion reports share one product of the unit entries
+    (`_unit_torsion`), and the Laplacian reports one lap psi
+    (`_unit_lap_psi`).
     """
 
     A: np.ndarray
@@ -52,6 +59,7 @@ class BracketTriple:
     entries: np.ndarray = field(init=False, repr=False, compare=False)
     exponent: int = field(init=False, repr=False, compare=False)
     unit: np.ndarray = field(init=False, repr=False, compare=False)
+    diagonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
@@ -62,23 +70,25 @@ class BracketTriple:
         entries = mats.reshape(-1)
         unit, e = _to_unit(entries)
         unit.flags.writeable = False
-        U = unit.reshape(3, 4, 4)
-        _check_traceless(U.diagonal(axis1=1, axis2=2))
+        _check_traceless(unit[_DIAGONAL])
         # diagonal matrices commute exactly in floating point: M_i M_j and
         # M_j M_i have the same rounded diagonal and exact zeros off it, so
         # the commutator check could only pass them
-        if np.count_nonzero(mats) != np.count_nonzero(mats.diagonal(axis1=1, axis2=2)):
+        diagonal = np.count_nonzero(entries) == np.count_nonzero(entries[_DIAGONAL])
+        if not diagonal:
+            U = unit.reshape(3, 4, 4)
             products = U[:, None] @ U  # products[i, j] = M_i M_j
             if np.abs(products - products.swapaxes(0, 1)).max() > TOL.bracket:
                 raise ValueError("matrices must commute (Jacobi identity)")
-        self._keep(entries, unit, e)
+        self._keep(entries, unit, e, diagonal)
 
-    def _keep(self, entries: np.ndarray, unit: np.ndarray, e: int):
+    def _keep(self, entries: np.ndarray, unit: np.ndarray, e: int, diagonal: bool):
         """Hold the checked read-only 48-vectors `entries` = 2^e `unit`, with
         A, B and C views of `entries`."""
         A, B, C = entries.reshape(3, 4, 4)
         # a frozen dataclass's fields are written past its __setattr__
-        vars(self).update(A=A, B=B, C=C, entries=entries, exponent=e, unit=unit)
+        vars(self).update(A=A, B=B, C=C, entries=entries, exponent=e, unit=unit,
+                          diagonal=diagonal)
 
     @classmethod
     def from_diagonals(cls, D) -> "BracketTriple":
@@ -87,27 +97,20 @@ class BracketTriple:
         `BracketTriple(*map(np.diag, D))` does.
 
         Diagonal matrices commute, so only finiteness and the traces are
-        checked (`_of_diagonals`)."""
-        D = np.array(D, dtype=float)
+        checked, on the unit diagonals U, D = 2^e U.  D and U are written
+        onto the diagonals of the entries and of the unit entries: D is not
+        rebuilt from U, where entries far below the largest would
+        underflow."""
+        D = np.asarray(D, dtype=float)
         if D.shape != (3, 4):
             raise ValueError("diagonals must form a 3x4 array")
         U, e = _to_unit(D)
-        return cls._of_diagonals(np.array([D, U]), e)
-
-    @classmethod
-    def _of_diagonals(cls, DU: np.ndarray, e: int) -> "BracketTriple":
-        """The diagonal triple of finite (3, 4) diagonals D, given as the
-        (2, 3, 4) stack DU of D and its unit scale U, D = 2^e U
-        (`_to_unit`).  Only the traces are checked, on U, and D and U are
-        written onto the diagonals of the entries and of the unit entries:
-        D is not rebuilt from U, where entries far below the largest would
-        underflow."""
-        _check_traceless(DU[1])
-        stack = np.zeros((2, 3, 16))
-        stack[:, :, ::5] = DU  # the diagonal of a 4x4 matrix is every fifth of its entries
+        _check_traceless(U)
+        stack = np.zeros((2, 48))
+        stack[0, _DIAGONAL], stack[1, _DIAGONAL] = D, U
         stack.flags.writeable = False
         out = cls.__new__(cls)
-        out._keep(*stack.reshape(2, -1), e)
+        out._keep(*stack, e, True)
         return out
 
     @cached_property
@@ -118,6 +121,21 @@ class BracketTriple:
         from .g2core import _torsion_map  # g2core builds on this module
 
         v = _torsion_map().dot(self.unit)
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def _unit_lap_psi(self) -> np.ndarray:
+        """lap psi of the unit triple, taken once and shared by the
+        Laplacian reports: `g2core._quadratic` of the Laplacian table on
+        `self.unit`.  A diagonal triple reads only the table's terms on two
+        diagonal entries (`g2core._diagonal_laplacian`); every other term
+        has an exact zero factor there, so the result is the full table's,
+        bit for bit."""
+        from . import g2core  # g2core builds on this module
+
+        table = g2core._diagonal_laplacian() if self.diagonal else g2core._laplacian_table()
+        v = g2core._quadratic(table, self.unit)
         v.flags.writeable = False
         return v
 
@@ -176,13 +194,15 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     Each term is an antiderivation that kills e^1, e^2, e^7 and sends an
     n-covector f^k (dual to e_{k+2}) to its share of the rule de(x, y) =
     -e([x, y]):  df^k = -sum_j (A[k,j] e^7 + B[k,j] e^1 + C[k,j] e^2) ^ f^j.
-    d is linear in the 48 entries of (A, B, C), so it is evaluated from the
-    signed index table `_d_table`, on the unit entries, and scaled back
-    (degree 1, `_scaled`): where d alpha leaves the float range it raises
+    d is linear in the 48 entries of (A, B, C) and in alpha, so it is
+    evaluated from the signed index table `_d_table` on the unit entries and
+    alpha at unit scale (`_to_unit`), and scaled back once by both
+    exponents (`_scaled`): where d alpha leaves the float range it raises
     ValueError instead of returning inf or NaN.
     """
-    d = _differential(t.unit, alpha)
-    return KForm._of(d.degree, _scaled(d.vec, t.exponent))
+    a, k = _to_unit(alpha.vec)
+    d = _differential(t.unit, KForm._of(alpha.degree, a))
+    return KForm._of(d.degree, _scaled(d.vec, t.exponent + k))
 
 
 def _differential(entries: np.ndarray, alpha: KForm) -> KForm:

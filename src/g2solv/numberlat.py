@@ -393,7 +393,6 @@ BUILTIN_EXAMPLES = {
             [[3, -1, -1, -1], [-4, -1, -5, -5], [0, 0, 3, -1], [1, 1, 1, 4]],
             [[4, 1, 2, 3], [3, 8, 9, 14], [-1, -1, 0, -3], [-1, -2, -3, -3]],
         ],
-        "root_family": "2cos(2pik/15), k in {1,2,4,7}",
     },
     # p(t) = t^4 - 4 t^2 + 1, roots +-sqrt(2 +- sqrt(3))
     "kl-sqrt3": {
@@ -408,6 +407,5 @@ BUILTIN_EXAMPLES = {
             [[1, 0, -4, -4], [4, 1, 0, -4], [4, 4, 17, 16], [0, 4, 4, 17]],
             [[-5, -10, -20, -38], [-2, -5, -10, -20], [20, 38, 75, 142], [10, 20, 38, 75]],
         ],
-        "root_family": "+-sqrt(2 +- sqrt(3))",
     },
 }

@@ -365,7 +365,7 @@ def test_flow_csv_rows_equal_the_per_row_formulas(capsys):
     rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:-1]])
     assert rows.shape == (41, 12)
     for row in rows:
-        p = CoclosedParams.from_array(row[1:7])
+        p = CoclosedParams(*row[1:7])
         assert row[7] == pytest.approx(p.norm_sq(), rel=1e-15)
         assert row[8] == pytest.approx(homothety_invariant(p.to_triple()), rel=1e-12)
         assert tuple(row[9:]) == coclosed_coefficients(p)
@@ -618,13 +618,14 @@ def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
 
 
 def test_importing_the_cli_builds_no_table_of_g2core():
-    # the Laplacian table and the torsion map are built on first use, so the
-    # cold start of every command stays free of them
+    # the Laplacian table, its diagonal restriction and the torsion map are
+    # built on first use, so the cold start of every command stays free of them
     proc = _python("from g2solv import cli, g2core; "
                    "print(g2core._laplacian_table.cache_info().currsize, "
+                   "g2core._diagonal_laplacian.cache_info().currsize, "
                    "g2core._torsion_map.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 def test_importing_the_cli_builds_no_soliton_table():

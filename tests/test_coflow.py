@@ -31,7 +31,7 @@ from g2solv.coflow import (
     soliton_solve,
 )
 from g2solv.forms import monomial, theta, wedge
-from g2solv.g2core import laplacians
+from g2solv.g2core import closed_triple, laplacians
 from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
 
 SOLITON = CoclosedParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
@@ -101,7 +101,7 @@ def test_ode_agrees_with_bracket_flow(p):
 @settings(max_examples=60, deadline=None)
 @given(params_st(), st.floats(min_value=-2.0, max_value=2.0))
 def test_ode_is_cubically_homogeneous(p, c):
-    lhs = ode_rhs(CoclosedParams.from_array(c * p.as_array()))
+    lhs = ode_rhs(CoclosedParams(*c * p.as_array()))
     rhs = c ** 3 * ode_rhs(p)
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, abs(c) ** 3 * p.norm_sq() ** 1.5)
 
@@ -316,7 +316,7 @@ def test_batched_reports_match_the_per_row_formulas():
     inv, coef = traj.invariants(), traj.coefficients()
     assert inv.shape == (len(rows),) and coef.shape == (len(rows), 3)
     for row, F, rst in zip(rows, inv, coef):
-        p = CoclosedParams.from_array(row)
+        p = CoclosedParams(*row)
         assert tuple(rst) == coclosed_coefficients(p)
         try:
             want = homothety_invariant(p.to_triple())
@@ -328,7 +328,7 @@ def test_batched_reports_match_the_per_row_formulas():
     # Besse's Ricci tensor on the rows at scale 1 (the scaled copies would
     # underflow or overflow its unscaled products)
     for row, F in zip(np.vstack([rows[:40], rows[-1]]), np.append(inv[:40], inv[-1])):
-        ric = dz.ricci(dz.structure_tensor(*CoclosedParams.from_array(row).to_triple().matrices()))
+        ric = dz.ricci(dz.structure_tensor(*CoclosedParams(*row).to_triple().matrices()))
         assert F == pytest.approx(np.trace(ric) ** 2 / np.sum(ric * ric), rel=1e-12)
     # the scaled copies keep the invariant of the row they were made from
     np.testing.assert_allclose(inv[40:50], inv[:10], rtol=1e-12)
@@ -463,28 +463,30 @@ def test_modified_residual_is_finite_just_below_the_bound_on_m():
 
 
 def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
-    # lap psi of a family point is read off its unit parameters, once
+    # lap psi of a family point is read off its triple's unit entries, once
     calls = []
-    lap_psi = coflow._family_lap_psi
-    monkeypatch.setattr(coflow, "_family_lap_psi", lambda u: calls.append(u) or lap_psi(u))
+    quadratic = g2core._quadratic
+    monkeypatch.setattr(g2core, "_quadratic",
+                        lambda table, u: calls.append(u) or quadratic(table, u))
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
     for sol in sols:
         soliton_residual(sol.params)
         modified_soliton_residual(sol.params, 1.0)
         modified_soliton_residual(sol.params, -2.0)
     assert len(sols) == 4
-    assert [id(u) for u in calls] == [id(sol.params._unit[0]) for sol in sols]
+    assert [id(u) for u in calls] == [id(sol.params.to_triple().unit) for sol in sols]
 
 
-def test_soliton_solve_builds_no_triple(monkeypatch):
+def test_soliton_solve_builds_each_triple_once(monkeypatch):
     built = []
     for name in ("__post_init__", "_keep"):
         method = getattr(BracketTriple, name)
         monkeypatch.setattr(BracketTriple, name,
                             lambda self, *a, _m=method: built.append(self) or _m(self, *a))
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
-    assert len(sols) == 4 and built == []
-    # the triples are built on demand, once each, and only then
+    assert len(sols) == 4
+    # each candidate's triple is built once, never through __post_init__,
+    # and kept by its params
     triples = [sol.params.to_triple() for sol in sols]
     assert [id(t) for t in built] == [id(t) for t in triples]
 
@@ -508,23 +510,36 @@ def _general_triple(p):
                          np.diag([c1, c2, -c2, -c1]))
 
 
+DENSE = BracketTriple(*dz.commuting_triple(np.random.default_rng(7)))
+
+
+def _full_lap_psi(t):
+    """lap psi of the unit triple from every term of the Laplacian table."""
+    return g2core._quadratic(g2core._laplacian_table(), t.unit)
+
+
 @settings(max_examples=40, deadline=None)
 @given(params_st())
 @example(CoclosedParams(0.0, 1.0, -2.0, 0.5, 3.0, -1.5))
+@example(CoclosedParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 @example(CoclosedParams(*(2.0 ** 900 * x for x in (1.0, -1.0, 1.0, -0.5, 0.3, 2.0))))
 @example(CoclosedParams(*(2.0 ** -900 * x for x in (1.0, -1.0, 1.0, -0.5, 0.3, 2.0))))
 # the small entries underflow at unit scale, but not in the triple's entries
 @example(CoclosedParams(1e300, 1e-300, 1.0, -1.0, 2.0, 3.0))
 def test_shared_laplacian_is_a_fresh_evaluation_bit_for_bit(p):
-    shared = p._unit_lap_psi  # from the parameters, before the triple exists
     t, general = p.to_triple(), _general_triple(p)
     assert t.exponent == general.exponent
     assert t.entries.tobytes() == general.entries.tobytes()
     assert t.unit.tobytes() == general.unit.tobytes()
-    assert shared.tobytes() == g2core._unit_lap_psi(general).tobytes()
+    # every diagonal entry point reads the diagonal terms of the table alone,
+    # with the full table's result; a dense triple reads the full table
+    for s, diagonal in ((t, True), (general, True),
+                        (closed_triple(p.a1, p.b1, p.c1), True), (DENSE, False)):
+        assert s.diagonal == diagonal
+        assert s._unit_lap_psi.tobytes() == _full_lap_psi(s).tobytes()
     if 2 * t.exponent <= 1000:  # lap psi fits the float range
         fresh = laplacians(general)["psi"]
-        assert np.ldexp(shared, 2 * t.exponent).tobytes() == fresh.vec.tobytes()
+        assert np.ldexp(t._unit_lap_psi, 2 * t.exponent).tobytes() == fresh.vec.tobytes()
 
 
 def test_coclosed_params_build_their_triple_once():

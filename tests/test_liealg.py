@@ -382,6 +382,18 @@ def test_differential_raises_where_it_leaves_the_float_range():
     assert ce_differential(t, PHI).norm() == 0.0  # the triple is closed
 
 
+@pytest.mark.filterwarnings("error")
+def test_differential_takes_the_form_to_unit_scale_too():
+    # d alpha is taken on the unit entries and alpha at unit scale, and
+    # scaled back once by both exponents
+    with pytest.raises(ValueError, match="float range"):
+        ce_differential(closed_triple(1e30, 2e30, 1e30), 1e290 * PSI)
+    t = closed_triple(1.0, 2.0, 1.0)
+    got, want = ce_differential(t, 1e290 * PSI).vec, 1e290 * ce_differential(t, PSI).vec
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_top_degree_differential_is_zero():
     rng = seeded_rng()
     t = BracketTriple(*dz.commuting_triple(rng))
@@ -731,7 +743,7 @@ def test_batched_invariants_match_the_one_triple_case():
     assert np.isnan(got[0])
     for F, row in zip(got, rows):
         try:
-            want = homothety_invariant(CoclosedParams.from_array(row).to_triple())
+            want = homothety_invariant(CoclosedParams(*row).to_triple())
         except ValueError:
             assert np.isnan(F)
             continue

@@ -50,7 +50,7 @@ def oracle_status(sol, t_max):
 
 
 def coflow_rate(y):
-    return ode_rhs(CoclosedParams.from_array(y))
+    return ode_rhs(CoclosedParams(*y))
 
 
 def assert_matches_oracle(p0, t_max, samples):
