@@ -5,7 +5,8 @@ Subcommands
     torsion          torsion report for a bracket triple
     erp-check        extremal-pinching residual for a closed triple
     soliton          enumerate coclosed solitons over (a1, a2, b1, b2)
-    flow             integrate the coflow ODE, CSV trajectory output
+    flow             integrate the coflow ODE, CSV trajectory output; a
+                     sweep's starts run in forked worker processes
     audit            compare computed dynamics against the source claims
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
@@ -23,7 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import sys
 
 import numpy as np
@@ -194,8 +198,93 @@ _CSV_HEADER = "t,a1,a2,b1,b2,c1,c2,N,F,r,s,tc"
 _CSV_ROW = ",".join(["%.17g"] * len(_CSV_HEADER.split(",")))
 
 
+def _share(func, items, k: int, n: int):
+    """func over items[k::n]: (True, results), or (False, (position, error))
+    at the first error."""
+    results = []
+    for i in range(k, len(items), n):
+        try:
+            results.append(func(items[i]))
+        except Exception as exc:
+            return False, (i, exc)
+    return True, results
+
+
+def _fan_out(func, items: list) -> list:
+    """[func(x) for x in items], in order, over min(len(items), usable CPUs)
+    processes: worker k forks and takes items[k::n], the parent takes share 0.
+
+    The work holds the GIL, so threads do not help; raw os.fork with one pipe
+    per worker does, where a fork-based multiprocessing Pool measured slower
+    than the serial loop.  Workers inherit func and items, so only results
+    and errors are pickled.  The serial loop runs for fewer than 2 workers,
+    without os.fork, and on Python 3.12 or later, whose os.fork warns in a
+    process with threads (numpy's OpenBLAS keeps one).  When items fail, the
+    error of the first in order is raised, as in the serial loop; a worker
+    that ends without its results raises RuntimeError.  No worker outlives
+    the call.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    n = min(len(items), cpus)
+    if n < 2 or not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        return [func(x) for x in items]
+    children, payloads, statuses = [], [], []  # children: (pid, read end of its pipe)
+    done = False
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # leave only through os._exit: no flush of the parent's
+                # buffers, no atexit or test hooks
+                code = 1
+                try:
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(_share(func, items, k, n), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        shares = [_share(func, items, 0, n)]
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+        done = True
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), data, status in zip(children, payloads, statuses):
+        if status:
+            raise RuntimeError(f"worker {pid} ended with exit status "
+                               f"{os.waitstatus_to_exitcode(status)} and no results")
+        shares.append(pickle.loads(data))
+    failures = [detail for ok, detail in shares if not ok]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    for k, (_, results) in enumerate(shares):
+        out[k::n] = results
+    return out
+
+
 def _cmd_flow(args) -> int:
-    """Integrate each start of --sweep, or the one --init; a sweep labels runs."""
+    """Integrate each start of --sweep, or the one --init; a sweep labels runs.
+
+    Each start's integration and text is one `report`, and a sweep's reports
+    are spread over worker processes by `_fan_out`; the output is the same
+    as the serial loop's, byte for byte."""
     if args.sweep:
         with open(args.sweep, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines()
@@ -207,25 +296,26 @@ def _cmd_flow(args) -> int:
     else:
         raise ValueError("flow needs --init or --sweep")
     starts = [_parse_floats(line, 6) for line in lines]
-    reports, diverged = [], False
-    for start in starts:
+
+    def report(start):
+        """(status, the start's JSON run or CSV block)"""
         traj = integrate(CoclosedParams(*start), args.t_max, FlowOptions(samples=args.samples))
-        diverged |= traj.status == "diverged"
         table = np.column_stack([traj.times, traj.params, traj.norms(),
                                  traj.invariants(), traj.coefficients()])
         if args.format == "json":
             run = {"status": traj.status, "columns": _CSV_HEADER.split(","),
                    "rows": table.tolist()}
-            reports.append({"start": start, **run} if args.sweep else run)
-            continue
+            return traj.status, ({"start": start, **run} if args.sweep else run)
         csv = (_CSV_HEADER + ("\n" + _CSV_ROW) * len(table)) % tuple(table.ravel().tolist())
-        reports.append(f"# start {','.join(map(str, start))} status {traj.status}\n{csv}"
-                       if args.sweep else f"{csv}\n# status {traj.status}")
+        return traj.status, (f"# start {','.join(map(str, start))} status {traj.status}\n{csv}"
+                             if args.sweep else f"{csv}\n# status {traj.status}")
+
+    statuses, reports = zip(*_fan_out(report, starts))
     if args.format == "json":
         _emit(json.dumps({"runs": reports} if args.sweep else reports[0]), args.out)
     else:
         _emit("\n".join(reports), args.out)
-    return int(diverged)
+    return int("diverged" in statuses)
 
 
 def _cmd_audit(args) -> int:

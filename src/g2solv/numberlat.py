@@ -264,15 +264,25 @@ def mult_independence(p: QuarticPoly, units) -> dict:
 
     The units are multiplicatively independent exactly when L has full row
     rank; numerically this is sigma_min(L) clearing an absolute threshold.
-    p must be irreducible and totally real, as `certify_lattice` decides
-    exactly, so the roots are taken without the tests of `roots`.
-    The report also carries those roots and the values Q[i, j] = q_i(u_j).
+    p must be irreducible and totally real, and each q_i(u) a unit,
+    |N(q_i)| = |det q_i(M)| = 1, as `certify_lattice` decides exactly; the
+    roots are taken without the tests of `roots`.  A unit's smallest
+    conjugate can cancel to 0.0 in floats, so each row takes it from the
+    norm instead: |q_i(u_j)| = 1 / prod of the others, and L[i, j] = minus
+    the sum of their logs.  A zero among the others still raises.
+    The report also carries those roots and the float values
+    Q[i, j] = q_i(u_j), as evaluated.
     """
     u = _roots(p)
     Q = np.array([q(u) for q in units], dtype=float)
-    if np.any(np.abs(Q) < 1e-300):
+    A = np.abs(Q)
+    # flat index of each row's smallest; 1.0 there makes L's row sum the others'
+    smallest = A.argmin(axis=1) + np.arange(0, A.size, A.shape[1])
+    A.ravel()[smallest] = 1.0
+    if (A < 1e-300).any():
         raise ValueError("unit vanishes at an embedding")
-    L = np.log(np.abs(Q))
+    L = np.log(A)
+    L.ravel()[smallest] = -L.sum(axis=1)
     s = np.linalg.svd(L, compute_uv=False)
     sigma_min = float(s[len(units) - 1]) if len(units) <= 4 else 0.0
     rank = int((s > TOL.unit_log_sigma).sum())

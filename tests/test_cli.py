@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -474,6 +475,116 @@ def test_flow_sweep(tmp_path, capsys):
     assert len(headers) == 2
 
 
+# -- a sweep's worker processes ---------------------------------------------------
+
+FAN_OUT = sys.version_info < (3, 12) and hasattr(os, "fork")
+SWEEP_STARTS = ["1,1,2,2,1,1", "0.7,1,1,-1,1,1", "0.3,-1.2,0.7,1.1,-0.4,0.9",
+                "-0.5,1,1,-1,1,1", "1.2,0.4,-0.8,0.9,0.6,-1.1"]
+
+
+def _cpus(monkeypatch, n: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _counting_fork(monkeypatch) -> list:
+    """Let os.fork run and record each call in the returned list."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _starts_file(tmp_path) -> str:
+    sweep = tmp_path / "starts.txt"
+    sweep.write_text("\n".join(SWEEP_STARTS) + "\n")
+    return str(sweep)
+
+
+def _sweep(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    code = cli.run(["--out", str(target), *argv, "flow", "--sweep", _starts_file(tmp_path),
+                    "--t-max", "3", "--samples", "7"])
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+    return code, target.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_flow_sweep_fan_out_matches_the_serial_loop(monkeypatch, tmp_path, capsys, fmt):
+    # the second start is reported diverged, so both runs exit 1
+    def integrate(p0, t_max, opts):
+        traj = coflow.integrate(p0, t_max, opts)
+        return replace(traj, status="diverged") if p0.a1 == 0.7 else traj
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    _cpus(monkeypatch, 3)
+    calls = _counting_fork(monkeypatch)
+    fanned = _sweep(tmp_path, capsys, fmt)
+    assert len(calls) == (2 if FAN_OUT else 0)
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    _no_fork(monkeypatch)
+    assert fanned == _sweep(tmp_path, capsys, fmt)
+    assert fanned[0] == 1
+
+
+def test_one_start_or_one_cpu_never_forks(monkeypatch, tmp_path, capsys):
+    _no_fork(monkeypatch)
+    _cpus(monkeypatch, 4)
+    assert cli.run(["flow", "--init", "1,1,2,2,1,1", "--t-max", "1", "--samples", "3"]) == 0
+    assert capsys.readouterr().out.endswith("# status max_time\n")
+    _cpus(monkeypatch, 1)
+    assert _sweep(tmp_path, capsys, [])[0] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_errors_name_the_first_failing_start(monkeypatch, tmp_path, capsys, cpus):
+    # with 3 workers the 2nd start is a child's and the 4th the parent's
+    def integrate(p0, t_max, opts):
+        if p0.a1 in (0.7, -0.5):
+            raise ValueError(f"bad start {p0.a1}")
+        return coflow.integrate(p0, t_max, opts)
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    _cpus(monkeypatch, cpus)
+    code = cli.run(["flow", "--sweep", _starts_file(tmp_path), "--t-max", "1",
+                    "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: bad start 0.7\n"
+    _no_child_left()
+
+
+@pytest.mark.skipif(not FAN_OUT, reason="the sweep runs serially here")
+def test_a_worker_that_dies_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+
+    def integrate(p0, t_max, opts):
+        if p0.a1 == 0.7 and os.getpid() != parent:
+            os._exit(3)
+        return coflow.integrate(p0, t_max, opts)
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        cli.run(["flow", "--sweep", _starts_file(tmp_path), "--t-max", "1",
+                 "--samples", "3"])
+    assert capsys.readouterr().out == ""
+    _no_child_left()
+
+
 def test_flow_sweep_json_output(tmp_path, capsys):
     sweep = tmp_path / "starts.txt"
     sweep.write_text("1,1,2,2,1,1\n-0.5,1,1,-1,1,1\n")
@@ -604,7 +715,8 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
-    # scipy is a test oracle only: no command, the flow included, loads it
+    # scipy is a test oracle only: no command, the flow included, loads it;
+    # a sweep forks its workers without multiprocessing or concurrent.futures
     starts = tmp_path / "starts.txt"
     starts.write_text("1,1,2,2,1,1\n0.3,-1.2,0.7,1.1,-0.4,0.9\n")
     code = ("import sys; from g2solv import cli; "
@@ -612,7 +724,9 @@ def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
             "cli.run(['torsion', '--closed', '1,1,1']); "
             "cli.run(['flow', '--init=-0.5,1,1,-1,1,1', '--t-max', '2', '--samples', '5']); "
             f"cli.run(['flow', '--sweep', {str(starts)!r}, '--t-max', '2', '--samples', '5']); "
-            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+            "assert 'scipy' not in sys.modules, 'scipy was imported'; "
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'; "
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
 

@@ -502,15 +502,26 @@ def test_large_coefficient_field_is_certified():
     assert cert.checks["independence_sigma_min"] > 30
 
 
-def test_float_failure_at_a_huge_field_is_reported_as_such():
-    # close roots once failed a float gap test and marked the units invalid;
-    # the exact checks pass, and the unit u^2 cancels to 0.0 at a float root
-    cert = certify_lattice(*_square_units_field(1, 2, 10**9))
-    assert cert.checks["units_valid"] is True
-    assert cert.checks["positive_spectra"] is True
-    assert cert.checks["det_one"] is True
-    assert cert.verdict is False
-    assert cert.reason == "floating-point pass failed: unit vanishes at an embedding"
+def _sigma_min_at_high_precision(p: QuarticPoly, units) -> float:
+    """sigma_min of L[i, j] = log|q_i(u_j)| with 60-digit roots and values."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        roots_ = mpmath.polyroots([1, p.a3, p.a2, p.a1, p.a0], maxsteps=200, extraprec=200)
+        L = mpmath.matrix([[mpmath.log(abs(q(mpmath.re(r)))) for r in roots_]
+                           for q in units])
+        return float(min(mpmath.svd_r(L, compute_uv=False)))
+
+
+def test_huge_field_with_a_cancelling_conjugate_is_certified():
+    # the units (u-1)^2 and (u-2)^2 cancel to 0.0 at the float roots near 1
+    # and 2; each row's smallest conjugate is taken from the exact norm 1
+    p, units = _square_units_field(1, 2, 10**9)
+    cert = certify_lattice(p, units)
+    assert 0.0 in np.array([q(np.array(cert.roots)) for q in units])
+    assert cert.verdict, cert.checks
+    assert cert.reason == "certified"
+    expected = _sigma_min_at_high_precision(p, units)
+    assert cert.checks["independence_sigma_min"] == pytest.approx(expected, rel=1e-9)
 
 
 def test_certificate_lets_unexpected_errors_propagate(monkeypatch):
