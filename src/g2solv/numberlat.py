@@ -12,18 +12,21 @@ multiplicative independence: irreducibility, total reality (a Sturm chain),
 and, from the integer characteristic polynomial of each unit matrix, the
 unit property, det = 1 and the positivity of the spectrum.  Each unit
 matrix is built column by column from shifts mod p (column j is u^j q(u)),
-and its characteristic polynomial needs one squaring.  Commutation holds by
-construction: every unit matrix is a polynomial in M.
-Floating point enters in one pass per certificate: the roots of p are
-extracted once, and the values q_i(u_j) feed the log-embedding rank test
-(against `TOL.unit_log_sigma`) and the reported Vandermonde residual.
+and its characteristic polynomial comes from the trace form of Z[u]: the
+power sums of the roots of p, taken once per certificate, and q^2 mod p.
+Commutation holds by construction: every unit matrix is a polynomial in M.
+Floating point enters in one pass per certificate, on plain Python floats
+apart from one eigenvalue solve, one SVD and one stacked residual: the roots
+of p are extracted once, and the values q_i(u_j) feed the log-embedding
+rank test (against `TOL.unit_log_sigma`) and the reported Vandermonde
+residual.  Each unit's smallest conjugate, which can cancel in floats, is
+taken from its exact norm.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -52,21 +55,47 @@ def _mul_matrix(p: QuarticPoly, q: UnitSpec):
     return [list(row) for row in zip(*columns)]
 
 
-def charpoly(X) -> QuarticPoly:
-    """det(t I - X) of an integer 4x4 matrix, exactly.
+def _power_sums(p: QuarticPoly) -> list[int]:
+    """T_k = sum_j u_j^k = tr M^k for k = 0..6, exactly, over the roots u_j
+    of p counted with multiplicity.
 
-    The power sums s_k = tr X^k need one product X^2 (s3 and s4 are traces
-    of products, summed row by column without forming them).  Newton's
+    Newton's identities give T_1..T_3, and T_k = -a3 T_(k-1) - a2 T_(k-2)
+    - a1 T_(k-3) - a0 T_(k-4) for k >= 4.  H_ij = T_(i+j) (i, j = 0..3) is
+    the trace form of Z[u]: Tr(x y) = x^T H y for x, y in the power basis
+    (Cohen, 4.3).  Any monic p.
+    """
+    a0, a1, a2, a3 = p.coeffs()
+    T = [4, -a3, a3 * a3 - 2 * a2, -a3 * a3 * a3 + 3 * a2 * a3 - 3 * a1]
+    for k in range(4, 7):
+        T.append(-a3 * T[k - 1] - a2 * T[k - 2] - a1 * T[k - 3] - a0 * T[k - 4])
+    return T
+
+
+def _square(X, q: UnitSpec) -> list[int]:
+    """q^2 mod p in the power basis, for X = q(M): X applied to q's
+    coefficients."""
+    q0, q1, q2, q3 = q.coeffs()
+    return [x0 * q0 + x1 * q1 + x2 * q2 + x3 * q3 for x0, x1, x2, x3 in X]
+
+
+def _charpoly(X, q: UnitSpec, T) -> QuarticPoly:
+    """det(t I - X) of X = q(M), exactly, from the power sums T of p.
+
+    The eigenvalues of X are the q(u_j), so s_k = tr X^k = Tr(q^k).  With
+    r = q^2 mod p and the trace form H: s1 = q.T, s2 = r.T, s3 = q^T H r
+    and s4 = r^T H r: about 50 integer products besides X's 12.  Newton's
     identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i then give the
     elementary symmetric functions of the eigenvalues; each division by k is
     exact, since det(t I - X) has integer coefficients.
     """
-    cols = list(zip(*X))
-    X2 = [[sum(map(mul, row, col)) for col in cols] for row in X]
-    s1 = X[0][0] + X[1][1] + X[2][2] + X[3][3]
-    s2 = X2[0][0] + X2[1][1] + X2[2][2] + X2[3][3]
-    s3 = sum(sum(map(mul, row, col)) for row, col in zip(X2, cols))
-    s4 = sum(sum(map(mul, row, col)) for row, col in zip(X2, zip(*X2)))
+    q0, q1, q2, q3 = q.coeffs()
+    r0, r1, r2, r3 = _square(X, q)
+    h0, h1, h2, h3 = (t0 * r0 + t1 * r1 + t2 * r2 + t3 * r3
+                      for t0, t1, t2, t3 in (T[0:4], T[1:5], T[2:6], T[3:7]))
+    s1 = T[0] * q0 + T[1] * q1 + T[2] * q2 + T[3] * q3
+    s2 = h0  # r.T: the first row of H is T_0..T_3
+    s3 = q0 * h0 + q1 * h1 + q2 * h2 + q3 * h3
+    s4 = r0 * h0 + r1 * h1 + r2 * h2 + r3 * h3
     e2 = (s1 * s1 - s2) // 2
     e3 = (e2 * s1 - s1 * s2 + s3) // 3
     e4 = (e3 * s1 - e2 * s2 + s1 * s3 - s4) // 4
@@ -195,18 +224,24 @@ def is_totally_real(p: QuarticPoly) -> bool:
     return sign_changes(True) - sign_changes(False) == 5 - len(chain[-1])
 
 
-def _roots(p: QuarticPoly) -> np.ndarray:
+def _roots(p: QuarticPoly) -> list[float]:
     """The roots of a totally real p in descending order: the real parts of
-    the companion eigenvalues, Newton-polished on p."""
+    the companion eigenvalues, Newton-polished on p.
+
+    The polish runs on the four Python floats, which round each operation as
+    numpy's elementwise arithmetic does.
+    """
     vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
     # sorted() rather than np.sort: the first np.sort call would add the
     # pages of numpy's sort code to every process that certifies
-    u = np.array(sorted(vals.real.tolist(), reverse=True))
+    u = sorted(vals.real.tolist(), reverse=True)
     for _ in range(8):
-        deriv = p.derivative(u)
-        step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
-        u = u - step
-        if np.abs(step).max() < TOL.newton:
+        steps = []
+        for x in u:
+            deriv = p.derivative(x)
+            steps.append(p(x) / deriv if abs(deriv) > 1e-30 else 0.0)
+        u = [x - step for x, step in zip(u, steps)]
+        if all(abs(step) < TOL.newton for step in steps):
             break
     return u
 
@@ -229,10 +264,11 @@ def roots(p: QuarticPoly) -> np.ndarray:
     if not is_totally_real(p):
         raise ValueError("polynomial is not totally real (complex roots)")
     u = _roots(p)
-    scale = max(1.0, np.abs(u).max())
-    if np.diff(np.sort(u)).min() < _ROOT_SEPARATION * scale:
+    scale = max(1.0, *map(abs, u))
+    ascending = sorted(u)
+    if min(b - a for a, b in zip(ascending, ascending[1:])) < _ROOT_SEPARATION * scale:
         raise ValueError("repeated roots within tolerance")
-    return u
+    return np.array(u)
 
 
 def companion(p: QuarticPoly):
@@ -244,10 +280,11 @@ def unit_matrix(p: QuarticPoly, q: UnitSpec):
     """Exact integer matrix q(M) of multiplication by q(u) on Z[u].
 
     Raises when |det q(M)| != 1, i.e. when q(u) is not a unit of the order;
-    the determinant is read from `charpoly`.  p itself is not validated.
+    the determinant is the constant term of `_charpoly`.  p itself is not
+    validated.
     """
     X = _mul_matrix(p, q)
-    det = charpoly(X).a0
+    det = _charpoly(X, q, _power_sums(p)).a0
     if det not in (1, -1):
         raise ValueError(f"q(u) is not a unit (|det| = {abs(det)})")
     return X
@@ -256,7 +293,14 @@ def unit_matrix(p: QuarticPoly, q: UnitSpec):
 def poly_square_mod(q: UnitSpec, p: QuarticPoly) -> UnitSpec:
     """The square of a unit, reduced mod p back to the power basis: q(M)
     applied to the coefficients of q."""
-    return UnitSpec(*(sum(map(mul, row, q.coeffs())) for row in _mul_matrix(p, q)))
+    return UnitSpec(*_square(_mul_matrix(p, q), q))
+
+
+def _smallest(row) -> int:
+    """Index of the conjugate of least magnitude in a row of q_i(u_j), the
+    first one on ties."""
+    magnitudes = [abs(v) for v in row]
+    return magnitudes.index(min(magnitudes))
 
 
 def mult_independence(p: QuarticPoly, units) -> dict:
@@ -271,18 +315,21 @@ def mult_independence(p: QuarticPoly, units) -> dict:
     norm instead: |q_i(u_j)| = 1 / prod of the others, and L[i, j] = minus
     the sum of their logs.  A zero among the others still raises.
     The report also carries those roots and the float values
-    Q[i, j] = q_i(u_j), as evaluated.
+    Q[i, j] = q_i(u_j) by Horner's rule, each row's smallest included
+    (`certify_lattice` reports that one from the exact norm).
     """
     u = _roots(p)
-    Q = np.array([q(u) for q in units], dtype=float)
-    A = np.abs(Q)
-    # flat index of each row's smallest; 1.0 there makes L's row sum the others'
-    smallest = A.argmin(axis=1) + np.arange(0, A.size, A.shape[1])
-    A.ravel()[smallest] = 1.0
-    if (A < 1e-300).any():
-        raise ValueError("unit vanishes at an embedding")
-    L = np.log(A)
-    L.ravel()[smallest] = -L.sum(axis=1)
+    Q = [[q(x) for x in u] for q in units]
+    L = []
+    for row in Q:
+        k = _smallest(row)
+        if any(abs(v) < 1e-300 for j, v in enumerate(row) if j != k):
+            raise ValueError("unit vanishes at an embedding")
+        logs = [0.0 if j == k else math.log(abs(v)) for j, v in enumerate(row)]
+        # left to right, as numpy sums a row (sum() is compensated on 3.12+)
+        logs[k] = -(((logs[0] + logs[1]) + logs[2]) + logs[3])
+        L.append(logs)
+    L = np.array(L)
     s = np.linalg.svd(L, compute_uv=False)
     sigma_min = float(s[len(units) - 1]) if len(units) <= 4 else 0.0
     rank = int((s > TOL.unit_log_sigma).sum())
@@ -291,8 +338,8 @@ def mult_independence(p: QuarticPoly, units) -> dict:
         "rank": rank,
         "sigma_min": sigma_min,
         "log_matrix": L,
-        "roots": u,
-        "values": Q,
+        "roots": np.array(u),
+        "values": np.array(Q),
     }
 
 
@@ -323,9 +370,10 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     checks are recorded.
 
     Exact checks: p irreducible and totally real with unit constant term; for
-    each unit matrix X = q(M), from the characteristic polynomial of X,
-    |det X| = 1 (q(u) is a unit), det X = +1 and a positive spectrum (the
-    coefficients alternate in sign).
+    each unit matrix X = q(M), from the characteristic polynomial of X
+    (`_charpoly`, on the power sums of p computed once), |det X| = 1 (q(u)
+    is a unit), det X = +1 and a positive spectrum (the coefficients
+    alternate in sign).
 
     `integral`, `commute` and `diagonalized` hold by construction: each X
     is an integer polynomial in the one companion matrix M, so the X commute
@@ -333,7 +381,9 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     separable) and real, so the root Vandermonde V diagonalizes every X,
     V X = diag(q(u)) V.  `diag_residual` reports that identity in floating
     point, as the largest |V X - diag(q(u)) V| relative to |V| |X|
-    (Frobenius norms).
+    (Frobenius norms), with the reported `spectra` as q(u).  Each row of
+    `spectra` holds the float values q(u_j), except its smallest, which is
+    det X / prod of the others: that one can cancel to 0.0 in floats.
 
     Multiplicative independence is the one numerical decision (see
     `mult_independence`).  A ValueError from that float pass fails the
@@ -351,8 +401,9 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     checks["totally_real"] = is_totally_real(p)
     checks["units_valid"] = False
     if checks["irreducible"] and checks["totally_real"]:
+        T = _power_sums(p)
         mats = [_mul_matrix(p, q) for q in units]
-        chars = [charpoly(X) for X in mats]
+        chars = [_charpoly(X, q, T) for X, q in zip(mats, units)]
         checks["units_valid"] = all(c.a0 in (1, -1) for c in chars)
     if not checks["units_valid"]:
         cert.reason = "polynomial or unit validation failed"
@@ -369,12 +420,18 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     except ValueError as exc:
         cert.reason = f"floating-point pass failed: {exc}"
         return cert
-    u, Q = indep["roots"], indep["values"]
-    V = np.vander(u, 4, increasing=True)
-    cert.roots, cert.vandermonde, cert.spectra = u.tolist(), V.tolist(), Q.tolist()
+    cert.roots = indep["roots"].tolist()
+    cert.vandermonde = [[1.0, x, x * x, x * x * x] for x in cert.roots]
+    cert.spectra = indep["values"].tolist()
+    for row, chi in zip(cert.spectra, chars):
+        # the smallest conjugate can cancel to 0.0: take it from the norm
+        k = _smallest(row)
+        others = row[:k] + row[k + 1:]
+        row[k] = chi.a0 / (others[0] * others[1] * others[2])
     # one stacked pass over the unit matrices, shape (k, 4, 4)
     Xs = np.array(mats, dtype=float)
-    R = V @ Xs - Q[:, :, None] * V
+    V = np.array(cert.vandermonde)
+    R = V @ Xs - np.array(cert.spectra)[:, :, None] * V
     ratios = np.einsum("kij,kij->k", R, R) / np.einsum("kij,kij->k", Xs, Xs)
     checks["diag_residual"] = math.sqrt(ratios.max() / np.einsum("ij,ij", V, V))
     checks["independent"] = indep["independent"]

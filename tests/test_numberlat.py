@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import random
 import time
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2solv import numberlat
+from g2solv.config import TOL
 from g2solv.numberlat import (
     BUILTIN_EXAMPLES,
     QuarticPoly,
     UnitSpec,
     certify_lattice,
-    charpoly,
     companion,
     is_irreducible,
     is_totally_real,
@@ -179,6 +181,31 @@ def test_roots_decide_total_reality_by_the_sturm_chain(p):
     assert ("not totally real" in message) == (not is_totally_real(p))
 
 
+def _array_polished_roots(p: QuarticPoly) -> list:
+    """The Newton polish of `numberlat._roots` written on a numpy array, as
+    the reference for the loop over Python floats."""
+    vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
+    u = np.array(sorted(vals.real.tolist(), reverse=True))
+    for _ in range(8):
+        deriv = p.derivative(u)
+        step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
+        u = u - step
+        if np.abs(step).max() < TOL.newton:
+            break
+    return u.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(
+    st.tuples(*[SMALL] * 4).map(lambda c: QuarticPoly(*c)),
+    st.lists(st.integers(-10**9, 10**9), min_size=3, max_size=3, unique=True).map(
+        lambda r: _square_units_field(*r)[0])))
+def test_float_polish_equals_the_array_polish_bit_for_bit(p):
+    # the same IEEE operations in the same order, so the same bits
+    assume(is_totally_real(p))
+    assert numberlat._roots(p) == _array_polished_roots(p)
+
+
 def test_companion_layout():
     M = companion(P15)
     assert M == [[0, 0, 0, -1], [1, 0, 0, -4], [0, 1, 0, 4], [0, 0, 1, 1]]
@@ -267,19 +294,43 @@ def _leibniz_det(X) -> int:
     return total
 
 
+def _oracle_charpoly(X) -> QuarticPoly:
+    """det(t I - X) of any integer 4x4 matrix, exactly: the oracle for the
+    trace-form path of `numberlat._charpoly`.
+
+    The power sums s_k = tr X^k need one product X^2 (s3 and s4 are traces
+    of products, summed row by column without forming them); Newton's
+    identities then give the elementary symmetric functions, each division
+    exact.
+    """
+    cols = list(zip(*X))
+    X2 = [[sum(map(mul, row, col)) for col in cols] for row in X]
+    s1 = X[0][0] + X[1][1] + X[2][2] + X[3][3]
+    s2 = X2[0][0] + X2[1][1] + X2[2][2] + X2[3][3]
+    s3 = sum(sum(map(mul, row, col)) for row, col in zip(X2, cols))
+    s4 = sum(sum(map(mul, row, col)) for row, col in zip(X2, zip(*X2)))
+    e2 = (s1 * s1 - s2) // 2
+    e3 = (e2 * s1 - s1 * s2 + s3) // 3
+    e4 = (e3 * s1 - e2 * s2 + s1 * s3 - s4) // 4
+    return QuarticPoly(e4, -e3, e2, -s1)
+
+
 def test_charpoly_of_the_reference_matrices():
     # the units are squares of units, so every determinant is +1
     for ex in BUILTIN_EXAMPLES.values():
         for X in ex["reference"]:
-            chi = charpoly(X)
+            chi = _oracle_charpoly(X)
             assert chi.a0 == _leibniz_det(X) == 1
             assert -chi.a3 == sum(X[i][i] for i in range(4))
             assert chi.alternates_in_sign()
+        T = numberlat._power_sums(ex["poly"])
+        for X, q in zip(ex["reference"], ex["units"]):
+            assert numberlat._charpoly(X, q, T) == _oracle_charpoly(X)
     # t^4 - 1 has the roots +-1, +-i; -I has determinant 1 and spectrum -1
-    assert charpoly(companion(QuarticPoly(-1, 0, 0, 0))).coeffs() == (-1, 0, 0, 0)
+    assert _oracle_charpoly(companion(QuarticPoly(-1, 0, 0, 0))).coeffs() == (-1, 0, 0, 0)
     minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
-    assert charpoly(minus_one).coeffs() == (1, 4, 6, 4)
-    assert not charpoly(minus_one).alternates_in_sign()
+    assert _oracle_charpoly(minus_one).coeffs() == (1, 4, 6, 4)
+    assert not _oracle_charpoly(minus_one).alternates_in_sign()
 
 
 def _oracle_unit_matrix(p: QuarticPoly, q: UnitSpec):
@@ -302,6 +353,39 @@ def _oracle_charpoly_values(X):
 
 
 COEFF = st.one_of(st.integers(-6, 6), st.integers(-10**9, 10**9))
+# monic quartics, leading term first: any coefficients (a0 = 0 included),
+# a repeated root times two lines, a complex pair times a quadratic, and a
+# root at 0 times a cubic
+QUARTICS = st.one_of(
+    st.tuples(*[COEFF] * 4).map(lambda c: [1, *c]),
+    st.tuples(*[FACTOR] * 3).map(
+        lambda r: _times(_times([1, -r[0]], [1, -r[0]]), [1, -(r[1] + r[2]), r[1] * r[2]])),
+    st.tuples(FACTOR, st.integers(1, 30), FACTOR, FACTOR).map(
+        lambda c: _times([1, c[0], c[0] * c[0] + c[1]], [1, c[2], c[3]])),
+    st.tuples(*[COEFF] * 3).map(lambda c: _times([1, 0], [1, *c])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=QUARTICS)
+def test_power_sums_are_traces_of_powers_of_the_companion_matrix(p):
+    p = QuarticPoly(*p[:0:-1])
+    M = np.array(_oracle_unit_matrix(p, UnitSpec(0, 1, 0, 0)), dtype=object)
+    power = np.array(_oracle_unit_matrix(p, UnitSpec(1, 0, 0, 0)), dtype=object)
+    T = numberlat._power_sums(p)
+    assert len(T) == 7 and all(type(t) is int for t in T)
+    for k in range(7):
+        assert T[k] == power.trace()
+        power = power.dot(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=QUARTICS, q=st.tuples(*[COEFF] * 4))
+def test_trace_form_charpoly_matches_the_leibniz_oracle(p, q):
+    p, q = QuarticPoly(*p[:0:-1]), UnitSpec(*q)
+    X = numberlat._mul_matrix(p, q)
+    chi = numberlat._charpoly(X, q, numberlat._power_sums(p))
+    assert all(type(c) is int for c in chi.coeffs())
+    assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,8 +398,9 @@ def test_unit_matrix_and_charpoly_match_the_horner_oracle(p, q):
     assert all(type(v) is int for row in X for v in row)
     square = np.array(_oracle_unit_matrix(p, q), dtype=object).dot(q.coeffs())
     assert list(poly_square_mod(q, p).coeffs()) == square.tolist()
-    chi = charpoly(X)
+    chi = _oracle_charpoly(X)
     assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
+    assert numberlat._charpoly(X, q, numberlat._power_sums(p)) == chi
     if chi.a0 in (1, -1):
         assert unit_matrix(p, q) == X
     else:
@@ -335,8 +420,9 @@ def test_squared_units_of_large_fields_match_the_horner_oracle(roots, k):
     q = units[k]
     X = unit_matrix(p, q)
     assert X == _oracle_unit_matrix(p, q)
-    chi = charpoly(X)
+    chi = _oracle_charpoly(X)
     assert [chi(t) for t in range(5)] == _oracle_charpoly_values(X)
+    assert numberlat._charpoly(X, q, numberlat._power_sums(p)) == chi
     assert chi.a0 == _leibniz_det(X) == 1
     if is_totally_real(p):
         assert chi.alternates_in_sign()
@@ -362,9 +448,10 @@ def test_exact_spectrum_sign_and_determinant_match_floats(near_roots, shift, q):
     eig = np.linalg.eigvals(np.array(X, dtype=float))
     scale = max(1.0, np.abs(eig).max())
     assume(np.abs(eig).min() > 1e-6 * scale)
-    chi = charpoly(X)
+    chi = _oracle_charpoly(X)
     assert chi.a0 == _leibniz_det(X)
     assert chi.alternates_in_sign() == bool(np.all(eig.real > 0))
+    assert numberlat._charpoly(X, q, numberlat._power_sums(p)) == chi
 
 
 # -- multiplicative independence -------------------------------------------------------
@@ -502,14 +589,19 @@ def test_large_coefficient_field_is_certified():
     assert cert.checks["independence_sigma_min"] > 30
 
 
-def _sigma_min_at_high_precision(p: QuarticPoly, units) -> float:
-    """sigma_min of L[i, j] = log|q_i(u_j)| with 60-digit roots and values."""
+def _field_at_high_precision(p: QuarticPoly, units):
+    """The roots of p in descending order, Q[i, j] = q_i(u_j), L[i, j] =
+    log|q_i(u_j)| and sigma_min of L, all at 60 digits, then rounded to
+    floats."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
-        roots_ = mpmath.polyroots([1, p.a3, p.a2, p.a1, p.a0], maxsteps=200, extraprec=200)
-        L = mpmath.matrix([[mpmath.log(abs(q(mpmath.re(r)))) for r in roots_]
-                           for q in units])
-        return float(min(mpmath.svd_r(L, compute_uv=False)))
+        u = sorted((mpmath.re(r) for r in mpmath.polyroots(
+            [1, p.a3, p.a2, p.a1, p.a0], maxsteps=200, extraprec=200)), reverse=True)
+        Q = [[q(x) for x in u] for q in units]
+        L = mpmath.matrix([[mpmath.log(abs(v)) for v in row] for row in Q])
+        sigma_min = min(mpmath.svd_r(L, compute_uv=False))
+        return ([float(x) for x in u], [[float(v) for v in row] for row in Q],
+                np.array(L.tolist(), dtype=float), float(sigma_min))
 
 
 def test_huge_field_with_a_cancelling_conjugate_is_certified():
@@ -520,8 +612,47 @@ def test_huge_field_with_a_cancelling_conjugate_is_certified():
     assert 0.0 in np.array([q(np.array(cert.roots)) for q in units])
     assert cert.verdict, cert.checks
     assert cert.reason == "certified"
-    expected = _sigma_min_at_high_precision(p, units)
-    assert cert.checks["independence_sigma_min"] == pytest.approx(expected, rel=1e-9)
+    _, values, _, sigma_min = _field_at_high_precision(p, units)
+    assert cert.checks["independence_sigma_min"] == pytest.approx(sigma_min, rel=1e-9)
+    # the reported spectra hold those conjugates too, about 2.5e-19
+    assert 0.0 not in [v for row in cert.spectra for v in row]
+    for row, expected in zip(cert.spectra, values):
+        assert row == pytest.approx(expected, rel=1e-9)
+    assert cert.checks["diag_residual"] < 1e-9
+
+
+def _seeded_fields(count: int, seed: int):
+    """`count` fields t (t-a)(t-b)(t-c) + 1 with distinct nonzero a, b, c in
+    [-15, 15], drawn with a fixed seed, that reach the float pass."""
+    rng = random.Random(seed)
+    fields = []
+    while len(fields) < count:
+        p, units = _square_units_field(*rng.sample([k for k in range(-15, 16) if k], 3))
+        cert = certify_lattice(p, units)
+        if cert.roots:
+            fields.append((p, units, cert))
+    return fields
+
+
+def test_float_pass_matches_a_high_precision_oracle():
+    for p, units, cert in _seeded_fields(30, seed=26):
+        u, values, L, sigma_min = _field_at_high_precision(p, units)
+        tag = p.coeffs()
+        assert np.abs(mult_independence(p, units)["log_matrix"] - L).max() < 1e-9, tag
+        for x, expected in zip(cert.roots, u):
+            # Newton stops where rounding in p(x) hides p: within eps times
+            # the root's condition number sum |a_k| |u|^k / |p'(u)|, which
+            # exceeds 1e-15 |u| for some roots (6.4e-14 at u = -10.97 of
+            # t^4 + 37 t^3 + 454 t^2 + 1848 t + 1)
+            size = sum(abs(a) * abs(expected) ** k for k, a in enumerate((*p.coeffs(), 1)))
+            cond = size / abs(p.derivative(expected))
+            bound = max(1e-15 * max(1.0, abs(expected)), 8 * 2.0**-52 * cond)
+            assert abs(x - expected) <= bound, tag
+        assert cert.checks["independence_sigma_min"] == pytest.approx(sigma_min, rel=1e-9), tag
+        # the Vandermonde rows are the float powers of the reported roots
+        assert cert.vandermonde == [[1.0, x, x * x, x * x * x] for x in cert.roots], tag
+        for row, expected in zip(cert.spectra, values):
+            assert row == pytest.approx(expected, rel=1e-9), tag
 
 
 def test_certificate_lets_unexpected_errors_propagate(monkeypatch):
