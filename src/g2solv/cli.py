@@ -10,8 +10,10 @@ Subcommands
     audit            compare computed dynamics against the source claims
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
-2 usage or input errors, printed as 'error: <message>'.  Numbers must be
-finite; a sweep file must hold a start; flow takes at least 2 --samples.
+2 usage or input errors, printed as 'error: <message>'.  Each report reads
+one input source (in parentheses in its usage), --unit only with --poly.
+Numbers must be finite; a sweep file must hold a start; flow takes at least
+2 --samples.  JSON writes an undefined F as null.
 Verdicts are decided on the triple scaled by a power of two to unit size,
 so they do not depend on its scale, and a reported value beyond the float
 range is an input error.  erp-check's --tol bounds |residual| / |tau|^2.
@@ -32,14 +34,13 @@ import sys
 
 import numpy as np
 
-from . import forms
+from . import coflow, forms
 from .coflow import (
     CoclosedParams,
     FlowOptions,
     flow_generator,
     integrate,
     modified_soliton_residual,
-    ode_rhs,
     soliton_candidates,
     soliton_solve,
 )
@@ -97,21 +98,22 @@ def _emit(payload: str, out: str | None):
 
 
 def _triple_from_args(args) -> BracketTriple:
-    if getattr(args, "closed", None):
+    """The triple of the one source option (argparse admits exactly one)."""
+    if args.triple is not None:
+        return BracketTriple(*[_parse_matrix(m) for m in args.triple])
+    if args.closed is not None:
         return closed_triple(*_parse_floats(args.closed, 3))
-    if getattr(args, "coclosed", None):
-        return CoclosedParams(*_parse_floats(args.coclosed, 6)).to_triple()
-    return BracketTriple(*[_parse_matrix(m) for m in args.triple])
+    return CoclosedParams(*_parse_floats(args.coclosed, 6)).to_triple()
 
 
 def _cmd_verify_lattice(args) -> int:
-    if args.example:
+    if args.example is not None:
+        if args.unit is not None:
+            raise ValueError("--unit goes with --poly: an --example brings its own units")
         ex = BUILTIN_EXAMPLES[args.example]
         p, units = ex["poly"], ex["units"]
         reference = ex["reference"]
     else:
-        if not args.poly:
-            raise ValueError("verify-lattice needs --example or --poly")
         p = QuarticPoly(*_parse_ints(args.poly, 4))
         units = [UnitSpec(*_parse_ints(u, 4)) for u in args.unit or []]
         reference = None
@@ -285,16 +287,14 @@ def _cmd_flow(args) -> int:
     Each start's integration and text is one `report`, and a sweep's reports
     are spread over worker processes by `_fan_out`; the output is the same
     as the serial loop's, byte for byte."""
-    if args.sweep:
+    if args.sweep is not None:
         with open(args.sweep, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines()
                      if line.strip() and not line.startswith("#")]
         if not lines:
             raise ValueError(f"sweep file {args.sweep} holds no start")
-    elif args.init:
-        lines = [args.init]
     else:
-        raise ValueError("flow needs --init or --sweep")
+        lines = [args.init]
     starts = [_parse_floats(line, 6) for line in lines]
 
     def report(start):
@@ -303,8 +303,9 @@ def _cmd_flow(args) -> int:
         table = np.column_stack([traj.times, traj.params, traj.norms(),
                                  traj.invariants(), traj.coefficients()])
         if args.format == "json":
-            run = {"status": traj.status, "columns": _CSV_HEADER.split(","),
-                   "rows": table.tolist()}
+            # F is NaN on the flat point, which JSON writes as null
+            rows = [[None if math.isnan(x) else x for x in row] for row in table.tolist()]
+            run = {"status": traj.status, "columns": _CSV_HEADER.split(","), "rows": rows}
             return traj.status, ({"start": start, **run} if args.sweep else run)
         csv = (_CSV_HEADER + ("\n" + _CSV_ROW) * len(table)) % tuple(table.ravel().tolist())
         return traj.status, (f"# start {','.join(map(str, start))} status {traj.status}\n{csv}"
@@ -323,7 +324,7 @@ def _cmd_audit(args) -> int:
 
     # (i) sign of dN/dt at the quoted near-degenerate point
     probe = CoclosedParams(0.01, 0.01, 1.0, -1.0, 2.0, -2.0)
-    rhs = ode_rhs(probe)
+    rhs = np.array(coflow._rate(probe.as_array().tolist()))
     n_prime = float(2.0 * probe.as_array() @ rhs)
     claims.append({
         "claim_id": "norm_derivative_sign_near_degenerate",
@@ -340,7 +341,7 @@ def _cmd_audit(args) -> int:
         p = CoclosedParams(*rng.uniform(-2, 2, size=6))
         # each pair is scaled by minus its slot of Q: a by e7, b by e1, c by e2
         rate = -np.diag(flow_generator(p))[[6, 6, 0, 0, 1, 1]] * p.as_array()
-        dev = max(dev, float(np.max(np.abs(ode_rhs(p) - rate))))
+        dev = max(dev, float(np.max(np.abs(np.array(coflow._rate(p.as_array().tolist())) - rate))))
     claims.append({
         "claim_id": "ode_coefficient_identity",
         "source_location": "flow ODE display vs (r, s, t) quadratic forms",
@@ -374,7 +375,7 @@ def _cmd_audit(args) -> int:
             for c in np.linspace(-1.5, 1.5, 7):
                 p = CoclosedParams(a, a, b, -b, c, c)
                 # reduced norm N = a^2 + b^2 + c^2 is half the parameter norm
-                half_n_prime = 0.5 * float(p.as_array() @ ode_rhs(p))
+                half_n_prime = 0.5 * float(p.as_array() @ coflow._rate(p.as_array().tolist()))
                 printed = (-2 * (a ** 4 + b ** 4) - 4 * c ** 4
                            + 2 * c * c * (a * a - b * b) + 4 * c * c * (b * b - a * a))
                 dev4 = max(dev4, abs(half_n_prime - printed))
@@ -449,18 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     vl = add_parser("verify-lattice", formats=("json", "text"),
                     help="certify a quartic + three units")
-    vl.add_argument("--example", choices=sorted(BUILTIN_EXAMPLES))
-    vl.add_argument("--poly", help="a0,a1,a2,a3 for monic t^4+a3 t^3+a2 t^2+a1 t+a0")
+    source = vl.add_mutually_exclusive_group(required=True)
+    source.add_argument("--example", choices=sorted(BUILTIN_EXAMPLES))
+    source.add_argument("--poly", help="a0,a1,a2,a3 for monic t^4+a3 t^3+a2 t^2+a1 t+a0")
     vl.add_argument("--unit", action="append",
-                    help="q0,q1,q2,q3; a lattice needs exactly three (repeat the option)")
+                    help="q0,q1,q2,q3, with --poly; a lattice needs exactly three "
+                         "(repeat the option)")
     vl.set_defaults(func=_cmd_verify_lattice)
 
     def add_triple_args(p, closed_only=False):
-        p.add_argument("--closed", help="a,b,c for the closed diagonal family")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--closed", help="a,b,c for the closed diagonal family")
         if not closed_only:
-            p.add_argument("--coclosed", help="a1,a2,b1,b2,c1,c2 coclosed parameters")
-        p.add_argument("--triple", nargs=3, metavar="MAT",
-                       help="three 4x4 matrices, rows ';', entries ','")
+            source.add_argument("--coclosed", help="a1,a2,b1,b2,c1,c2 coclosed parameters")
+        source.add_argument("--triple", nargs=3, metavar="MAT",
+                            help="three 4x4 matrices, rows ';', entries ','")
 
     to = add_parser("torsion", formats=("json", "text"), help="torsion forms, class and curvature")
     add_triple_args(to)
@@ -480,10 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     so.set_defaults(func=_cmd_soliton)
 
     fl = add_parser("flow", formats=("csv", "json"), help="integrate the coflow parameter ODE")
-    fl.add_argument("--init", help="a1,a2,b1,b2,c1,c2 starting parameters")
+    source = fl.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init", help="a1,a2,b1,b2,c1,c2 starting parameters")
+    source.add_argument("--sweep", help="file with one 6-tuple start per line")
     fl.add_argument("--t-max", type=_finite_float, default=50.0)
     fl.add_argument("--samples", type=int, default=501)
-    fl.add_argument("--sweep", help="file with one 6-tuple start per line")
     fl.set_defaults(func=_cmd_flow)
 
     au = add_parser("audit", help="re-derive source claims and report agreement")

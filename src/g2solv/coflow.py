@@ -49,12 +49,7 @@ _BLOWUP = 1e8
 _MAX_START = 1e70
 _RTOL = 1e-10
 _ATOL = 1e-12
-# a run is "converged" when drift * t_end / _WINDOW stays below _DRIFT_TOL,
-# with drift the largest change of p/|p| over the trailing window, read from
-# the dense output at _WINDOW_POINTS equally spaced times; that product is
-# the distance still to go when the approach is no faster than 1/t
-_WINDOW = 10.0
-_WINDOW_POINTS = 11
+# a run is "converged" when the drift of its end state (`_drift`) is below this
 _DRIFT_TOL = 1e-6
 
 # diagonals of (A, B, C): the parameter slot and the sign of each entry
@@ -129,27 +124,21 @@ def flow_generator(p: CoclosedParams) -> np.ndarray:
 
 
 def _rate(y) -> tuple:
-    """Velocity of the parameter ODE at the 6 floats y, as a 6-tuple; see
-    `ode_rhs`.  Plain float arithmetic: `_rk45` calls it six times a step."""
-    a1, a2, b1, b2, c1, c2 = y
-    ab, bb, cc = 2.0 * a1 * a2, 2.0 * b1 * b2, 2.0 * c1 * c2
-    ka = -(a1 * a1 + a2 * a2) + bb + cc
-    kb = -(b1 * b1 + b2 * b2) + ab - cc
-    kc = -(c1 * c1 + c2 * c2) - ab - bb
-    return ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2
-
-
-def ode_rhs(p: CoclosedParams) -> np.ndarray:
-    """Right-hand side of the parameter ODE induced by the coflow.
-
-    Derived from the bracket flow mu' = theta_plus(Q) mu: each of A, B, C is
+    """Velocity of the parameter ODE induced by the coflow at the 6 floats y,
+    as a 6-tuple, in plain float arithmetic (`_rk45` calls it six times a
+    step).  Derived from the bracket flow mu' = theta_plus(Q) mu: each of A, B, C is
     scaled by minus the a-slot of Q acting on its direction, giving
 
         ai' = (-(a1^2+a2^2) + 2 b1 b2 + 2 c1 c2) ai
         bi' = (-(b1^2+b2^2) + 2 a1 a2 - 2 c1 c2) bi
         ci' = (-(c1^2+c2^2) - 2 a1 a2 - 2 b1 b2) ci.
     """
-    return np.array(_rate(p.as_array().tolist()))
+    a1, a2, b1, b2, c1, c2 = y
+    ab, bb, cc = 2.0 * a1 * a2, 2.0 * b1 * b2, 2.0 * c1 * c2
+    ka = -(a1 * a1 + a2 * a2) + bb + cc
+    kb = -(b1 * b1 + b2 * b2) + ab - cc
+    kc = -(c1 * c1 + c2 * c2) - ab - bb
+    return ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): stage weights,
@@ -202,7 +191,7 @@ def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, t_end)
 
 
-def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
+def _rk45(rate, y0, t_end, t_eval, rtol, atol):
     """Integrate y' = rate(y) from t = 0 to t_end in Dormand-Prince steps.
 
     Step for step scipy's RK45: the error is the RMS of the local estimate
@@ -226,11 +215,10 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
 
     Returns the states at the leading entries of the sorted times t_eval
     that were reached (after a blow-up, those before the first state with
-    |y|^2 >= _BLOWUP), the dense-output states at the reached entries of the
-    sorted times t_extra, and whether t_end was reached.  Only the steps
-    that contain one of these times keep their start and dense-output
-    coefficients, so memory grows with the number of times asked for, not
-    with the number of steps.
+    |y|^2 >= _BLOWUP), the last state and its rate (the first-same-as-last
+    stage), and whether t_end was reached.  Only the steps that contain one
+    of the times t_eval keep their start and dense-output coefficients, so
+    memory grows with the number of samples, not with the number of steps.
     """
     y0, t_end = np.asarray(y0, dtype=float), float(t_end)
     K = np.empty((7, y0.size))
@@ -241,7 +229,7 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
     stages = [(K[:s].T, _A_ROWS[s]) for s in range(1, 6)]
     K6T, KT = K[:6].T, K.T
     # a time belongs to the first step that ends at or after it
-    wanted, covered = sorted(np.concatenate([t_eval, t_extra]).tolist()), 0
+    wanted, covered = np.asarray(t_eval, dtype=float).tolist(), 0
     starts, ends, steps, states, coefs = [], [], [], [], []
     while ok and t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -281,22 +269,20 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol, t_extra=()):
     starts, ends, steps = np.array(starts), np.array(ends), np.array(steps)
     states, coefs = np.array(states), np.array(coefs)
 
-    def dense(ts):
-        ts = np.asarray(ts, dtype=float)
-        ts = ts[:np.searchsorted(ts, t, side="right")]
-        if not len(steps):
-            return np.tile(y, (len(ts), 1))
+    ts = np.asarray(t_eval, dtype=float)
+    ts = ts[:np.searchsorted(ts, t, side="right")]
+    if len(steps):
         k = np.searchsorted(ends, ts)  # the step with start < t <= end
         x = (ts - starts[k]) / steps[k]
         powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-        return states[k] + steps[k, None] * np.einsum("kij,kj->ki", coefs[k], powers)
-
-    ys = dense(t_eval)
+        ys = states[k] + steps[k, None] * np.einsum("kij,kj->ki", coefs[k], powers)
+    else:
+        ys = np.tile(y, (len(ts), 1))
     if not ok:
         past = np.einsum("ij,ij->i", ys, ys) >= _BLOWUP
         if past.any():
             ys = ys[:past.argmax()]
-    return ys, dense(t_extra), ok
+    return ys, (y, K[0].tolist()), ok
 
 
 @dataclass
@@ -309,9 +295,6 @@ class FlowTrajectory:
     times: np.ndarray
     params: np.ndarray  # shape (len(times), 6)
     status: str  # converged | max_time | diverged
-    # largest change of p/|p| over the trailing window, read from the dense
-    # output (see `integrate`); NaN when it was not measured
-    window_drift: float = math.nan
 
     def norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.params, self.params)
@@ -332,6 +315,22 @@ class FlowTrajectory:
         return _homothety(-np.trace(gram, axis1=1, axis2=2), np.einsum("kij,kij->k", gram, gram))
 
 
+def _drift(y, f, t: float) -> float:
+    """The distance the direction p/|p| still has to go, estimated at the
+    state y with rate f at time t as the direction's speed
+    |f - (y.f / |y|^2) y| / |y| times max(t, 1/|y|^2); NaN at y = 0.  For an
+    approach like 1/t that is the distance, and a faster one makes it the
+    larger.  The rate is cubic, so 1/|y|^2 is the flow's own time scale: a
+    shorter run counts as settled only when its direction is stationary."""
+    n = math.hypot(*y)
+    if n == 0.0:
+        return math.nan
+    u = [yi / n for yi in y]
+    c = sum(ui * fi for ui, fi in zip(u, f))
+    speed = math.hypot(*(fi - c * ui for ui, fi in zip(u, f))) / n
+    return max(speed * t, speed / n / n)  # not 0 * inf where 1 / n^2 overflows
+
+
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:
     """Integrate the coflow ODE from t = 0 to t_max with adaptive RK45
     steps, sampled at `opts.samples` equally spaced times.
@@ -342,9 +341,9 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     |p| below `_MAX_START`.
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
-    p/|p| has settled (see `_DRIFT_TOL`) and "max_time" otherwise.
-    The drift is measured on the dense output at 11 equally spaced times of
-    the trailing window, so the status does not depend on the sample count.
+    p/|p| has settled, that is when `_drift` of the last step's end state
+    and of the rate the stepper holds there is below `_DRIFT_TOL`, and
+    "max_time" otherwise.  Neither depends on the sample count.
     """
     opts = opts or FlowOptions()
     if not 0.0 <= t_max < math.inf:
@@ -360,22 +359,15 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
                          "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    window = np.linspace(max(0.0, t_max - _WINDOW), t_max, _WINDOW_POINTS)
-    params, pts, ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL, window)
-    status, drift = "max_time" if ok else "diverged", math.nan
-    if ok:
-        norms = np.linalg.norm(pts, axis=1)
-        if norms.min() > 0:
-            dirs = pts / norms[:, None]
-            drift = float(np.abs(dirs - dirs[-1]).max())
-            if drift * t_max / _WINDOW < _DRIFT_TOL:
-                status = "converged"
-    return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status,
-                          window_drift=drift)
+    params, (y, f), ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL)
+    status = ("diverged" if not ok else
+              "converged" if _drift(y, f, t_max) < _DRIFT_TOL else "max_time")
+    return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status)
 
 
 def normalized_limit(traj: FlowTrajectory) -> dict:
-    """Final direction p/|p| and the trajectory's trailing-window drift."""
+    """Final direction p/|p| and its `drift`: the `_drift` estimate of
+    `integrate`, taken at the last sample and its rate."""
     if traj.status == "diverged":
         raise ValueError("trajectory diverged; no normalized limit")
     if len(traj.times) < 2:
@@ -384,7 +376,8 @@ def normalized_limit(traj: FlowTrajectory) -> dict:
     norm = np.linalg.norm(final)
     if norm == 0.0:
         raise ValueError("trajectory reached the flat point")
-    return {"direction": final / norm, "window_drift": traj.window_drift}
+    drift = _drift(final.tolist(), _rate(final.tolist()), float(traj.times[-1]))
+    return {"direction": final / norm, "drift": drift}
 
 
 def conserved_ab(traj: FlowTrajectory) -> dict:

@@ -194,7 +194,7 @@ def bracket_flow_generator(p):
 
 
 def bracket_flow_rhs(p):
-    """Independent oracle for coflow.ode_rhs: evolve the structure constants
+    """Independent oracle for coflow._rate: evolve the structure constants
     by theta_plus(Q) directly and read the parameter derivatives back off."""
     qa, qb, qc = bracket_flow_generator(p)
     a1, a2, b1, b2, c1, c2 = p.a1, p.a2, p.b1, p.b2, p.c1, p.c2

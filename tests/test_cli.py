@@ -56,7 +56,7 @@ def test_verify_lattice_unknown_example():
 def test_verify_lattice_missing_arguments(capsys):
     code = cli.run(["verify-lattice"])
     assert code == 2
-    assert "needs --example or --poly" in capsys.readouterr().err
+    assert "error: one of the arguments --example --poly is required" in capsys.readouterr().err
 
 
 def test_verify_lattice_explicit_input_matches_builtin(capsys):
@@ -448,7 +448,7 @@ def test_flow_large_start_below_the_bound_runs(capsys):
 def test_flow_requires_a_start(tmp_path, capsys):
     code = cli.run(["flow"])
     assert code == 2
-    assert "needs --init or --sweep" in capsys.readouterr().err
+    assert "error: one of the arguments --init --sweep is required" in capsys.readouterr().err
     sweep = tmp_path / "starts.txt"
     sweep.write_text("# one start per line\n\n  \n")
     code = cli.run(["flow", "--sweep", str(sweep)])
@@ -691,6 +691,61 @@ def test_verify_lattice_with_two_units_is_an_input_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: a lattice needs three units, got 2\n"
+
+
+def assert_one_input_error(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify-lattice", "torsion", "erp-check", "soliton", "flow"])
+def test_a_command_without_its_input_is_an_input_error(capsys, command):
+    # audit, the one subcommand without an input, is left out
+    assert_one_input_error(capsys, [command])
+
+
+TRIPLE = ["--triple", *COCLOSED_MATS]
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--closed", "1,1,1", "--coclosed", "1,1,1,-1,1,1"],
+    ["torsion", "--closed", "1,1,1", *TRIPLE],
+    ["torsion", "--coclosed", "1,1,1,-1,1,1", *TRIPLE],
+    ["erp-check", "--closed", "1,1,1", *TRIPLE],
+    ["verify-lattice", "--example", "kl-2015", "--poly", "1,0,-4,0"],
+    ["verify-lattice", "--example", "kl-2015", "--unit", "0,0,1,0"],
+    ["flow", "--init", "1,1,2,2,1,1", "--sweep", "starts.txt"],
+])
+def test_two_inputs_are_an_input_error(capsys, argv):
+    # each used to run on one of the two and ignore the other
+    assert_one_input_error(capsys, argv)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lattice", "--example", "kl-2015"],
+    ["torsion", "--closed", "1,1,1"],
+    ["torsion", "--coclosed", "0,0,0,0,0,0"],
+    ["erp-check", "--closed", "1,1,1"],
+    ["soliton", "--base", "1,1,1,-1", "--modified-m", "1"],
+    ["flow", "--format", "json", "--init", "1,1,2,2,1,1", "--t-max", "1", "--samples", "3"],
+    ["flow", "--format", "json", "--init", "0,0,0,0,0,0", "--t-max", "1", "--samples", "3"],
+    ["audit"],
+])
+def test_every_json_report_is_valid_json(capsys, argv):
+    # Python's json writes NaN and Infinity unless told not to; neither is JSON
+    cli.run(argv)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    if "0,0,0,0,0,0" in argv:
+        # F is undefined on the flat point: null, as in torsion's report
+        Fs = [row[8] for row in payload["rows"]] if "rows" in payload else [payload["F"]]
+        assert Fs and all(F is None for F in Fs)
 
 
 def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):

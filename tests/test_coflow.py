@@ -20,12 +20,12 @@ from g2solv.coflow import (
     CoclosedParams,
     FlowOptions,
     FlowTrajectory,
+    _rate,
     conserved_ab,
     flow_generator,
     integrate,
     modified_soliton_residual,
     normalized_limit,
-    ode_rhs,
     soliton_candidates,
     soliton_residual,
     soliton_solve,
@@ -39,6 +39,10 @@ SOLITON = CoclosedParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 W7 = monomial((3, 4)) + monomial((5, 6))
 W1 = monomial((3, 5)) - monomial((4, 6))
 W2 = -monomial((3, 6)) - monomial((4, 5))
+
+
+def rate(p):
+    return np.array(_rate(p.as_array().tolist()))
 
 
 def params_st():
@@ -95,14 +99,14 @@ def test_bracket_flow_oracle_generates_the_reference_laplacian(p):
 @given(params_st())
 def test_ode_agrees_with_bracket_flow(p):
     scale = max(1.0, p.norm_sq() ** 1.5)
-    assert np.abs(ode_rhs(p) - bracket_flow_rhs(p)).max() < 1e-12 * scale
+    assert np.abs(rate(p) - bracket_flow_rhs(p)).max() < 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(params_st(), st.floats(min_value=-2.0, max_value=2.0))
 def test_ode_is_cubically_homogeneous(p, c):
-    lhs = ode_rhs(CoclosedParams(*c * p.as_array()))
-    rhs = c ** 3 * ode_rhs(p)
+    lhs = rate(CoclosedParams(*c * p.as_array()))
+    rhs = c ** 3 * rate(p)
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, abs(c) ** 3 * p.norm_sq() ** 1.5)
 
 
@@ -120,7 +124,7 @@ def test_linearization_at_the_soliton_on_its_slice():
     # a nearby trajectory approaches the soliton ray only like 1/t.
     def on_slice(x):
         a, b, c = x
-        v = ode_rhs(CoclosedParams(a, a, b, -b, c, c))
+        v = rate(CoclosedParams(a, a, b, -b, c, c))
         assert np.allclose(v[[1, 3, 5]], v[[0, 2, 4]] * [1.0, -1.0, 1.0], rtol=0, atol=1e-12)
         return v[[0, 2, 4]]
 
@@ -151,13 +155,13 @@ def test_symmetric_family_converges_to_the_split_direction():
     lim = normalized_limit(traj)
     target = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]) / 2.0
     assert np.abs(lim["direction"] - target).max() < 1e-8
-    assert lim["window_drift"] < 1e-8
+    assert lim["drift"] < 1e-8
 
 
 def test_an_algebraic_approach_is_not_called_converged():
     # On the slice (a, a, b, -b, c, c) the direction nears the soliton ray like
-    # 1/t, so at t = 2000 the window drift is small while the direction is
-    # still 5e-5 from its limit: drift * t / window is about 1.1e-4.
+    # 1/t while it turns by sqrt(3) ln t, so at t = 2000 its speed is small
+    # while it is still 9.4e-5 from its limit: t times the speed is 1.9e-4.
     traj = integrate(CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5), 2000.0,
                      FlowOptions(samples=2001))
     assert traj.status == "max_time"
@@ -165,8 +169,8 @@ def test_an_algebraic_approach_is_not_called_converged():
 
 @pytest.mark.parametrize("samples", [3, 101, 2001])
 def test_status_does_not_depend_on_the_sample_count(samples):
-    # the drift is read from the dense output on a fixed grid of the trailing
-    # window, so a sample spacing wider than the window cannot hide it
+    # the drift is read from the last step's end state and its rate, which
+    # the samples do not change
     algebraic = integrate(CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5), 2000.0,
                           FlowOptions(samples=samples))
     assert algebraic.status == "max_time"
@@ -176,14 +180,27 @@ def test_status_does_not_depend_on_the_sample_count(samples):
     assert settled.status == "converged"
 
 
-def test_window_drift_does_not_depend_on_the_sample_count():
-    # 101 samples put one sample in the trailing window of t = 2000; the drift
-    # is the dense-output value that also decided the status
+def test_drift_does_not_depend_on_the_sample_count():
+    # the last sample is the dense output at the end of the last step, which
+    # the steps fix whatever the sample count; 1.9e-4 is t times the speed of
+    # the direction, about twice its distance to the limit (it also turns)
     start = CoclosedParams(2.0, 2.0, 1.0, -1.0, 0.5, 0.5)
-    drifts = [normalized_limit(integrate(start, 2000.0, FlowOptions(samples=n)))["window_drift"]
-              for n in (101, 2001)]
-    assert drifts[0] == drifts[1]
-    assert 1e-7 < drifts[0] < 1e-5
+    drifts = [normalized_limit(integrate(start, 2000.0, FlowOptions(samples=n)))["drift"]
+              for n in (3, 101, 2001)]
+    assert drifts[0] == drifts[1] == drifts[2]
+    assert 1e-4 < drifts[0] < 1e-3
+
+
+@pytest.mark.parametrize("t_max", [0.0, 1e-3])
+def test_a_short_run_converges_only_from_a_stationary_direction(t_max):
+    # a run shorter than the flow's time scale 1/|p|^2 has not shown that its
+    # direction settled: only a start on a soliton ray has a still direction
+    moving = integrate(CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 0.9), t_max)
+    assert moving.status == "max_time"
+    assert integrate(SOLITON, t_max).status == "converged"
+    # at |p| ~ 1e-160 the time scale 1/|p|^2 overflows, and the rate is 0
+    tiny = CoclosedParams(*1e-160 * SOLITON.as_array())
+    assert integrate(tiny, t_max).status == "converged"
 
 
 def test_zero_and_negative_flow_times():
@@ -226,8 +243,9 @@ def test_a_non_finite_start_is_rejected_as_such(bad):
 
 def test_stepper_memory_does_not_grow_with_the_step_count():
     # t_max 10 takes about 3100 steps (18578 rate calls) against about 560
-    # at t_max 1; only the steps holding one of the 3 samples or the 11
-    # window times keep their state, a few hundred bytes each
+    # at t_max 1; only the steps holding one of the 3 samples keep their
+    # state, a few hundred bytes each.  By t = 1 the c pair has decayed
+    # below 1e-163 and the run sits at the stationary point (10, 10, 10, 10, 0, 0)
     peaks = []
     for t_max in (1.0, 10.0):
         tracemalloc.start()
@@ -236,7 +254,7 @@ def test_stepper_memory_does_not_grow_with_the_step_count():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert traj.status == "max_time" and len(traj.times) == 3
+        assert traj.status == "converged" and len(traj.times) == 3
     assert peaks[1] <= peaks[0] + 8192, peaks
 
 
@@ -280,16 +298,14 @@ def test_soliton_start_keeps_its_direction():
 
 def test_normalized_limit_requires_a_usable_trajectory():
     base = integrate(SOLITON, 1.0, FlowOptions(samples=11))
-    bad = FlowTrajectory(times=base.times, params=base.params,
-                         status="diverged", window_drift=base.window_drift)
+    bad = FlowTrajectory(times=base.times, params=base.params, status="diverged")
     with pytest.raises(ValueError):
         normalized_limit(bad)
-    short = FlowTrajectory(times=base.times[:1], params=base.params[:1],
-                           status="max_time", window_drift=base.window_drift)
+    short = FlowTrajectory(times=base.times[:1], params=base.params[:1], status="max_time")
     with pytest.raises(ValueError):
         normalized_limit(short)
     flat = FlowTrajectory(times=base.times, params=np.zeros_like(base.params),
-                          status="max_time", window_drift=base.window_drift)
+                          status="max_time")
     with pytest.raises(ValueError):
         normalized_limit(flat)
 
