@@ -13,12 +13,11 @@ Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
 2 usage or input errors, printed as 'error: <message>'.  Each report reads
 one input source (in parentheses in its usage), --unit only with --poly.
 Numbers must be finite; a sweep file must hold a start; flow takes at least
-2 --samples.  JSON writes an undefined F as null.
-Verdicts are decided on the triple scaled by a power of two to unit size,
-so they do not depend on its scale, and a reported value beyond the float
-range is an input error.  erp-check's --tol bounds |residual| / |tau|^2.
-Matrix literals use ';' between rows and ',' between entries; '@path'
-reads the literal from a file.
+2 --samples.  JSON writes an undefined F as null.  Verdicts are decided on
+the triple scaled by a power of two to unit size, so they do not depend on
+its scale, and a reported value beyond the float range is an input error.
+erp-check's --tol bounds |residual| / |tau|^2.  Matrix literals use ';'
+between rows and ',' between entries; '@path' reads the literal from a file.
 """
 
 from __future__ import annotations
@@ -321,10 +320,11 @@ def _cmd_flow(args) -> int:
 
 def _cmd_audit(args) -> int:
     claims = []
+    velocity = lambda p: np.array(coflow._rate(p.as_array().tolist()))  # the ODE at p
 
     # (i) sign of dN/dt at the quoted near-degenerate point
     probe = CoclosedParams(0.01, 0.01, 1.0, -1.0, 2.0, -2.0)
-    rhs = np.array(coflow._rate(probe.as_array().tolist()))
+    rhs = velocity(probe)
     n_prime = float(2.0 * probe.as_array() @ rhs)
     claims.append({
         "claim_id": "norm_derivative_sign_near_degenerate",
@@ -341,7 +341,7 @@ def _cmd_audit(args) -> int:
         p = CoclosedParams(*rng.uniform(-2, 2, size=6))
         # each pair is scaled by minus its slot of Q: a by e7, b by e1, c by e2
         rate = -np.diag(flow_generator(p))[[6, 6, 0, 0, 1, 1]] * p.as_array()
-        dev = max(dev, float(np.max(np.abs(np.array(coflow._rate(p.as_array().tolist())) - rate))))
+        dev = max(dev, float(np.max(np.abs(velocity(p) - rate))))
     claims.append({
         "claim_id": "ode_coefficient_identity",
         "source_location": "flow ODE display vs (r, s, t) quadratic forms",
@@ -375,7 +375,7 @@ def _cmd_audit(args) -> int:
             for c in np.linspace(-1.5, 1.5, 7):
                 p = CoclosedParams(a, a, b, -b, c, c)
                 # reduced norm N = a^2 + b^2 + c^2 is half the parameter norm
-                half_n_prime = 0.5 * float(p.as_array() @ coflow._rate(p.as_array().tolist()))
+                half_n_prime = 0.5 * float(p.as_array() @ velocity(p))
                 printed = (-2 * (a ** 4 + b ** 4) - 4 * c ** 4
                            + 2 * c * c * (a * a - b * b) + 4 * c * c * (b * b - a * a))
                 dev4 = max(dev4, abs(half_n_prime - printed))

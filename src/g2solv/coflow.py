@@ -317,18 +317,18 @@ class FlowTrajectory:
 
 def _drift(y, f, t: float) -> float:
     """The distance the direction p/|p| still has to go, estimated at the
-    state y with rate f at time t as the direction's speed
-    |f - (y.f / |y|^2) y| / |y| times max(t, 1/|y|^2); NaN at y = 0.  For an
-    approach like 1/t that is the distance, and a faster one makes it the
-    larger.  The rate is cubic, so 1/|y|^2 is the flow's own time scale: a
-    shorter run counts as settled only when its direction is stationary."""
+    state y with rate f at time t: the direction's speed |f - (y.f/|y|^2) y|
+    / |y| times max(t, 1/|y|^2), the flow's own time scale as the rate is
+    cubic; NaN at y = 0.  For an approach like 1/t that is the distance, and
+    a faster one makes it the larger.  The stepper holds y to a relative
+    `_RTOL`, so a speed up to 3 `_RTOL` |y|^2 is its error and counts as 0."""
     n = math.hypot(*y)
     if n == 0.0:
         return math.nan
     u = [yi / n for yi in y]
     c = sum(ui * fi for ui, fi in zip(u, f))
     speed = math.hypot(*(fi - c * ui for ui, fi in zip(u, f))) / n
-    return max(speed * t, speed / n / n)  # not 0 * inf where 1 / n^2 overflows
+    return max(speed * t, speed / n / n) if speed > 3.0 * _RTOL * n * n else 0.0
 
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:

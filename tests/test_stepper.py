@@ -41,13 +41,16 @@ def oracle(rate, y0, t_max, samples):
 def oracle_status(sol, t_max):
     """The status rule of `integrate`, applied to scipy's end state y with
     the bracket-flow rate f: converged when the speed of y/|y|, times
-    max(t_max, 1/|y|^2), is below the drift tolerance."""
+    max(t_max, 1/|y|^2), is below the drift tolerance, a speed of at most
+    3 RTOL |y|^2 counting as 0."""
     if not sol.success or len(sol.t_events[0]):
         return "diverged"
     y = sol.y[:, -1]
     f = bracket_flow_rhs(CoclosedParams(*y))
     n_sq = y @ y
     speed = np.linalg.norm(f - (y @ f / n_sq) * y) / np.sqrt(n_sq)
+    if speed <= 3 * RTOL * n_sq:
+        return "converged"
     return "converged" if speed * max(t_max, 1.0 / n_sq) < _DRIFT_TOL else "max_time"
 
 
