@@ -14,10 +14,8 @@ import numpy as np
 from g2solv.coflow import (
     CoclosedParams,
     FlowOptions,
-    conserved_ab,
     integrate,
     modified_soliton_residual,
-    normalized_limit,
     soliton_solve,
 )
 
@@ -30,16 +28,17 @@ print("N(0) =", n[0], " N(50) =", n[-1], " max increase:", np.diff(n).max())
 
 # the normalized state drifts toward the symmetric direction, but only at
 # an algebraic 1/t rate
-lim = normalized_limit(traj)
+direction = traj.params[-1] / np.linalg.norm(traj.params[-1])
 target = np.array([1, 1, 1, -1, 1, 1]) / np.sqrt(6)
-print("distance to (1,1,1,-1,1,1)/sqrt(6):", np.abs(lim["direction"] - target).max())
+print("distance to (1,1,1,-1,1,1)/sqrt(6):", np.abs(direction - target).max())
 
 # the (a, a, b, b, c, c) subfamily conserves the product ab exactly and
 # converges onto the c = 0 slice
 traj2 = integrate(CoclosedParams(1.0, 1.0, 2.0, 2.0, 1.0, 1.0), 50.0,
                   FlowOptions(samples=501))
-print("ab report:", conserved_ab(traj2))
-print("limit direction:", np.round(normalized_limit(traj2)["direction"], 10))
+ab = traj2.params[:, 0] * traj2.params[:, 2]
+print("ab =", ab[-1], " drift:", np.abs(ab - ab[0]).max())
+print("limit direction:", np.round(traj2.params[-1] / np.linalg.norm(traj2.params[-1]), 10))
 
 # solitons: over each admissible (a1, a2, b1, b2) the stationarity
 # conditions are two quadratics in (c1, c2) with explicit solutions

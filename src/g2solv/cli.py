@@ -1,4 +1,5 @@
-"""Command line front end.
+"""Command line front end: it parses the arguments and prints the reports
+of the package's modules.
 
 Subcommands
     verify-lattice   certify a quartic + three units (or a built-in example)
@@ -7,7 +8,7 @@ Subcommands
     soliton          enumerate coclosed solitons over (a1, a2, b1, b2)
     flow             integrate the coflow ODE, CSV trajectory output; a
                      sweep's starts run in forked worker processes
-    audit            compare computed dynamics against the source claims
+    audit            the source's claims re-derived by `g2solv.audit`
 
 Exit codes: 0 success / verdict true, 1 verdict false or threshold exceeded,
 2 usage or input errors, printed as 'error: <message>'.  Each report reads
@@ -16,8 +17,9 @@ Numbers must be finite; a sweep file must hold a start; flow takes at least
 2 --samples.  JSON writes an undefined F as null.  Verdicts are decided on
 the triple scaled by a power of two to unit size, so they do not depend on
 its scale, and a reported value beyond the float range is an input error.
-erp-check's --tol bounds |residual| / |tau|^2.  Matrix literals use ';'
-between rows and ',' between entries; '@path' reads the literal from a file.
+erp-check pinches when |residual| / |tau|^2 is at most --tol, which must
+not be negative.  Matrix literals use ';' between rows and ',' between
+entries; '@path' reads the literal from a file.
 """
 
 from __future__ import annotations
@@ -33,16 +35,8 @@ import sys
 
 import numpy as np
 
-from . import coflow, forms
-from .coflow import (
-    CoclosedParams,
-    FlowOptions,
-    flow_generator,
-    integrate,
-    modified_soliton_residual,
-    soliton_candidates,
-    soliton_solve,
-)
+from . import audit, forms
+from .coflow import CoclosedParams, FlowOptions, integrate, modified_soliton_residual, soliton_solve
 from .g2core import closed_triple, erp_residual, laplacians, torsion_forms
 from .liealg import BracketTriple, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
@@ -163,6 +157,8 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_erp_check(args) -> int:
+    if args.tol < 0:
+        raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
     t = _triple_from_args(args)
     res = erp_residual(t)
     payload = {
@@ -170,7 +166,7 @@ def _cmd_erp_check(args) -> int:
         "tau_norm_sq": res["tau_norm_sq"],
         "relative_residual": res["relative_residual"],
         "threshold": args.tol,
-        "extremally_pinched": res["relative_residual"] < args.tol,
+        "extremally_pinched": res["relative_residual"] <= args.tol,
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return 0 if payload["extremally_pinched"] else 1
@@ -319,97 +315,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    claims = []
-    velocity = lambda p: np.array(coflow._rate(p.as_array().tolist()))  # the ODE at p
-
-    # (i) sign of dN/dt at the quoted near-degenerate point
-    probe = CoclosedParams(0.01, 0.01, 1.0, -1.0, 2.0, -2.0)
-    rhs = velocity(probe)
-    n_prime = float(2.0 * probe.as_array() @ rhs)
-    claims.append({
-        "claim_id": "norm_derivative_sign_near_degenerate",
-        "source_location": "flow discussion, remark on N along (a, a, 1, -1, c, -c)",
-        "source_value": "dN/dt > 0 for small a, c > 1",
-        "computed_value": n_prime,
-        "agrees": bool(n_prime > 0),
-    })
-
-    # (ii) coefficient identity between (r, s, t) and the parameter ODE
-    rng = np.random.default_rng(2024)
-    dev = 0.0
-    for _ in range(200):
-        p = CoclosedParams(*rng.uniform(-2, 2, size=6))
-        # each pair is scaled by minus its slot of Q: a by e7, b by e1, c by e2
-        rate = -np.diag(flow_generator(p))[[6, 6, 0, 0, 1, 1]] * p.as_array()
-        dev = max(dev, float(np.max(np.abs(velocity(p) - rate))))
-    claims.append({
-        "claim_id": "ode_coefficient_identity",
-        "source_location": "flow ODE display vs (r, s, t) quadratic forms",
-        "source_value": "identical",
-        "computed_value": dev,
-        "agrees": bool(dev < 1e-13),
-    })
-
-    # (iii) soliton solution counts over a parameter grid
-    counts = {}
-    grid = np.linspace(-1.5, 1.5, 7)
-    for a1 in grid:
-        for a2 in grid:
-            for b1 in grid:
-                for b2 in grid:
-                    n = len(soliton_candidates(float(a1), float(a2), float(b1), float(b2)))
-                    counts[n] = counts.get(n, 0) + 1
-    claims.append({
-        "claim_id": "soliton_count_range",
-        "source_location": "remark on solutions over each (a1, a2, b1, b2)",
-        "source_value": "at least one and at most four",
-        "computed_value": {str(k): v for k, v in sorted(counts.items())},
-        "agrees": bool(min(counts) >= 1),
-    })
-
-    # (iv) printed dN/dt along the totally symmetric subfamily
-    dev4 = 0.0
-    both_nonpos = True
-    for a in np.linspace(-1.5, 1.5, 7):
-        for b in np.linspace(-1.5, 1.5, 7):
-            for c in np.linspace(-1.5, 1.5, 7):
-                p = CoclosedParams(a, a, b, -b, c, c)
-                # reduced norm N = a^2 + b^2 + c^2 is half the parameter norm
-                half_n_prime = 0.5 * float(p.as_array() @ velocity(p))
-                printed = (-2 * (a ** 4 + b ** 4) - 4 * c ** 4
-                           + 2 * c * c * (a * a - b * b) + 4 * c * c * (b * b - a * a))
-                dev4 = max(dev4, abs(half_n_prime - printed))
-                if half_n_prime > 1e-12 or printed > 1e-12:
-                    both_nonpos = False
-    claims.append({
-        "claim_id": "printed_norm_derivative_symmetric_family",
-        "source_location": "example display for (1/2) dN/dt on (a, a, b, -b, c, c)",
-        "source_value": "printed quartic expression",
-        "computed_value": {"max_discrepancy": dev4, "both_nonpositive": both_nonpos},
-        "agrees": bool(dev4 < 1e-12),
-    })
-
-    # (v) sign convention linking the flow generator to the Laplacian
-    p = CoclosedParams(0.7, -0.3, 1.1, 0.4, -0.6, 0.9)
-    lap_psi = laplacians(p.to_triple())["psi"]
-    plus = (lap_psi - forms.theta(-flow_generator(p), forms.PSI)).norm()
-    minus = (lap_psi - forms.theta(flow_generator(p), forms.PSI)).norm()
-    claims.append({
-        "claim_id": "generator_sign_convention",
-        "source_location": "flow-generator identity lap psi = theta(Q) psi",
-        "source_value": "holds in the derivation convention of the flow section",
-        "computed_value": {
-            "residual_dual_plus": plus,
-            "residual_dual_minus": minus,
-            "note": "identity holds for theta(-Q) in the covector convention "
-                    "pinned by the curvature formula cross-checks; the "
-                    "opposite sign yields -lap psi",
-        },
-        "agrees": bool(plus < 1e-10),
-    })
-
-    payload = {"claims": claims}
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps({"claims": audit.claims()}, indent=2), args.out)
     return 0
 
 
@@ -474,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_triple_args(ec, closed_only=True)
     ec.add_argument("--tol", type=_finite_float, default=1e-9,
                     help="pinched when the relative residual |residual| / |tau|^2 "
-                         "is below this (default 1e-9)")
+                         "is at most this (default 1e-9)")
     ec.set_defaults(func=_cmd_erp_check)
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")

@@ -24,8 +24,9 @@ Sign convention: the derivation representation entering the soliton equation
 
 is theta_plus(D) alpha = -theta(D) alpha for the covector convention of
 `forms.theta` (equivalently theta(-D)).  This is the convention under which
-the flow identity lap psi = theta_plus(Q) psi holds with the generator Q
-below; with the opposite sign the same identity produces -lap psi.
+the flow identity lap psi = theta_plus(Q) psi holds with the source's
+generator Q, which `g2solv.audit` builds from `_coefficients`; with the
+opposite sign the same identity produces -lap psi.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class CoclosedParams:
         calls return the same object."""
         return self._triple
 
-    def norm_sq(self) -> float:
-        p = self.as_array()
-        return float(p @ p)
-
 
 def _coefficients(P: np.ndarray) -> np.ndarray:
     """Coefficients (r, s, t) of lap psi on the three self-dual components,
@@ -107,20 +104,6 @@ def _coefficients(P: np.ndarray) -> np.ndarray:
     return np.array([(b1 + b2) ** 2 + (c1 + c2) ** 2,
                      (a1 - a2) ** 2 + (b1 - b2) ** 2,
                      (a1 + a2) ** 2 + (c1 - c2) ** 2]).T
-
-
-def flow_generator(p: CoclosedParams) -> np.ndarray:
-    """Diagonal 7x7 matrix Q driving the bracket flow, internal basis order.
-
-    Slots (e7, e1, e2) carry ((-r+s+t)/2, (r+s-t)/2, (r-s+t)/2); the nilpotent
-    slots vanish.  The identity lap psi = theta(-Q) psi is validated in tests.
-    """
-    r, s, t = _coefficients(p.as_array()).tolist()
-    q = np.zeros((7, 7))
-    q[6, 6] = 0.5 * (-r + s + t)
-    q[0, 0] = 0.5 * (r + s - t)
-    q[1, 1] = 0.5 * (r - s + t)
-    return q
 
 
 def _rate(y) -> tuple:
@@ -215,10 +198,10 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
 
     Returns the states at the leading entries of the sorted times t_eval
     that were reached (after a blow-up, those before the first state with
-    |y|^2 >= _BLOWUP), the last state and its rate (the first-same-as-last
-    stage), and whether t_end was reached.  Only the steps that contain one
-    of the times t_eval keep their start and dense-output coefficients, so
-    memory grows with the number of samples, not with the number of steps.
+    |y|^2 >= _BLOWUP), the last state, and whether t_end was reached.
+    Only the steps that contain one of the times t_eval keep their start and
+    dense-output coefficients, so memory grows with the number of samples,
+    not with the number of steps.
     """
     y0, t_end = np.asarray(y0, dtype=float), float(t_end)
     K = np.empty((7, y0.size))
@@ -282,7 +265,7 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
         past = np.einsum("ij,ij->i", ys, ys) >= _BLOWUP
         if past.any():
             ys = ys[:past.argmax()]
-    return ys, (y, K[0].tolist()), ok
+    return ys, y, ok
 
 
 @dataclass
@@ -315,20 +298,25 @@ class FlowTrajectory:
         return _homothety(-np.trace(gram, axis1=1, axis2=2), np.einsum("kij,kij->k", gram, gram))
 
 
-def _drift(y, f, t: float) -> float:
+def _drift(y, t: float) -> float:
     """The distance the direction p/|p| still has to go, estimated at the
-    state y with rate f at time t: the direction's speed |f - (y.f/|y|^2) y|
-    / |y| times max(t, 1/|y|^2), the flow's own time scale as the rate is
-    cubic; NaN at y = 0.  For an approach like 1/t that is the distance, and
-    a faster one makes it the larger.  The stepper holds y to a relative
-    `_RTOL`, so a speed up to 3 `_RTOL` |y|^2 is its error and counts as 0."""
-    n = math.hypot(*y)
+    state y at time t: the direction's speed |f - (y.f/|y|^2) y| / |y|, f the
+    rate at y, times max(t, 1/|y|^2), the flow's own time scale as the rate
+    is cubic; NaN at y = 0.  For an approach like 1/t that is the distance,
+    and a faster one makes it the larger.  The speed is taken at unit scale
+    (`forms._to_unit`), so a tiny state's rate does not underflow to 0, and
+    scaled back by 4^e.  The stepper holds y to a relative `_RTOL`, so a
+    speed up to 3 `_RTOL` |y|^2 is its error and counts as 0."""
+    v, e = _to_unit(np.array(y))
+    v = v.tolist()
+    n = math.hypot(*v)
     if n == 0.0:
         return math.nan
-    u = [yi / n for yi in y]
+    u, f = [vi / n for vi in v], _rate(v)
     c = sum(ui * fi for ui, fi in zip(u, f))
     speed = math.hypot(*(fi - c * ui for ui, fi in zip(u, f))) / n
-    return max(speed * t, speed / n / n) if speed > 3.0 * _RTOL * n * n else 0.0
+    return (max(math.ldexp(speed, 2 * e) * t, speed / n / n)
+            if speed > 3.0 * _RTOL * n * n else 0.0)
 
 
 def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None) -> FlowTrajectory:
@@ -341,9 +329,9 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     |p| below `_MAX_START`.
     The status is "diverged" when |p|^2 reaches 1e8 or the step size
     collapses (the samples then stop there), "converged" when the direction
-    p/|p| has settled, that is when `_drift` of the last step's end state
-    and of the rate the stepper holds there is below `_DRIFT_TOL`, and
-    "max_time" otherwise.  Neither depends on the sample count.
+    p/|p| has settled, that is when `_drift` of the last step's end state is
+    below `_DRIFT_TOL`, and "max_time" otherwise.  Neither depends on the
+    sample count.
     """
     opts = opts or FlowOptions()
     if not 0.0 <= t_max < math.inf:
@@ -359,37 +347,10 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
                          "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    params, (y, f), ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL)
+    params, y, ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL)
     status = ("diverged" if not ok else
-              "converged" if _drift(y, f, t_max) < _DRIFT_TOL else "max_time")
+              "converged" if _drift(y, t_max) < _DRIFT_TOL else "max_time")
     return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status)
-
-
-def normalized_limit(traj: FlowTrajectory) -> dict:
-    """Final direction p/|p| and its `drift`: the `_drift` estimate of
-    `integrate`, taken at the last sample and its rate."""
-    if traj.status == "diverged":
-        raise ValueError("trajectory diverged; no normalized limit")
-    if len(traj.times) < 2:
-        raise ValueError("trajectory too short")
-    final = traj.params[-1]
-    norm = np.linalg.norm(final)
-    if norm == 0.0:
-        raise ValueError("trajectory reached the flat point")
-    drift = _drift(final.tolist(), _rate(final.tolist()), float(traj.times[-1]))
-    return {"direction": final / norm, "drift": drift}
-
-
-def conserved_ab(traj: FlowTrajectory) -> dict:
-    """Drift of the product a*b along a trajectory of the symmetric subfamily
-    (a, a, b, b, c1, c2).  Errors out when the trajectory leaves the family,
-    by 1e-7 in a1 - a2 or b1 - b2 on the unit trajectory (`_to_unit`)."""
-    P, e = _to_unit(traj.params)
-    if np.abs(P[:, 0] - P[:, 1]).max() > 1e-7 or np.abs(P[:, 2] - P[:, 3]).max() > 1e-7:
-        raise ValueError("trajectory is not in the (a,a,b,b,c1,c2) family")
-    ab = P[:, 0] * P[:, 2]
-    return {"value": _scaled(float(ab[-1]), 2 * e),
-            "drift": _scaled(float(np.abs(ab - ab[0]).max()), 2 * e)}
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 from reference_formulas import coclosed_coefficients
 
 import g2solv
-from g2solv import cli, coflow, g2core, liealg
+from g2solv import audit, cli, coflow, g2core, liealg
 from g2solv.coflow import CoclosedParams
 from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES
@@ -213,6 +213,15 @@ def test_erp_check_tol_after_the_subcommand(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+def test_erp_check_tol_is_the_largest_pinched_residual(capsys):
+    # the distinguished point's relative residual is exactly 0
+    code, payload = run_json(capsys, ["erp-check", "--closed", "1,1,1", "--tol", "0"])
+    assert payload["relative_residual"] == 0.0
+    assert payload["extremally_pinched"] is True
+    assert code == 0
+    assert_one_input_error(capsys, ["erp-check", "--closed", "1,1,1", "--tol", "-1"])
+
+
 def test_erp_check_requires_a_closed_structure(capsys):
     code = cli.run(["erp-check", "--triple", *COCLOSED_MATS])
     assert code == 2
@@ -367,7 +376,7 @@ def test_flow_csv_rows_equal_the_per_row_formulas(capsys):
     assert rows.shape == (41, 12)
     for row in rows:
         p = CoclosedParams(*row[1:7])
-        assert row[7] == pytest.approx(p.norm_sq(), rel=1e-15)
+        assert row[7] == pytest.approx(row[1:7] @ row[1:7], rel=1e-15)
         assert row[8] == pytest.approx(homothety_invariant(p.to_triple()), rel=1e-12)
         assert tuple(row[9:]) == coclosed_coefficients(p)
 
@@ -651,6 +660,11 @@ def test_audit_reads_the_package_ode(monkeypatch, capsys):
     assert claim["agrees"] is False
 
 
+def test_audit_prints_the_claims_of_its_module(capsys):
+    _, payload = run_json(capsys, ["audit"])
+    assert payload == {"claims": audit.claims()}
+
+
 def test_audit_out_file(tmp_path, capsys):
     target = tmp_path / "audit.json"
     code = cli.run(["--out", str(target), "audit"])
@@ -816,3 +830,17 @@ def test_no_package_module_imports_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+
+def test_the_cli_reads_no_private_name_of_another_module():
+    # the CLI parses and prints; what it prints comes from public names
+    package = pathlib.Path(g2solv.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    private = []
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("g2solv")):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
