@@ -42,7 +42,6 @@ from .forms import PSI, _scaled, _to_unit, theta
 from .liealg import BracketTriple, _homothety
 from .g2core import _norm, _unit_modified
 
-_BLOWUP = 1e8
 # starts with |p| at or above this are rejected: the starting-step estimate
 # squares the rate over the error scale, at most |p|^2 / _RTOL per entry, and
 # six such squares, 6 |p|^4 / _RTOL^2, must stay below the float maximum
@@ -158,11 +157,11 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x @ x) / x.size ** 0.5
 
 
-def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
+def _initial_step(rate, y, f, t_end) -> float:
     """Hairer's starting step (Solving ODEs I, II.4) for an order-4 estimate."""
     if t_end == 0.0:
         return 0.0
-    scale = atol + np.abs(y) * rtol
+    scale = _ATOL + np.abs(y) * _RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
@@ -174,31 +173,29 @@ def _initial_step(rate, y, f, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, t_end)
 
 
-def _rk45(rate, y0, t_end, t_eval, rtol, atol):
+def _rk45(rate, y0, t_end, t_eval):
     """Integrate y' = rate(y) from t = 0 to t_end in Dormand-Prince steps.
 
-    Step for step scipy's RK45: the error is the RMS of the local estimate
-    over atol + rtol max(|y_old|, |y_new|); an accepted step scales h by
-    min(10, 0.9 err^(-1/5)), or by at most 1 right after a rejection, and a
-    rejected one by max(0.2, 0.9 err^(-1/5)).  Integration fails early when
-    |y|^2 crosses _BLOWUP upwards at the end of a step or when the step
-    drops below 10 ulp of t.
+    Step for step scipy's RK45 at rtol = _RTOL and atol = _ATOL: the error
+    is the RMS of the local estimate over atol + rtol max(|y_old|, |y_new|);
+    an accepted step scales h by min(10, 0.9 err^(-1/5)), or by at most 1
+    right after a rejection, and a rejected one by max(0.2, 0.9 err^(-1/5)).
+    Integration fails early only when the step drops below 10 ulp of t.
 
     `rate` takes a list of floats and returns a sequence of as many.  The
     products that scipy's RK45 hands to BLAS stay numpy products: the stage
-    sums K[:s]^T a_s, the solution sum K[:6]^T b, the error sum K^T e, the
-    squared norm x.dot(x) of the scaled error (as `np.linalg.norm` takes it)
-    and y_new.dot(y_new) of the blow-up guard.  OpenBLAS rounds them with
-    FMA and blocking, not as a sequential sum would, and the error estimate
-    is a difference of nearly equal sums, with relative rounding noise of
-    about 1e-6 at rtol = 1e-10: accept/reject decisions near err = 1 follow
-    those last bits.  Everything between the products (the stage states,
-    the error scale and its quotient, t, h and the 10-ulp floor) is plain
-    float arithmetic, which rounds as numpy's elementwise operations do.
+    sums K[:s]^T a_s, the solution sum K[:6]^T b, the error sum K^T e and
+    the squared norm x.dot(x) of the scaled error (as `np.linalg.norm` takes
+    it).  OpenBLAS rounds them with FMA and blocking, not as a sequential
+    sum would, and the error estimate is a difference of nearly equal sums,
+    with relative rounding noise of about 1e-6 at rtol = 1e-10:
+    accept/reject decisions near err = 1 follow those last bits.  Everything
+    between the products (the stage states, the error scale and its
+    quotient, t, h and the 10-ulp floor) is plain float arithmetic, which
+    rounds as numpy's elementwise operations do.
 
     Returns the states at the leading entries of the sorted times t_eval
-    that were reached (after a blow-up, those before the first state with
-    |y|^2 >= _BLOWUP), the last state, and whether t_end was reached.
+    that were reached, the last state, and whether t_end was reached.
     Only the steps that contain one of the times t_eval keep their start and
     dense-output coefficients, so memory grows with the number of samples,
     not with the number of steps.
@@ -206,15 +203,15 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
     y0, t_end = np.asarray(y0, dtype=float), float(t_end)
     K = np.empty((7, y0.size))
     K[0] = rate(y0.tolist())
-    t, h_abs, ok = 0.0, _initial_step(rate, y0, K[0], t_end, rtol, atol), True
-    y, norm_sq, root_n = y0.tolist(), y0.dot(y0), y0.size ** 0.5
+    t, h_abs = 0.0, _initial_step(rate, y0, K[0], t_end)
+    y, root_n = y0.tolist(), y0.size ** 0.5
     # transposed views of the stage table, made once: stage s reads K[:s]
     stages = [(K[:s].T, _A_ROWS[s]) for s in range(1, 6)]
     K6T, KT = K[:6].T, K.T
     # a time belongs to the first step that ends at or after it
     wanted, covered = np.asarray(t_eval, dtype=float).tolist(), 0
     starts, ends, steps, states, coefs = [], [], [], [], []
-    while ok and t < t_end:
+    while t < t_end:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while h_abs >= min_step:
@@ -224,7 +221,7 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
                 K[s] = rate([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
             y_new = [yi + h * di for yi, di in zip(y, K6T.dot(_B).tolist())]
             K[6] = rate(y_new)
-            x = np.array([ei * h / (atol + max(abs(yi), abs(zi)) * rtol)
+            x = np.array([ei * h / (_ATOL + max(abs(yi), abs(zi)) * _RTOL)
                           for ei, yi, zi in zip(KT.dot(_E).tolist(), y, y_new)])
             err = math.sqrt(x.dot(x)) / root_n
             if err < 1:
@@ -243,12 +240,8 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
             steps.append(h)
             states.append(y)
             coefs.append(KT.dot(_P))
-        x = np.array(y_new)
-        norm_new = x.dot(x)
-        ok = not norm_sq <= _BLOWUP <= norm_new
-        t, y, norm_sq = t_new, y_new, norm_new
+        t, y = t_new, y_new
         K[0] = K[6]  # first same as last: the new step's first stage
-    ok = ok and t >= t_end
     starts, ends, steps = np.array(starts), np.array(ends), np.array(steps)
     states, coefs = np.array(states), np.array(coefs)
 
@@ -261,11 +254,7 @@ def _rk45(rate, y0, t_end, t_eval, rtol, atol):
         ys = states[k] + steps[k, None] * np.einsum("kij,kj->ki", coefs[k], powers)
     else:
         ys = np.tile(y, (len(ts), 1))
-    if not ok:
-        past = np.einsum("ij,ij->i", ys, ys) >= _BLOWUP
-        if past.any():
-            ys = ys[:past.argmax()]
-    return ys, y, ok
+    return ys, y, t >= t_end
 
 
 @dataclass
@@ -277,7 +266,7 @@ class FlowOptions:
 class FlowTrajectory:
     times: np.ndarray
     params: np.ndarray  # shape (len(times), 6)
-    status: str  # converged | max_time | diverged
+    status: str  # converged | max_time | diverged (the step size collapsed)
 
     def norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.params, self.params)
@@ -327,11 +316,15 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
     nonnegative, the sample count is an integer of at least 2 (the first
     sample is the start and the last is t_max) and the start is finite with
     |p| below `_MAX_START`.
-    The status is "diverged" when |p|^2 reaches 1e8 or the step size
-    collapses (the samples then stop there), "converged" when the direction
-    p/|p| has settled, that is when `_drift` of the last step's end state is
-    below `_DRIFT_TOL`, and "max_time" otherwise.  Neither depends on the
-    sample count.
+
+    |p| never grows along the flow: with the pair norms A = a1^2 + a2^2,
+    B = b1^2 + b2^2 and C = c1^2 + c2^2 sorted as x >= y >= z,
+    p . _rate(p) <= -(x-y)^2 - z^2 - 2yz <= 0, since |2 a1 a2| <= A and
+    likewise for b and c.  So the status is "diverged" only when the step
+    size collapses (the samples then stop there), "converged" when the
+    direction p/|p| has settled, that is when `_drift` of the last step's
+    end state is below `_DRIFT_TOL`, and "max_time" otherwise.  Neither
+    depends on the sample count.
     """
     opts = opts or FlowOptions()
     if not 0.0 <= t_max < math.inf:
@@ -347,7 +340,7 @@ def integrate(p0: CoclosedParams, t_max: float, opts: FlowOptions | None = None)
         raise ValueError(f"the start must have |p| below {_MAX_START:.3g}: "
                          "the step-size estimate would leave the float range")
     t_eval = np.linspace(0.0, t_max, opts.samples)
-    params, y, ok = _rk45(_rate, start, t_max, t_eval, _RTOL, _ATOL)
+    params, y, ok = _rk45(_rate, start, t_max, t_eval)
     status = ("diverged" if not ok else
               "converged" if _drift(y, t_max) < _DRIFT_TOL else "max_time")
     return FlowTrajectory(times=t_eval[:len(params)], params=params, status=status)

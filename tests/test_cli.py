@@ -844,3 +844,24 @@ def test_the_cli_reads_no_private_name_of_another_module():
               and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a constant nothing reads is a knob that does nothing
+    trees = {path.name: ast.parse(path.read_text())
+             for path in pathlib.Path(g2solv.__file__).parent.glob("*.py")}
+    defined, read = [], set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = ([node.target] if isinstance(node, ast.AnnAssign) else
+                       node.targets if isinstance(node, ast.Assign) else [])
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and leaf.id.isupper():
+                        defined.append((name, leaf.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"{module}:{const}" for module, const in defined if const not in read] == []

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,25 @@ def test_ode_is_cubically_homogeneous(p, c):
     lhs = rate(CoclosedParams(*c * p.as_array()))
     rhs = c ** 3 * rate(p)
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, abs(c) ** 3 * norm_sq(p) ** 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)),
+                min_size=6, max_size=6))
+@example([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])  # the bound holds with equality
+@example([2.0, 2.0, 1.0, -1.0, 0.5, 0.5])  # criterion 6's start
+def test_the_norm_never_grows(p):
+    # the ODE of `_rate`'s docstring, in exact arithmetic: with the pair
+    # norms A, B, C sorted as x >= y >= z, p.F <= -(x-y)^2 - z^2 - 2yz <= 0
+    a1, a2, b1, b2, c1, c2 = q = [Fraction(x) for x in p]
+    A, B, C = a1 * a1 + a2 * a2, b1 * b1 + b2 * b2, c1 * c1 + c2 * c2
+    al, be, ga = 2 * a1 * a2, 2 * b1 * b2, 2 * c1 * c2
+    ka, kb, kc = -A + be + ga, -B + al - ga, -C - al - be
+    F = (ka * a1, ka * a2, kb * b1, kb * b2, kc * c1, kc * c2)
+    x, y, z = sorted((A, B, C), reverse=True)
+    assert sum(v * f for v, f in zip(q, F)) <= -(x - y) ** 2 - z * z - 2 * y * z <= 0
+    # the float rate keeps the sign up to rounding
+    assert sum(v * f for v, f in zip(p, _rate(p))) <= 1e-15 * math.fsum(v * v for v in p) ** 2
 
 
 def test_linearization_at_the_soliton_on_its_slice():

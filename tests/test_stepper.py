@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 
 from reference_formulas import bracket_flow_rhs
 from g2solv.coflow import (
-    _BLOWUP,
     _DRIFT_TOL,
     CoclosedParams,
     FlowOptions,
@@ -21,21 +20,24 @@ from g2solv.coflow import (
 )
 
 RTOL, ATOL = 1e-10, 1e-12
+# |p| never grows along the coflow, so no coflow run gets near this; the
+# oracle stops there, and a run that did would fail the status comparison
+BLOWUP = 1e8
 
 
 def blowup(_t, y):
-    return float(y @ y) - _BLOWUP
+    return float(y @ y) - BLOWUP
 
 
 blowup.terminal = True
 blowup.direction = 1.0
 
 
-def oracle(rate, y0, t_max, samples):
+def oracle(rate, y0, t_max, samples, events=blowup):
     t_eval = np.linspace(0.0, t_max, samples)
     return solve_ivp(lambda _t, y: rate(y), (0.0, t_max), np.asarray(y0, float),
                      method="RK45", rtol=RTOL, atol=ATOL, t_eval=t_eval,
-                     events=blowup, dense_output=True)
+                     events=events, dense_output=True)
 
 
 def oracle_status(sol, t_max):
@@ -72,7 +74,7 @@ def assert_matches_oracle(p0, t_max, samples):
         calls.append(None)
         return coflow_rate(y)
 
-    _rk45(counted, p0.as_array(), t_max, traj.times, RTOL, ATOL)
+    _rk45(counted, p0.as_array(), t_max, traj.times)
     assert len(calls) == sol.nfev
 
 
@@ -112,7 +114,7 @@ def test_stiff_runs_take_the_documented_rate_calls(start, t_end, calls):
         counted.append(None)
         return _rate(y)
 
-    _rk45(rate, np.full(6, start), t_end, np.array([t_end]), RTOL, ATOL)
+    _rk45(rate, np.full(6, start), t_end, np.array([t_end]))
     assert len(counted) == calls
 
 
@@ -124,27 +126,33 @@ def _inverse_sqrt_drop(y):
     return -0.5 / np.asarray(y)
 
 
-def test_stepper_stops_at_a_blowup_like_a_terminal_event():
+def test_stepper_follows_a_fast_growth_to_the_end():
     # y' = y^2 has y1 = 1 / (2 - t) in the first slot, so |y|^2 passes 1e8
-    # near t = 2 - 1e-4, before t_end; y stays finite up to t_end, so only
-    # the blow-up guard ends the run.  The coflow itself never gets there,
-    # since N does not increase along it.
+    # near t = 2 - 1e-4, before t_end, and y stays finite up to t_end: the
+    # stepper runs on to t_end, as scipy does without events
     y0 = np.array([0.5, 0.3, 0.2, 0.1, 0.4, 0.45])
     t_end = 2.0 - 5e-5
     t_eval = np.linspace(0.0, t_end, 501)
-    ys, _, ok = _rk45(_square, y0, t_end, t_eval, RTOL, ATOL)
-    sol = oracle(_square, y0, t_end, 501)
-    assert sol.status == 1 and len(sol.t_events[0]) == 1
-    assert not ok
-    assert len(ys) == len(sol.t) < len(t_eval)
+    calls = []
+
+    def counted(y):
+        calls.append(None)
+        return _square(y)
+
+    ys, _, ok = _rk45(counted, y0, t_end, t_eval)
+    sol = oracle(_square, y0, t_end, 501, events=None)
+    assert sol.status == 0
+    assert ok
+    assert len(ys) == len(sol.t) == len(t_eval)
     assert np.abs(ys - sol.y.T).max() <= 1e-9 * np.abs(sol.y).max()
+    assert len(calls) == sol.nfev == 2258
 
 
 def test_stepper_fails_when_the_step_size_collapses():
     # y = sqrt(1 - t) has an infinite slope at t = 1 while |y| stays small
     y0 = np.array([1.0, 1.0])
     t_eval = np.linspace(0.0, 2.0, 201)
-    ys, _, ok = _rk45(_inverse_sqrt_drop, y0, 2.0, t_eval, RTOL, ATOL)
+    ys, _, ok = _rk45(_inverse_sqrt_drop, y0, 2.0, t_eval)
     sol = oracle(_inverse_sqrt_drop, y0, 2.0, 201)
     assert sol.status == -1
     assert not ok
