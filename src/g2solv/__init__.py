@@ -1,7 +1,9 @@
 """Certified lattices, torsion calculus and coflow dynamics for a family of
-solvable Lie groups carrying left-invariant G2-structures."""
+solvable Lie groups carrying left-invariant G2-structures.
 
-from . import cli, coflow, config, forms, g2core, liealg, numberlat
+Importing the package loads none of its modules; import each one by name,
+as in `from g2solv import numberlat`.
+"""
 
 __all__ = [
     "cli",

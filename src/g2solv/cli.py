@@ -20,6 +20,9 @@ its scale, and a reported value beyond the float range is an input error.
 erp-check pinches when |residual| / |tau|^2 is at most --tol, which must
 not be negative.  Matrix literals use ';' between rows and ',' between
 entries; '@path' reads the literal from a file.
+
+Each handler imports the modules it runs when it runs, so that a command
+loads only its own: verify-lattice needs neither numpy nor the form engine.
 """
 
 from __future__ import annotations
@@ -33,16 +36,12 @@ import re
 import signal
 import sys
 
-import numpy as np
-
-from . import audit, forms
-from .coflow import CoclosedParams, FlowOptions, integrate, modified_soliton_residual, soliton_solve
-from .g2core import closed_triple, erp_residual, laplacians, torsion_forms
-from .liealg import BracketTriple, check_compatible, ricci_report
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str):
+    import numpy as np
+
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read().strip()
@@ -90,8 +89,13 @@ def _emit(payload: str, out: str | None):
         sys.stdout.write(payload)
 
 
-def _triple_from_args(args) -> BracketTriple:
-    """The triple of the one source option (argparse admits exactly one)."""
+def _triple_from_args(args):
+    """The `liealg.BracketTriple` of the one source option (argparse admits
+    exactly one)."""
+    from .coflow import CoclosedParams
+    from .g2core import closed_triple
+    from .liealg import BracketTriple
+
     if args.triple is not None:
         return BracketTriple(*[_parse_matrix(m) for m in args.triple])
     if args.closed is not None:
@@ -127,6 +131,10 @@ def _cmd_verify_lattice(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
+    from . import forms
+    from .g2core import erp_residual, laplacians, torsion_forms
+    from .liealg import check_compatible, ricci_report
+
     t = _triple_from_args(args)
     tf = torsion_forms(t)
     rep = ricci_report(t)
@@ -159,6 +167,8 @@ def _cmd_torsion(args) -> int:
 def _cmd_erp_check(args) -> int:
     if args.tol < 0:
         raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
+    from .g2core import erp_residual
+
     t = _triple_from_args(args)
     res = erp_residual(t)
     payload = {
@@ -173,6 +183,8 @@ def _cmd_erp_check(args) -> int:
 
 
 def _cmd_soliton(args) -> int:
+    from .coflow import modified_soliton_residual, soliton_solve
+
     a1, a2, b1, b2 = _parse_floats(args.base, 4)
     sols = soliton_solve(a1, a2, b1, b2)
     items = []
@@ -282,6 +294,10 @@ def _cmd_flow(args) -> int:
     Each start's integration and text is one `report`, and a sweep's reports
     are spread over worker processes by `_fan_out`; the output is the same
     as the serial loop's, byte for byte."""
+    import numpy as np
+
+    from . import coflow
+
     if args.sweep is not None:
         with open(args.sweep, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines()
@@ -294,7 +310,8 @@ def _cmd_flow(args) -> int:
 
     def report(start):
         """(status, the start's JSON run or CSV block)"""
-        traj = integrate(CoclosedParams(*start), args.t_max, FlowOptions(samples=args.samples))
+        traj = coflow.integrate(coflow.CoclosedParams(*start), args.t_max,
+                                coflow.FlowOptions(samples=args.samples))
         table = np.column_stack([traj.times, traj.params, traj.norms(),
                                  traj.invariants(), traj.coefficients()])
         if args.format == "json":
@@ -315,6 +332,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import audit
+
     _emit(json.dumps({"claims": audit.claims()}, indent=2), args.out)
     return 0
 

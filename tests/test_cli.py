@@ -17,7 +17,7 @@ import g2solv
 from g2solv import audit, cli, coflow, g2core, liealg
 from g2solv.coflow import CoclosedParams
 from g2solv.liealg import homothety_invariant
-from g2solv.numberlat import BUILTIN_EXAMPLES
+from g2solv.numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, poly_square_mod
 
 COCLOSED_MATS = [
     "1,0,0,0;0,-1,0,0;0,0,1,0;0,0,0,-1",
@@ -76,6 +76,28 @@ def test_verify_lattice_reducible_poly_fails(capsys):
     ])
     assert code == 1
     assert payload["verdict"] is False
+
+
+def _field_argv(a: int, b: int, c: int) -> list:
+    """verify-lattice on p(t) = t (t-a)(t-b)(t-c) + 1 with the squares of its
+    units u, u-a and u-b."""
+    p = QuarticPoly(1, -a * b * c, a * b + a * c + b * c, -(a + b + c))
+    units = [poly_square_mod(UnitSpec(-k, 1, 0, 0), p) for k in (0, a, b)]
+    return (["verify-lattice", "--poly=" + ",".join(map(str, p.coeffs()))]
+            + ["--unit=" + ",".join(map(str, q.coeffs())) for q in units])
+
+
+def test_verify_lattice_beyond_the_float_range_fails_the_certificate(capsys):
+    # every exact check passes; a2 = a b + 3 a + 3 b has no float
+    code = cli.run(_field_argv(10**200, 2 * 10**200, 3))
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 1
+    assert payload["verdict"] is False
+    assert payload["reason"] == "floating-point pass failed: coefficients beyond the float range"
+    for key in ("irreducible", "unit_constant_term", "totally_real", "units_valid",
+                "det_one", "positive_spectra"):
+        assert payload["checks"][key] is True, key
+    assert payload["roots"] == payload["spectra"] == []
 
 
 def test_verify_lattice_text_format(capsys):
@@ -532,11 +554,13 @@ def _sweep(tmp_path, capsys, argv):
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
 def test_flow_sweep_fan_out_matches_the_serial_loop(monkeypatch, tmp_path, capsys, fmt):
     # the second start is reported diverged, so both runs exit 1
+    real = coflow.integrate
+
     def integrate(p0, t_max, opts):
-        traj = coflow.integrate(p0, t_max, opts)
+        traj = real(p0, t_max, opts)
         return replace(traj, status="diverged") if p0.a1 == 0.7 else traj
 
-    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(coflow, "integrate", integrate)
     _cpus(monkeypatch, 3)
     calls = _counting_fork(monkeypatch)
     fanned = _sweep(tmp_path, capsys, fmt)
@@ -560,12 +584,14 @@ def test_one_start_or_one_cpu_never_forks(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_sweep_errors_name_the_first_failing_start(monkeypatch, tmp_path, capsys, cpus):
     # with 3 workers the 2nd start is a child's and the 4th the parent's
+    real = coflow.integrate
+
     def integrate(p0, t_max, opts):
         if p0.a1 in (0.7, -0.5):
             raise ValueError(f"bad start {p0.a1}")
-        return coflow.integrate(p0, t_max, opts)
+        return real(p0, t_max, opts)
 
-    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(coflow, "integrate", integrate)
     _cpus(monkeypatch, cpus)
     code = cli.run(["flow", "--sweep", _starts_file(tmp_path), "--t-max", "1",
                     "--samples", "3"])
@@ -579,13 +605,14 @@ def test_sweep_errors_name_the_first_failing_start(monkeypatch, tmp_path, capsys
 @pytest.mark.skipif(not FAN_OUT, reason="the sweep runs serially here")
 def test_a_worker_that_dies_is_a_runtime_error(monkeypatch, tmp_path, capsys):
     parent = os.getpid()
+    real = coflow.integrate
 
     def integrate(p0, t_max, opts):
         if p0.a1 == 0.7 and os.getpid() != parent:
             os._exit(3)
-        return coflow.integrate(p0, t_max, opts)
+        return real(p0, t_max, opts)
 
-    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(coflow, "integrate", integrate)
     _cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="exit status 3"):
         cli.run(["flow", "--sweep", _starts_file(tmp_path), "--t-max", "1",
@@ -744,6 +771,8 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("argv", [
     ["verify-lattice", "--example", "kl-2015"],
+    # |X|^2 overflows a float here: the residual is taken at unit scale
+    _field_argv(10**60, 2 * 10**60, 3),
     ["torsion", "--closed", "1,1,1"],
     ["torsion", "--coclosed", "0,0,0,0,0,0"],
     ["erp-check", "--closed", "1,1,1"],
@@ -820,16 +849,49 @@ def test_importing_the_cli_builds_no_soliton_table():
     assert proc.stdout.split() == ["0"]
 
 
+def _imported_modules(nodes) -> list:
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    return names
+
+
 def test_no_package_module_imports_scipy():
     for path in pathlib.Path(g2solv.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+        names = _imported_modules(ast.walk(ast.parse(path.read_text())))
+        assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+
+def test_the_lattice_path_imports_no_numpy():
+    # verify-lattice runs numberlat under the CLI's module level alone
+    package = pathlib.Path(g2solv.__file__).parent
+    nodes = {name: list(ast.walk(ast.parse((package / name).read_text())))
+             for name in ("numberlat.py", "config.py", "__init__.py")}
+    nodes["cli.py (module level)"] = ast.parse((package / "cli.py").read_text()).body
+    for name, found in nodes.items():
+        assert not any(n.split(".")[0] == "numpy" for n in _imported_modules(found)), name
+
+
+def test_verify_lattice_loads_neither_numpy_nor_the_form_engine():
+    code = "\n".join([
+        "import runpy, sys",
+        "for argv in (['--example', 'kl-2015'],",
+        "             ['--poly', '1,4,-4,-1', '--unit', '0,0,1,0', '--unit', '3,-4,0,1',",
+        "              '--unit', '4,3,-1,-1']):",
+        "    sys.argv = ['g2solv', 'verify-lattice', *argv]",
+        "    try:",
+        "        runpy.run_module('g2solv', run_name='__main__')",
+        "    except SystemExit as exc:",
+        "        assert exc.code == 0, exc.code",
+        "print('loaded:', *sorted({'numpy', 'g2solv.coflow', 'g2solv.g2core',",
+        "                          'g2solv.liealg', 'g2solv.forms'} & set(sys.modules)))",
+    ])
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
 def test_the_cli_reads_no_private_name_of_another_module():

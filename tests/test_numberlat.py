@@ -160,6 +160,17 @@ def test_roots_reject_repetitions():
         roots(QuarticPoly(1, 0, -2, 0))  # (t^2 - 1)^2
 
 
+def test_roots_reject_every_exact_double_root():
+    # (t - r)^2 (t - a)(t - b): float roots split a double root by about the
+    # square root of the rounding in p, 1e-7 here, beyond the float guard
+    rng = random.Random(31)
+    for _ in range(300):
+        r, a, b = rng.sample(range(-50, 51), 3)
+        coeffs = _times(_times([1, -r], [1, -r]), _times([1, -a], [1, -b]))
+        with pytest.raises(ValueError, match="^repeated roots$"):
+            roots(QuarticPoly(*coeffs[:0:-1]))
+
+
 def test_roots_reject_distinct_roots_floats_cannot_separate():
     # t^4 - 2 (10^4 t - 1)^2 has four distinct real roots, two of them near
     # 1e-4 and about 1.4e-12 apart
@@ -181,11 +192,11 @@ def test_roots_decide_total_reality_by_the_sturm_chain(p):
     assert ("not totally real" in message) == (not is_totally_real(p))
 
 
-def _array_polished_roots(p: QuarticPoly) -> list:
-    """The Newton polish of `numberlat._roots` written on a numpy array, as
-    the reference for the loop over Python floats."""
-    vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
-    u = np.array(sorted(vals.real.tolist(), reverse=True))
+def _array_polished_roots(p: QuarticPoly, start) -> list:
+    """The Newton polish of `numberlat._roots` from the estimates `start`,
+    written on a numpy array, as the reference for the loop over Python
+    floats."""
+    u = np.array(start)
     for _ in range(8):
         deriv = p.derivative(u)
         step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
@@ -193,6 +204,13 @@ def _array_polished_roots(p: QuarticPoly) -> list:
         if np.abs(step).max() < TOL.newton:
             break
     return u.tolist()
+
+
+def _eigvals_roots(p: QuarticPoly) -> list:
+    """The real parts of the companion eigenvalues in descending order,
+    Newton-polished as `numberlat._roots` polishes its own estimates."""
+    vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
+    return _array_polished_roots(p, sorted(vals.real.tolist(), reverse=True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +221,15 @@ def _array_polished_roots(p: QuarticPoly) -> list:
 def test_float_polish_equals_the_array_polish_bit_for_bit(p):
     # the same IEEE operations in the same order, so the same bits
     assume(is_totally_real(p))
-    assert numberlat._roots(p) == _array_polished_roots(p)
+    assert numberlat._roots(p) == _array_polished_roots(p, numberlat._root_estimates(p))
+
+
+def test_roots_match_the_polished_companion_eigenvalues():
+    fields = [p for p, _, _ in _seeded_fields(30, seed=30)]
+    fields.append(_square_units_field(1, 2, 10**9)[0])
+    for p in fields:
+        for x, y in zip(numberlat._roots(p), _eigvals_roots(p)):
+            assert abs(x - y) <= 1e-13 * abs(y), p.coeffs()
 
 
 def test_companion_layout():
@@ -463,7 +489,7 @@ def test_builtin_units_are_independent_of_rank_three():
         assert rep["independent"]
         assert rep["rank"] == 3
         assert rep["sigma_min"] > 1e-6
-        assert rep["log_matrix"].shape == (3, 4)
+        assert np.shape(rep["log_matrix"]) == (3, 4)
 
 
 def test_powers_of_one_unit_are_dependent():
@@ -473,6 +499,22 @@ def test_powers_of_one_unit_are_dependent():
     rep = mult_independence(P15, [q1, q2, q4])
     assert not rep["independent"]
     assert rep["rank"] == 1
+
+
+@pytest.mark.parametrize("n, independent, rank", [
+    (1, True, 1), (2, True, 2), (3, True, 3), (4, False, 3), (6, False, 3)])
+def test_independence_of_any_number_of_units(n, independent, rank):
+    units = (BUILTIN_EXAMPLES["kl-2015"]["units"] * 2)[:n]
+    rep = mult_independence(P15, units)
+    assert rep["independent"] is independent
+    assert rep["rank"] == rank
+    assert np.shape(rep["log_matrix"]) == (n, 4)
+    if n <= 3:
+        expected = np.linalg.svd(np.array(rep["log_matrix"]), compute_uv=False)[-1]
+        assert rep["sigma_min"] == pytest.approx(expected, rel=1e-12)
+    else:
+        # four or more rows of a rank-3 matrix
+        assert rep["sigma_min"] <= 1e-12
 
 
 # -- certification ----------------------------------------------------------------------
@@ -587,6 +629,15 @@ def test_large_coefficient_field_is_certified():
     assert cert.checks["positive_spectra"] is True
     assert cert.checks["diag_residual"] < 1e-9
     assert cert.checks["independence_sigma_min"] > 30
+
+
+def test_field_with_roots_sixty_orders_apart_is_certified():
+    # roots near 1.7e-121, 3, 1e60 and 2e60: the residual is taken at unit
+    # scale, where |X|^2 would overflow, and the root 3 is told apart
+    cert = certify_lattice(*_square_units_field(10**60, 2 * 10**60, 3))
+    assert cert.verdict, cert.checks
+    assert cert.roots == pytest.approx([2e60, 1e60, 3.0, 1 / 6e120], rel=1e-13)
+    assert cert.checks["diag_residual"] < 1e-9
 
 
 def _field_at_high_precision(p: QuarticPoly, units):
