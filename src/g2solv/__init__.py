@@ -5,14 +5,7 @@ Importing the package loads none of its modules; import each one by name,
 as in `from g2solv import numberlat`.
 """
 
-__all__ = [
-    "cli",
-    "coflow",
-    "config",
-    "forms",
-    "g2core",
-    "liealg",
-    "numberlat",
-]
+__all__ = ["audit", "cli", "coflow", "config", "forms", "g2core", "liealg", "numberlat",
+           "tables"]
 
 __version__ = "0.1.0"

@@ -19,31 +19,21 @@ Torsion components are normalized by
 so that dphi = tau0 psi + 3 tau1 ^ phi + *tau3 and
 dpsi = 4 tau1 ^ psi + tau2 ^ phi.
 
-dphi, dpsi and so every torsion part are linear in the 48 entries of
-(A, B, C), and the Laplacians are quadratic in them.  Each is read off one
-table built on first use: `_torsion_map`, the formulas above applied once
-per entry, and `_laplacian_table`, whose coefficients are all +-1.  Both
-take the unit entries `BracketTriple.unit`, where every verdict is decided
-and from where every magnitude is scaled back (`forms._scaled`).  A
-triple takes its product with `_torsion_map` once
-(`BracketTriple._unit_torsion`), and every torsion report reads it; it
-takes lap psi once too (`BracketTriple._unit_lap_psi`), a diagonal triple
-from the table's diagonal terms alone (`_diagonal_laplacian`).
+Every verdict is decided at the unit entries `BracketTriple.unit`, and
+every magnitude is scaled back from there (`forms._scaled`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from . import tables
 from .config import TOL
-from .forms import BASIS, PHI, PSI, KForm, _hodge_table, _scaled, hodge, inner, wedge
-from .liealg import _DIAGONAL, BracketTriple, _d_table, _differential
-
-_ENTRIES = 48  # entries of (A, B, C), the length of `BracketTriple.entries`
+from .forms import KForm, _scaled, hodge
+from .liealg import BracketTriple
 
 
 @dataclass
@@ -58,52 +48,10 @@ class TorsionForms:
     torsion_class: dict  # W1..W4: whether tau0, tau2, tau3, tau1 are nonzero
 
 
-def _torsion_parts(dphi: KForm, dpsi: KForm) -> tuple:
-    """(tau0, tau1, tau2, tau3, dphi, tau) from dphi and dpsi, tau = -*dpsi."""
-    tau0 = hodge(wedge(dphi, PHI)).scalar() / 7.0
-    tau1 = hodge(wedge(hodge(dphi), PHI)) * (-1.0 / 12.0)
-    tau2 = -hodge(dpsi) + 4.0 * hodge(wedge(tau1, PSI))
-    tau3 = hodge(dphi) - tau0 * PHI - 3.0 * hodge(wedge(tau1, PHI))
-    tau = -hodge(dpsi)  # -*d*phi, as psi = *phi
-    return tau0, tau1, tau2, tau3, dphi, tau
-
-
-# degrees of the parts of `_torsion_parts`, and the rows of `_torsion_map`
-# that hold each
-_PART_DEGREES = (0, 1, 2, 3, 4, 2)
-_PART_ENDS = np.cumsum([len(BASIS[k]) for k in _PART_DEGREES]).tolist()
-_PART_ROWS = [slice(a, b) for a, b in zip([0, *_PART_ENDS], _PART_ENDS)]
-
-
-def _linear_d(alpha: KForm) -> np.ndarray:
-    """The matrix L with d alpha = L @ t.entries, from `_d_table`."""
-    out, src, entry, sign = _d_table(alpha.degree)
-    L = np.zeros((len(BASIS[alpha.degree + 1]), _ENTRIES))
-    np.add.at(L, (out, entry), sign * alpha.vec[src])
-    return L
-
-
-@cache
-def _torsion_map() -> np.ndarray:
-    """(120, 48) matrix taking t.entries to the parts of `_torsion_parts`,
-    concatenated (tau0 a single row).
-
-    Every part is linear in (dphi, dpsi), which are linear in the entries,
-    so column j is `_torsion_parts` applied once to d(phi) and d(psi) of the
-    j-th unit entry.
-    """
-    Lphi, Lpsi = _linear_d(PHI), _linear_d(PSI)
-    cols = []
-    for j in range(Lphi.shape[1]):
-        parts = _torsion_parts(KForm._of(4, Lphi[:, j]), KForm._of(5, Lpsi[:, j]))
-        cols.append(np.concatenate([[parts[0]], *(x.vec for x in parts[1:])]))
-    return np.column_stack(cols)
-
-
 def _parts(v: np.ndarray) -> list:
-    """Coefficient vectors of the `_torsion_parts` (tau0 one entry long):
-    slices of a product v of `_torsion_map`, here always with t.unit."""
-    return [v[rows] for rows in _PART_ROWS]
+    """Coefficient vectors of the `tables._torsion_parts` (tau0 one entry
+    long) in a product v of `tables._torsion_map`, here always with t.unit."""
+    return [v[rows] for rows in tables._PART_ROWS]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -126,17 +74,18 @@ def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarr
 
 def torsion_forms(t: BracketTriple) -> TorsionForms:
     """Torsion parts, |tau|^2 and class flags of t, all read off v, the
-    triple's product of `_torsion_map` with its unit entries: the flags and
-    `closed` on v, the parts (degree 1) and |tau|^2 (degree 2) scaled back."""
+    triple's product of `tables._torsion_map` with its unit entries: the
+    flags and `closed` on v, the parts (degree 1) and |tau|^2 (degree 2)
+    scaled back."""
     v = t._unit_torsion
     tau0, tau1, tau2, tau3, dphi, tau = _parts(v)
     full = _scaled(v, t.exponent)
     return TorsionForms(
         tau0=float(full[0]),
-        tau1=KForm._of(1, full[_PART_ROWS[1]]),
-        tau2=KForm._of(2, full[_PART_ROWS[2]]),
-        tau3=KForm._of(3, full[_PART_ROWS[3]]),
-        tau_two_form=KForm._of(2, full[_PART_ROWS[5]]),
+        tau1=KForm._of(1, full[tables._PART_ROWS[1]]),
+        tau2=KForm._of(2, full[tables._PART_ROWS[2]]),
+        tau3=KForm._of(3, full[tables._PART_ROWS[3]]),
+        tau_two_form=KForm._of(2, full[tables._PART_ROWS[5]]),
         norm_sq_tau=_scaled(float(tau.dot(tau)), 2 * t.exponent),
         closed=_norm(dphi) <= TOL.zero_form,
         torsion_class=_class_flags(float(tau0[0]), tau1, tau2, tau3),
@@ -148,66 +97,6 @@ def torsion_class(t: BracketTriple) -> dict:
     at unit scale: the class flags of `torsion_forms`, without its forms."""
     tau0, tau1, tau2, tau3, *_ = _parts(t._unit_torsion)
     return _class_flags(float(tau0[0]), tau1, tau2, tau3)
-
-
-def _linear_hodge(L: np.ndarray, k: int) -> np.ndarray:
-    """*(L @ e) = _linear_hodge(L, k) @ e for a k-form L @ e."""
-    src, sign = _hodge_table(k)
-    return sign[:, None] * L[src]
-
-
-def _d_of_linear(L: np.ndarray, k: int):
-    """d of the k-form L @ e as terms (out, i, j, coef) of sum coef e_i e_j."""
-    out, src, entry, sign = _d_table(k)
-    row, i = np.nonzero((L != 0)[src])
-    return out[row], i, entry[row], sign[row] * L[src[row], i]
-
-
-@cache
-def _laplacian_table():
-    """(out, i, j, coef) with lap psi = sum coef e_i e_j over i <= j, each
-    term adding to the 4-form coefficient `out`; e = t.entries.
-
-    lap psi = d*dphi - *d*dpsi is quadratic in e, and composing the +-1
-    tables of d and the Hodge star leaves every coefficient +-1.
-    """
-    first = _d_of_linear(_linear_hodge(_linear_d(PHI), 4), 3)
-    out, i, j, coef = _d_of_linear(_linear_hodge(_linear_d(PSI), 5), 2)
-    # as ** = 1, * sends the 3-form n to sign[n] times the 4-form src[n]
-    src, sign = _hodge_table(4)
-    second = (src[out], i, j, -sign[out] * coef)
-    out, i, j, coef = map(np.concatenate, zip(first, second))
-    # sum the terms of each (out, i <= j) in a dict: sorting for it (argsort,
-    # np.unique) would add the pages of numpy's sort code to every process
-    acc = {}
-    keys = (out * _ENTRIES + np.minimum(i, j)) * _ENTRIES + np.maximum(i, j)
-    for key, c in zip(keys.tolist(), coef.tolist()):
-        acc[key] = acc.get(key, 0.0) + c
-    keys = np.array([key for key, c in acc.items() if c != 0.0])
-    out, ij = np.divmod(keys, _ENTRIES * _ENTRIES)
-    return (out, *np.divmod(ij, _ENTRIES),
-            np.array([c for c in acc.values() if c != 0.0]))
-
-
-@cache
-def _diagonal_laplacian():
-    """The terms of `_laplacian_table` on two diagonal entries
-    (`liealg._DIAGONAL`), in their order: 72 of its 1128, reaching 6 of the
-    35 rows.  Every other term has an off-diagonal factor, which is an
-    exact zero on a diagonal triple, so `_quadratic` of the restriction is
-    that of the full table there, bit for bit."""
-    out, i, j, coef = _laplacian_table()
-    diagonal = np.zeros(_ENTRIES, dtype=bool)
-    diagonal[_DIAGONAL] = True
-    keep = diagonal[i] & diagonal[j]
-    return out[keep], i[keep], j[keep], coef[keep]
-
-
-def _quadratic(table, u: np.ndarray) -> np.ndarray:
-    """The 4-form coefficients sum coef u_i u_j of a table (out, i, j, coef)
-    of `_laplacian_table`'s layout, term by term in its order."""
-    out, i, j, coef = table
-    return np.bincount(out, coef * u[i] * u[j], minlength=len(BASIS[4]))
 
 
 def laplacians(t: BracketTriple) -> dict:
@@ -228,7 +117,7 @@ def _unit_modified(t: BracketTriple, m: float):
     e = t.exponent
     h = max(e, math.frexp(m)[1])
     v = t._unit_torsion
-    tau0, dphi = float(v[0]), v[_PART_ROWS[4]]
+    tau0, dphi = float(v[0]), v[tables._PART_ROWS[4]]
     mu = math.ldexp(m, -h) - 1.75 * math.ldexp(tau0, e - h)
     return _scaled(t._unit_lap_psi, e - h) + 2.0 * mu * dphi, e + h
 
@@ -245,10 +134,8 @@ def erp_residual(t: BracketTriple) -> dict:
     *_, dphi, tau = _parts(t._unit_torsion)
     if _norm(dphi) > TOL.zero_form:
         raise ValueError("extremal pinching residual needs a closed structure")
-    tau = KForm._of(2, tau)
-    nsq = inner(tau, tau)
-    res = _differential(t.unit, tau) - (nsq / 6.0) * PHI - hodge(wedge(tau, tau)) / 6.0
-    r = res.norm()
+    nsq = float(tau.dot(tau))
+    r = _norm(t._quadratic(tables._erp_table))
     return {"residual_norm": _scaled(r, 2 * t.exponent),
             "tau_norm_sq": _scaled(nsq, 2 * t.exponent),
             "relative_residual": r / nsq if nsq > TOL.zero_form ** 2 else 0.0}

@@ -14,27 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
+from . import tables
 from .config import TOL
-from .forms import BASIS, DIM, KForm, _covector_wedge, _scaled, _to_unit, zero_form
+from .forms import BASIS, DIM, KForm, _scaled, _to_unit, zero_form
 
-# a-block order (e7, e1, e2), the covectors paired with A, B, C -> internal slots
-_A_SLOTS = np.array([6, 0, 1])
 # width of an eigenvalue cluster in `_real_diagonalizable`, relative to |M|:
 # rounding splits a defective double eigenvalue by about sqrt(eps) |M| times
 # a factor that grows with the conditioning of its Jordan basis (1e-7 is not
 # rare), and a real split wider than the cluster would pass a Jordan block as
 # diagonalizable
 _EIG_CLUSTER = 1e-6
-
-
-# M_a[k, k] is entry 16 a + 5 k of the 48 entries of (A, B, C): the (3, 4)
-# positions of the diagonals, the one diagonal layout of the package
-_DIAGONAL = 16 * np.arange(3)[:, None] + 5 * np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -47,10 +40,8 @@ class BracketTriple:
     times the read-only unit entries `unit` (`_to_unit`), on which the
     traces and commutators are checked against `TOL.bracket`.
     `diagonal` says whether every nonzero entry lies on a diagonal
-    (`_DIAGONAL`); `from_diagonals` builds such a triple from its three
-    diagonals.  The torsion reports share one product of the unit entries
-    (`_unit_torsion`), and the Laplacian reports one lap psi
-    (`_unit_lap_psi`).
+    (`tables._DIAGONAL`); `from_diagonals` builds such a triple from its
+    three diagonals.
     """
 
     A: np.ndarray
@@ -70,11 +61,11 @@ class BracketTriple:
         entries = mats.reshape(-1)
         unit, e = _to_unit(entries)
         unit.flags.writeable = False
-        _check_traceless(unit[_DIAGONAL])
+        _check_traceless(unit[tables._DIAGONAL])
         # diagonal matrices commute exactly in floating point: M_i M_j and
         # M_j M_i have the same rounded diagonal and exact zeros off it, so
         # the commutator check could only pass them
-        diagonal = np.count_nonzero(entries) == np.count_nonzero(entries[_DIAGONAL])
+        diagonal = np.count_nonzero(entries) == np.count_nonzero(entries[tables._DIAGONAL])
         if not diagonal:
             U = unit.reshape(3, 4, 4)
             products = U[:, None] @ U  # products[i, j] = M_i M_j
@@ -107,7 +98,7 @@ class BracketTriple:
         U, e = _to_unit(D)
         _check_traceless(U)
         stack = np.zeros((2, 48))
-        stack[0, _DIAGONAL], stack[1, _DIAGONAL] = D, U
+        stack[0, tables._DIAGONAL], stack[1, tables._DIAGONAL] = D, U
         stack.flags.writeable = False
         out = cls.__new__(cls)
         out._keep(*stack, e, True)
@@ -115,27 +106,22 @@ class BracketTriple:
 
     @cached_property
     def _unit_torsion(self) -> np.ndarray:
-        """`g2core._torsion_map() @ self.unit`, the rows of every torsion
-        part at unit scale, taken once and shared by the torsion reports;
-        the triple is immutable, so it cannot go stale."""
-        from .g2core import _torsion_map  # g2core builds on this module
-
-        v = _torsion_map().dot(self.unit)
+        """The rows of every torsion part at unit scale, shared by the
+        torsion reports; the triple is immutable, so it cannot go stale."""
+        v = tables._torsion_map().dot(self.unit)
         v.flags.writeable = False
         return v
 
     @cached_property
     def _unit_lap_psi(self) -> np.ndarray:
-        """lap psi of the unit triple, taken once and shared by the
-        Laplacian reports: `g2core._quadratic` of the Laplacian table on
-        `self.unit`.  A diagonal triple reads only the table's terms on two
-        diagonal entries (`g2core._diagonal_laplacian`); every other term
-        has an exact zero factor there, so the result is the full table's,
-        bit for bit."""
-        from . import g2core  # g2core builds on this module
+        """lap psi at unit scale, shared by the Laplacian reports."""
+        return self._quadratic(tables._laplacian_table)
 
-        table = g2core._diagonal_laplacian() if self.diagonal else g2core._laplacian_table()
-        v = g2core._quadratic(table, self.unit)
+    def _quadratic(self, build) -> np.ndarray:
+        """The read-only outputs of the table `build()` on the unit entries,
+        from its terms on two diagonal entries alone on a diagonal triple
+        (`tables._diagonal`)."""
+        v = tables._quadratic(tables._diagonal(build) if self.diagonal else build(), self.unit)
         v.flags.writeable = False
         return v
 
@@ -158,34 +144,6 @@ class CompatibilityReport:
     reason: str
 
 
-@cache
-def _d_table(k: int):
-    """(out, src, entry, sign) for d on k-forms, 0 <= k < 7: entry `entry` of
-    the flattened (A, B, C) sends basis k-form `src` to `sign` times basis
-    (k+1)-form `out`.
-
-    With M_a the a-th matrix, acting on e^3..e^6 by zero-based rows and
-    columns, and e^v its covector (e^7, e^1, e^2, at the zero-based slots
-    `_A_SLOTS` of `_covector_wedge`), entry (a, i, j) contributes
-    the term -M_a[i, j] e^v ^ e^{j+3} ^ i(e_{i+3}) of d.  With E_v = e^v ^ (.)
-    that is the block -E_v E_{j+3} E_{i+3}^T, a signed partial permutation,
-    so every sign is +-1.
-    """
-    rows = []
-    if k > 0:
-        n_lo, n_mid = len(BASIS[k - 1]), len(BASIS[k])
-        lower, upper = _covector_wedge(k - 1), _covector_wedge(k)
-        for entry, (v, i, j) in enumerate(product(_A_SLOTS, range(4), range(4))):
-            E_v = upper[:, v * n_mid:(v + 1) * n_mid]
-            E_j = lower[:, (j + 2) * n_lo:(j + 3) * n_lo]
-            E_i = lower[:, (i + 2) * n_lo:(i + 3) * n_lo]
-            block = -(E_v @ E_j @ E_i.T)
-            out, src = np.nonzero(block)
-            rows.extend(zip(out, src, [entry] * len(out), block[out, src]))
-    out, src, entry, sign = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return out, src, entry, sign.astype(float)
-
-
 def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     """Chevalley-Eilenberg exterior derivative of a left-invariant form,
 
@@ -194,25 +152,17 @@ def ce_differential(t: BracketTriple, alpha: KForm) -> KForm:
     Each term is an antiderivation that kills e^1, e^2, e^7 and sends an
     n-covector f^k (dual to e_{k+2}) to its share of the rule de(x, y) =
     -e([x, y]):  df^k = -sum_j (A[k,j] e^7 + B[k,j] e^1 + C[k,j] e^2) ^ f^j.
-    d is linear in the 48 entries of (A, B, C) and in alpha, so it is
-    evaluated from the signed index table `_d_table` on the unit entries and
-    alpha at unit scale (`_to_unit`), and scaled back once by both
-    exponents (`_scaled`): where d alpha leaves the float range it raises
-    ValueError instead of returning inf or NaN.
+    It is taken on the unit entries and alpha at unit scale (`_to_unit`),
+    and scaled back once by both exponents (`_scaled`): where d alpha
+    leaves the float range it raises ValueError instead of inf or NaN.
     """
-    a, k = _to_unit(alpha.vec)
-    d = _differential(t.unit, KForm._of(alpha.degree, a))
-    return KForm._of(d.degree, _scaled(d.vec, t.exponent + k))
-
-
-def _differential(entries: np.ndarray, alpha: KForm) -> KForm:
-    """d alpha for the triple with these 48 entries (`ce_differential`)."""
+    a, e = _to_unit(alpha.vec)
     k = alpha.degree
     if k >= DIM:
         return zero_form(DIM)
-    out, src, entry, sign = _d_table(k)
-    terms = sign * alpha.vec[src] * entries[entry]
-    return KForm._of(k + 1, np.bincount(out, terms, minlength=len(BASIS[k + 1])))
+    out, src, entry, sign = tables._d_table(k)
+    d = np.bincount(out, sign * a[src] * t.unit[entry], minlength=len(BASIS[k + 1]))
+    return KForm._of(k + 1, _scaled(d, t.exponent + e))
 
 
 def _real_diagonalizable(M: np.ndarray) -> bool:
@@ -288,29 +238,6 @@ def check_compatible(t: BracketTriple) -> CompatibilityReport:
     )
 
 
-@cache
-def _ricci_table():
-    """Index tables over the 48 entries u of (A, B, C), M_a[i, j] at
-    u[16 a + 4 i + j]: u[transposed] holds the rows M_a^T flattened, shape
-    (3, 16), and u[xy] stacks X = [A|B|C] on Y = [A^T|B^T|C^T], (2, 4, 12)."""
-    a, i, j = np.indices((3, 4, 4))
-    transposed = 16 * a + 4 * j + i
-    xy = np.stack([16 * a + 4 * i + j, transposed]).transpose(0, 2, 1, 3).reshape(2, 4, 12)
-    return transposed.reshape(3, 16), xy
-
-
-def _ricci_blocks(u: np.ndarray):
-    """The two blocks of the Ricci operator of the triple with entries u,
-    which has no entry outside them: the a-block (e_7, e_1, e_2) is
-    -(1/4) S S^T with S the rows M + M^T flattened, M = A, B, C, and the
-    n-block (e_3..e_6) is (1/2)(X X^T - Y Y^T) = (1/2) sum [M, M^T]."""
-    transposed, xy = _ricci_table()
-    S = u.reshape(3, 16) + u[transposed]
-    XY = u[xy]
-    G = XY @ XY.swapaxes(1, 2)
-    return -0.25 * (S @ S.T), 0.5 * (G[0] - G[1])
-
-
 def _homothety(scal, ric_sq):
     """F = scal^2 / tr(Ric^2), elementwise, of curvatures taken at unit
     scale; NaN where flat, that is where tr(Ric^2) is not above
@@ -319,12 +246,12 @@ def _homothety(scal, ric_sq):
 
 
 def _unit_curvature(t: BracketTriple):
-    """(a, n, scal, ric_sq, F): the Ricci blocks, scal = tr(a) (the n-block
-    is a sum of commutators, so traceless), tr(Ric^2) = |a|^2 + |n|^2 and F
-    of the unit triple `t.unit`."""
-    a, n = _ricci_blocks(t.unit)
-    scal, ric_sq = float(a.trace()), float(np.vdot(a, a) + np.vdot(n, n))
-    return a, n, scal, ric_sq, float(_homothety(scal, ric_sq))
+    """(ric, scal, ric_sq, F) of the unit triple: the Ricci operator in display
+    order, scal the trace of its a-block (the n-block is a sum of
+    commutators, so traceless), tr(Ric^2) = |ric|^2 and F."""
+    ric = t._quadratic(tables._ricci_table).reshape(DIM, DIM)
+    scal, ric_sq = float(ric[:3, :3].trace()), float(np.vdot(ric, ric))
+    return ric, scal, ric_sq, float(_homothety(scal, ric_sq))
 
 
 def homothety_invariant(t: BracketTriple) -> float:
@@ -332,7 +259,7 @@ def homothety_invariant(t: BracketTriple) -> float:
     is judged at unit scale (`_unit_curvature`), so it raises on the zero
     triple and on triples with vanishing Ricci curvature (commuting
     skew-symmetric matrices, say) at any scale."""
-    F = _unit_curvature(t)[4]
+    F = _unit_curvature(t)[3]
     if math.isnan(F):
         raise ValueError("homothety invariant undefined on a flat metric")
     return F
@@ -343,14 +270,10 @@ def ricci_report(t: BracketTriple) -> dict:
     e_3..e_6), the a-block first.  F is read at unit scale, as in
     `homothety_invariant`, and the rest is scaled back from there (Ric and
     scal have degree 2 in the entries, tr(Ric^2) degree 4)."""
-    a, n, scal, ric_sq, F = _unit_curvature(t)
-    e = t.exponent
-    ric = np.zeros((DIM, DIM))
-    ric[:3, :3] = a
-    ric[3:, 3:] = n
+    ric, scal, ric_sq, F = _unit_curvature(t)
     return {
-        "ricci": _scaled(ric, 2 * e).tolist(),
-        "scal": _scaled(scal, 2 * e),
-        "trace_ric_sq": _scaled(ric_sq, 4 * e),
+        "ricci": _scaled(ric, 2 * t.exponent).tolist(),
+        "scal": _scaled(scal, 2 * t.exponent),
+        "trace_ric_sq": _scaled(ric_sq, 4 * t.exponent),
         "F": None if math.isnan(F) else F,
     }

@@ -14,7 +14,7 @@ import pytest
 from reference_formulas import coclosed_coefficients
 
 import g2solv
-from g2solv import audit, cli, coflow, g2core, liealg
+from g2solv import audit, cli, coflow, liealg
 from g2solv.coflow import CoclosedParams
 from g2solv.liealg import homothety_invariant
 from g2solv.numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, poly_square_mod
@@ -184,9 +184,8 @@ def test_torsion_text_format(capsys):
     ("text", ["--coclosed", "1,1,1,-1,1,1"], 6),
 ])
 def test_torsion_takes_dphi_and_dpsi_once(monkeypatch, capsys, fmt, triple, budget):
-    # upper bounds: torsion_forms and laplacians read dphi and dpsi off their
-    # tables without calling d, and erp_residual calls it once, for d tau of
-    # the unit triple
+    # upper bounds: torsion_forms, laplacians and erp_residual read their
+    # values off tables without calling d
     calls = []
 
     def counted(d):
@@ -196,7 +195,6 @@ def test_torsion_takes_dphi_and_dpsi_once(monkeypatch, capsys, fmt, triple, budg
         return call
 
     monkeypatch.setattr(liealg, "ce_differential", counted(liealg.ce_differential))
-    monkeypatch.setattr(g2core, "_differential", counted(g2core._differential))
     assert cli.run(["--format", fmt, "torsion", *triple]) == 0
     capsys.readouterr()
     assert len(calls) <= budget
@@ -829,15 +827,15 @@ def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_importing_the_cli_builds_no_table_of_g2core():
-    # the Laplacian table, its diagonal restriction and the torsion map are
-    # built on first use, so the cold start of every command stays free of them
-    proc = _python("from g2solv import cli, g2core; "
-                   "print(g2core._laplacian_table.cache_info().currsize, "
-                   "g2core._diagonal_laplacian.cache_info().currsize, "
-                   "g2core._torsion_map.cache_info().currsize)")
+def test_importing_the_cli_builds_no_table():
+    # every table and the diagonal restrictions are built on first use, so
+    # the cold start of every command stays free of them
+    proc = _python("from g2solv import cli, tables; "
+                   "print(*(f.cache_info().currsize for f in (tables._laplacian_table, "
+                   "tables._diagonal, tables._torsion_map, tables._erp_table, "
+                   "tables._ricci_table)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0"] * 5
 
 
 def test_importing_the_cli_builds_no_soliton_table():
@@ -857,6 +855,29 @@ def _imported_modules(nodes) -> list:
         elif isinstance(node, ast.ImportFrom):
             names.append(node.module or "")
     return names
+
+
+def test_the_package_lists_every_module():
+    package = pathlib.Path(g2solv.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(g2solv.__all__) == sorted(modules)
+
+
+def test_only_the_cli_imports_a_package_module_inside_a_function():
+    # the CLI imports per subcommand for its cold start; anywhere else an
+    # import inside a function hides a cycle between modules
+    found = []
+    for path in pathlib.Path(g2solv.__file__).parent.glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                relative = isinstance(node, ast.ImportFrom) and node.level > 0
+                if relative or "g2solv" in [n.split(".")[0] for n in _imported_modules([node])]:
+                    found.append(f"{path.name}:{func.name}")
+    assert found == []
 
 
 def test_no_package_module_imports_scipy():
@@ -887,7 +908,8 @@ def test_verify_lattice_loads_neither_numpy_nor_the_form_engine():
         "    except SystemExit as exc:",
         "        assert exc.code == 0, exc.code",
         "print('loaded:', *sorted({'numpy', 'g2solv.coflow', 'g2solv.g2core',",
-        "                          'g2solv.liealg', 'g2solv.forms'} & set(sys.modules)))",
+        "                          'g2solv.liealg', 'g2solv.forms', 'g2solv.tables'}",
+        "                         & set(sys.modules)))",
     ])
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr

@@ -16,7 +16,7 @@ from reference_formulas import (
     coclosed_coefficients,
     coclosed_lap_psi,
 )
-from g2solv import coflow, forms, g2core
+from g2solv import coflow, forms, g2core, tables
 from g2solv.coflow import (
     CoclosedParams,
     FlowOptions,
@@ -502,8 +502,8 @@ def test_modified_residual_is_finite_just_below_the_bound_on_m():
 def test_soliton_paths_evaluate_one_laplacian_per_family_point(monkeypatch):
     # lap psi of a family point is read off its triple's unit entries, once
     calls = []
-    quadratic = g2core._quadratic
-    monkeypatch.setattr(g2core, "_quadratic",
+    quadratic = tables._quadratic
+    monkeypatch.setattr(tables, "_quadratic",
                         lambda table, u: calls.append(u) or quadratic(table, u))
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
     for sol in sols:
@@ -530,8 +530,8 @@ def test_soliton_solve_builds_each_triple_once(monkeypatch):
 
 def test_each_triple_takes_one_torsion_product(monkeypatch):
     calls = []
-    torsion_map = g2core._torsion_map
-    monkeypatch.setattr(g2core, "_torsion_map", lambda: calls.append(1) or torsion_map())
+    torsion_map = tables._torsion_map
+    monkeypatch.setattr(tables, "_torsion_map", lambda: calls.append(1) or torsion_map())
     sols = soliton_solve(1.0, -1.0, 1.0, -0.5)
     for sol in sols:
         modified_soliton_residual(sol.params, 1.0)
@@ -552,7 +552,7 @@ DENSE = BracketTriple(*dz.commuting_triple(np.random.default_rng(7)))
 
 def _full_lap_psi(t):
     """lap psi of the unit triple from every term of the Laplacian table."""
-    return g2core._quadratic(g2core._laplacian_table(), t.unit)
+    return tables._quadratic(tables._laplacian_table(), t.unit)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
-from g2solv import g2core
+from g2solv import g2core, tables
 from g2solv.coflow import CoclosedParams, modified_soliton_residual, soliton_residual
 from g2solv.config import TOL
 from g2solv.forms import PHI, PSI, KForm, hodge, inner, wedge
@@ -333,10 +333,62 @@ def test_torsion_map_and_laplacian_table_match_dense_oracle(family, t):
 
 
 def test_laplacian_table_is_exact():
-    out, i, j, coef = g2core._laplacian_table()
-    assert set(coef.tolist()) == {-1.0, 1.0}
-    assert (i <= j).all()
-    assert len(set(zip(out.tolist(), i.tolist(), j.tolist()))) == len(out)
+    # every quadratic table holds integer coefficients over its denominator,
+    # each (out, i <= j) once; the torsion map holds integers over 84
+    assert set(tables._laplacian_table()[3].tolist()) == {-1.0, 1.0}
+    for build, want in ((tables._laplacian_table, (1, 35)), (tables._erp_table, (6, 35)),
+                        (tables._ricci_table, (4, 49))):
+        out, i, j, coef, denominator, size = build()
+        assert (denominator, size) == want, build.__name__
+        assert np.array_equal(coef, np.round(coef)) and coef.all(), build.__name__
+        assert (i <= j).all() and (out < size).all(), build.__name__
+        assert len(set(zip(out.tolist(), i.tolist(), j.tolist()))) == len(out), build.__name__
+    scaled = 84.0 * tables._torsion_map()
+    assert np.abs(scaled - np.round(scaled)).max() < 1e-12
+
+
+# display order (e7, e1, e2, e3..e6) of the internal basis e1..e7, zero-based
+_DISPLAY = [6, 0, 1, 2, 3, 4, 5]
+
+
+def test_erp_and_ricci_tables_match_dense_oracle():
+    # R = d tau - |tau|^2 phi / 6 - *(tau ^ tau) / 6 is a polynomial in the
+    # entries, so its table holds on every triple, closed or not; on a
+    # diagonal triple the restriction to the diagonal terms gives the same
+    # bits as the full table
+    rng = np.random.default_rng(31)
+    phi = dz.from_kform(PHI)
+    psi = dz.hodge(phi, 3)
+    triples = ([BracketTriple(*dz.commuting_triple(rng)) for _ in range(10)]
+               + [closed_triple(*rng.uniform(-2, 2, 3)) for _ in range(3)]
+               + [CoclosedParams(*rng.uniform(-2, 2, 6)).to_triple() for _ in range(3)])
+    for t in triples:
+        c = dz.structure_tensor(*unit_triple(t).matrices())
+        tau = -dz.hodge(dz.d(c, psi, 4), 5)
+        erp = (dz.d(c, tau, 2) - dz.inner(tau, tau, 2) / 6.0 * phi
+               - dz.hodge(dz.wedge(tau, 2, tau, 2), 4) / 6.0)
+        got = tables._quadratic(tables._erp_table(), t.unit)
+        assert dz.max_dev(erp, 3, KForm._of(3, got)) < 1e-12
+        ricci = tables._quadratic(tables._ricci_table(), t.unit).reshape(7, 7)
+        assert np.abs(ricci - dz.ricci(c)[np.ix_(_DISPLAY, _DISPLAY)]).max() < 1e-12
+        if t.diagonal:
+            for build in (tables._erp_table, tables._ricci_table):
+                full = tables._quadratic(build(), t.unit)
+                assert t._quadratic(build).tobytes() == full.tobytes(), build.__name__
+
+
+def test_closed_structures_satisfy_the_pinching_identity():
+    # on a closed structure 3 tr(Ric^2) - scal^2 = (3/2)|R|^2, R the ERP
+    # residual, so F <= 3 with equality where R = 0, as at (k, k, k)
+    rng = np.random.default_rng(14)
+    for a, b, c in rng.uniform(-2.0, 2.0, (200, 3)):
+        t = closed_triple(a, b, c)
+        rep, res = ricci_report(t), erp_residual(t)
+        lhs = 3.0 * rep["trace_ric_sq"] - rep["scal"] ** 2
+        assert abs(lhs - 1.5 * res["residual_norm"] ** 2) <= 1e-13 * rep["trace_ric_sq"]
+        assert rep["F"] <= 3.0 * (1.0 + 1e-15)
+    for k in rng.uniform(0.5, 2.0, 5):
+        assert homothety_invariant(closed_triple(k, k, k)) == pytest.approx(3.0, rel=1e-15)
 
 
 # -- scale equivariance ------------------------------------------------------------
