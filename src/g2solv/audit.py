@@ -3,6 +3,8 @@ report per claim (i)-(v), with where the source states it, what it says, the
 value computed here and whether they agree.  It reports and does not gate.
 This is the one home of the source's displayed formulas that the package
 does not use, the printed quartic of (iv) and the generator Q of (ii) and (v).
+Q is read off lap psi from the Laplacian table (`g2core.laplacians`), so (ii)
+tests the hand-typed ODE `coflow._rate` against the table.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ def _velocity(p: CoclosedParams) -> np.ndarray:
 
 def _generator(p: CoclosedParams) -> np.ndarray:
     """The source's diagonal 7x7 generator Q, internal basis order: slots
-    (e7, e1, e2) carry ((-r+s+t)/2, (r+s-t)/2, (r-s+t)/2), (r, s, t) the
-    coefficients of lap psi (`coflow._coefficients`), and n's slots vanish."""
-    r, s, t = coflow._coefficients(p.as_array()).tolist()
+    (e7, e1, e2) carry ((-r+s+t)/2, (r+s-t)/2, (r-s+t)/2), with (r, s, t)
+    the components of p's lap psi at e^1234, e^1367 and e^2357, and n's
+    slots vanish."""
+    lap_psi = laplacians(p.to_triple())["psi"].vec
+    r, s, t = (float(lap_psi[forms.BASIS[4].index(I)])
+               for I in ((1, 2, 3, 4), (1, 3, 6, 7), (2, 3, 5, 7)))
     return np.diag([0.5 * (r + s - t), 0.5 * (r - s + t), 0, 0, 0, 0, 0.5 * (-r + s + t)])
 
 

@@ -25,8 +25,8 @@ Sign convention: the derivation representation entering the soliton equation
 is theta_plus(D) alpha = -theta(D) alpha for the covector convention of
 `forms.theta` (equivalently theta(-D)).  This is the convention under which
 the flow identity lap psi = theta_plus(Q) psi holds with the source's
-generator Q, which `g2solv.audit` builds from `_coefficients`; with the
-opposite sign the same identity produces -lap psi.
+generator Q, which `g2solv.audit` reads off lap psi; with the opposite
+sign the same identity produces -lap psi.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .forms import PSI, _scaled, _to_unit, theta
+from .forms import PSI, _norm, _scaled, _to_unit, theta
 from .liealg import BracketTriple, _homothety
-from .g2core import _norm, _unit_modified
+from .g2core import _unit_modified
 
 # starts with |p| at or above this are rejected: the starting-step estimate
 # squares the rate over the error scale, at most |p|^2 / _RTOL per entry, and
@@ -91,18 +91,6 @@ class CoclosedParams:
         which raises ValueError unless the parameters are finite); later
         calls return the same object."""
         return self._triple
-
-
-def _coefficients(P: np.ndarray) -> np.ndarray:
-    """Coefficients (r, s, t) of lap psi on the three self-dual components,
-
-        lap psi = r w7^e12 - s w2^e17 + t w1^e27,
-
-    for parameter rows (..., 6), shape (..., 3)."""
-    a1, a2, b1, b2, c1, c2 = P.T
-    return np.array([(b1 + b2) ** 2 + (c1 + c2) ** 2,
-                     (a1 - a2) ** 2 + (b1 - b2) ** 2,
-                     (a1 + a2) ** 2 + (c1 - c2) ** 2]).T
 
 
 def _rate(y) -> tuple:
@@ -272,8 +260,16 @@ class FlowTrajectory:
         return np.einsum("ij,ij->i", self.params, self.params)
 
     def coefficients(self) -> np.ndarray:
-        """(r, s, t) of lap psi per sample (see `_coefficients`), shape (n, 3)."""
-        return _coefficients(self.params)
+        """Coefficients (r, s, t) of lap psi on the three self-dual components,
+
+            lap psi = r w7^e12 - s w2^e17 + t w1^e27,
+
+        per sample, shape (n, 3): lap psi's components at e^1234, e^1367
+        and e^2357, typed out as sums of squares over the whole trajectory."""
+        a1, a2, b1, b2, c1, c2 = self.params.T
+        return np.array([(b1 + b2) ** 2 + (c1 + c2) ** 2,
+                         (a1 - a2) ** 2 + (b1 - b2) ** 2,
+                         (a1 + a2) ** 2 + (c1 - c2) ** 2]).T
 
     def invariants(self) -> np.ndarray:
         """Homothety invariant per sample; NaN on flat points.  Diagonal

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tables
 from .config import TOL
-from .forms import KForm, _scaled, hodge
+from .forms import KForm, _norm, _scaled, hodge
 from .liealg import BracketTriple
 
 
@@ -52,13 +52,6 @@ def _parts(v: np.ndarray) -> list:
     """Coefficient vectors of the `tables._torsion_parts` (tau0 one entry
     long) in a product v of `tables._torsion_map`, here always with t.unit."""
     return [v[rows] for rows in tables._PART_ROWS]
-
-
-def _norm(x: np.ndarray) -> float:
-    """`KForm.norm` of the form with coefficients x, bit for bit, at unit
-    scale.  `ndarray.dot` calls the same BLAS dot as `@`, with less of
-    numpy's per-call overhead."""
-    return math.sqrt(x.dot(x))
 
 
 def _class_flags(tau0: float, tau1: np.ndarray, tau2: np.ndarray, tau3: np.ndarray) -> dict:

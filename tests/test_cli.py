@@ -126,6 +126,14 @@ def test_torsion_closed_point(capsys):
     assert payload["erp_residual"] < 1e-9
 
 
+def test_torsion_norms_of_a_tiny_closed_point_do_not_underflow(capsys):
+    # the squares of tau2's coefficients, about 1e-400, underflow; its norm does not
+    code, payload = run_json(capsys, ["torsion", "--closed=1e-200,1e-200,1e-200"])
+    assert code == 0
+    assert payload["torsion_class"] == ["W2"]
+    assert payload["tau2_norm"] == pytest.approx(2.0 * np.sqrt(6.0) * 1e-200, rel=1e-15, abs=0.0)
+
+
 def test_torsion_coclosed_point(capsys):
     code, payload = run_json(capsys, ["torsion", "--coclosed", "1,1,1,-1,1,1"])
     assert code == 0
@@ -683,6 +691,36 @@ def test_audit_reads_the_package_ode(monkeypatch, capsys):
     _, payload = run_json(capsys, ["audit"])
     claim, = [c for c in payload["claims"] if c["claim_id"] == "ode_coefficient_identity"]
     assert claim["agrees"] is False
+
+
+def test_audit_catches_a_wrong_term_in_the_package_ode(monkeypatch, capsys):
+    # Q is read off lap psi, not off the ODE's own formulas: dropping the
+    # 2 b1 b2 term of a's rate makes claim (ii) fail
+    rate = coflow._rate
+
+    def without_bb(y):
+        a1, a2, b1, b2, c1, c2 = y
+        ka = -(a1 * a1 + a2 * a2) + 2.0 * c1 * c2
+        return (ka * a1, ka * a2, *rate(y)[2:])
+
+    monkeypatch.setattr(coflow, "_rate", without_bb)
+    _, payload = run_json(capsys, ["audit"])
+    claim, = [c for c in payload["claims"] if c["claim_id"] == "ode_coefficient_identity"]
+    assert claim["agrees"] is False
+
+
+def test_audit_reads_no_private_name_of_coflow_but_its_ode():
+    # the audit's generator comes from the Laplacian table; of coflow's
+    # private names it reads only the ODE `_rate` that it checks
+    tree = ast.parse((pathlib.Path(g2solv.__file__).parent / "audit.py").read_text())
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("coflow", "g2solv.coflow"):
+            private |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "coflow" and node.attr.startswith("_")):
+            private.add(node.attr)
+    assert private == {"_rate"}
 
 
 def test_audit_prints_the_claims_of_its_module(capsys):

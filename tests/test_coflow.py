@@ -343,6 +343,28 @@ def test_trajectory_reports():
     assert finite.max() <= 7.0 + 1e-9
 
 
+# (r, s, t) are lap psi's components at e^1234, e^1367 and e^2357
+_RST_SLOTS = [forms.BASIS[4].index(I) for I in ((1, 2, 3, 4), (1, 3, 6, 7), (2, 3, 5, 7))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=6, max_size=6),
+       st.sampled_from([-300, 0, 300]))
+@example([0, 0, 2 ** 19, -2 ** 19, 2 ** 19, -2 ** 19], 0)  # stationary
+@example([2 ** 19, 2 ** 19, 2 ** 19, 2 ** 19, 0, 0], 0)  # stationary
+def test_hand_formulas_agree_with_the_laplacian_table(x, k):
+    # entries are 0 or at least 2^-19 in size before the scale 2^k, so
+    # every square and cube stays a normal float
+    y = np.ldexp(np.array(x, dtype=float), k - 19)
+    r, s, t = rst = laplacians(CoclosedParams(*y).to_triple())["psi"].vec[_RST_SLOTS]
+    size = math.hypot(*y)
+    traj = FlowTrajectory(times=np.zeros(1), params=y[None], status="max_time")
+    assert np.abs(traj.coefficients()[0] - rst).max() <= 4e-15 * size ** 2
+    # lap psi = theta(-Q) psi: each pair is scaled by minus its slot of Q
+    q = np.repeat([0.5 * (-r + s + t), 0.5 * (r + s - t), 0.5 * (r - s + t)], 2)
+    assert np.abs(np.array(coflow._rate(y.tolist())) + q * y).max() <= 4e-15 * size ** 3
+
+
 def test_batched_reports_match_the_per_row_formulas():
     rng = np.random.default_rng(7)
     rows = rng.uniform(-2.0, 2.0, size=(40, 6))

@@ -4,6 +4,7 @@ dense brute-force oracle."""
 import ast
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_arithmetic_basics():
     b = a - monomial((1, 2))
     assert b.coeffs == {(3, 4): 2.0}
     assert (2.0 * a).coeffs == {(1, 2): 2.0, (3, 4): 4.0}
-    assert (a / 2.0).coeffs == {(1, 2): 0.5, (3, 4): 1.0}
+    assert (a * 0.5).coeffs == {(1, 2): 0.5, (3, 4): 1.0}
     assert (-a).coeffs == {(1, 2): -1.0, (3, 4): -2.0}
 
 
@@ -123,11 +124,31 @@ def test_norm_of_a_large_form_does_not_overflow():
         (1.5e308 * monomial((1, 2)) + 1.5e308 * monomial((4, 5))).norm()
 
 
-def test_norm_below_the_large_range_is_the_plain_one():
+def test_norm_is_the_plain_one_where_the_squares_stay_in_range():
     rng = np.random.default_rng(7)
     for k in (-1000, -300, 0, 300, 499):
         x = np.ldexp(rng.standard_normal(35), k)
-        assert KForm(3, dict(zip(COMBOS[3], x))).norm() == math.sqrt(x @ x)
+        norm = KForm(3, dict(zip(COMBOS[3], x))).norm()
+        if k == -1000:  # the squares underflow: that of 2^1000 x, scaled back
+            y = np.ldexp(x, 1000)
+            assert norm == math.ldexp(math.sqrt(y @ y), k) > 0.0
+        else:
+            assert norm == math.sqrt(x @ x)
+
+
+# 35 coefficients, each 0 or at least 2^-20 in size, so that 2^k times any
+# of them is a normal float for every k >= -1000
+_SPREAD_COEFFS = st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=35, max_size=35).map(
+    lambda v: np.ldexp(np.array(v, dtype=float), -20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPREAD_COEFFS, st.integers(-1000, 900))
+def test_norm_commutes_with_powers_of_two(x, k):
+    norm = KForm(3, dict(zip(COMBOS[3], x))).norm()
+    scaled = KForm(3, dict(zip(COMBOS[3], np.ldexp(x, k)))).norm()
+    assert scaled == math.ldexp(norm, k)
+    assert scaled == 0.0 or scaled >= sys.float_info.min  # a normal float
 
 
 def test_format_form():
