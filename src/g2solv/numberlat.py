@@ -18,10 +18,10 @@ Commutation holds by construction: every unit matrix is a polynomial in M.
 Floating point enters in one pass per certificate, on plain Python floats:
 the roots of p are extracted once, and the values q_i(u_j) feed the
 log-embedding rank test (against `TOL.unit_log_sigma`) and the reported
-Vandermonde residual.  Each unit's smallest conjugate, which can cancel in
-floats, is taken from its exact norm.  Float sums run left to right, never
-through builtin `sum` (compensated on Python 3.12+), so the bits do not
-depend on the Python version.  Nothing is cached between calls.
+spectra.  Each unit's smallest conjugate, which can cancel in floats, is
+taken from its exact norm.  Float sums run left to right, never through
+builtin `sum` (compensated on Python 3.12+), so the bits do not depend on
+the Python version.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -348,11 +348,6 @@ def roots(p: QuarticPoly) -> list[float]:
     return u
 
 
-def companion(p: QuarticPoly):
-    """Integer companion matrix of p (multiplication by u in basis 1,u,u^2,u^3)."""
-    return _mul_matrix(p, UnitSpec(0, 1, 0, 0))
-
-
 def unit_matrix(p: QuarticPoly, q: UnitSpec):
     """Exact integer matrix q(M) of multiplication by q(u) on Z[u].
 
@@ -474,7 +469,6 @@ class LatticeCertificate:
     units: list[tuple[int, int, int, int]]
     matrices: list = field(default_factory=list)  # exact integer entries
     roots: list[float] = field(default_factory=list)
-    vandermonde: list = field(default_factory=list)
     spectra: list = field(default_factory=list)  # q_i(u_j), one row per unit
     checks: dict = field(default_factory=dict)
     verdict: bool = False
@@ -482,47 +476,6 @@ class LatticeCertificate:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _dot(x, y) -> float:
-    """x . y, summed left to right."""
-    total = 0.0
-    for a, b in zip(x, y):
-        total += a * b
-    return total
-
-
-def _diag_residual(V, mats, spectra) -> float:
-    """max over the unit matrices X of |V X - diag(q(u)) V| / (|V| |X|) in
-    Frobenius norms, with the rows of `spectra` as q(u).
-
-    V and each X are first taken to unit scale by a power of two, which is
-    exact, so that no square overflows; the integer entries of X are divided
-    by that power as integers, so none of them needs to fit a float.  Raises
-    ValueError when an entry of V is beyond the float range.
-    """
-    top = max(abs(v) for row in V for v in row)
-    if top == math.inf:
-        raise ValueError("Vandermonde entry beyond the float range")
-    e = math.frexp(top)[1]
-    V = [[math.ldexp(v, -e) for v in row] for row in V]
-    worst = 0.0
-    for X, d in zip(mats, spectra):
-        e = max(map(int.bit_length, X[0] + X[1] + X[2] + X[3]))
-        scale = 1 << e
-        X = [x / scale for row in X for x in row]
-        x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = X
-        square = 0.0
-        for (v0, v1, v2, v3), dv in zip(V, d):
-            dv = math.ldexp(dv, -e)
-            r0 = v0 * x00 + v1 * x10 + v2 * x20 + v3 * x30 - dv * v0
-            r1 = v0 * x01 + v1 * x11 + v2 * x21 + v3 * x31 - dv * v1
-            r2 = v0 * x02 + v1 * x12 + v2 * x22 + v3 * x32 - dv * v2
-            r3 = v0 * x03 + v1 * x13 + v2 * x23 + v3 * x33 - dv * v3
-            square += r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
-        worst = max(worst, square / _dot(X, X))
-    V = V[0] + V[1] + V[2] + V[3]
-    return math.sqrt(worst / _dot(V, V))
 
 
 # the checks the verdict rests on; "integral", "commute" and "diagonalized"
@@ -544,12 +497,12 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     `integral`, `commute` and `diagonalized` hold by construction: each X
     is an integer polynomial in the one companion matrix M, so the X commute
     exactly, and the eigenvalues of M are distinct (irreducible implies
-    separable) and real, so the root Vandermonde V diagonalizes every X,
-    V X = diag(q(u)) V.  `diag_residual` reports that identity in floating
-    point, as the largest |V X - diag(q(u)) V| relative to |V| |X|
-    (Frobenius norms), with the reported `spectra` as q(u).  Each row of
-    `spectra` holds the float values q(u_j), except its smallest, which is
-    det X / prod of the others: that one can cancel to 0.0 in floats.
+    separable) and real, so the root Vandermonde V, rows (1, u_j, u_j^2,
+    u_j^3), diagonalizes every X: V X = diag(q(u)) V (Cohen, 4.1).  No float
+    residual of that identity is reported; the tests recompute it from
+    `roots`, `matrices` and `spectra`.  Each row of `spectra` holds the
+    float values q(u_j), except its smallest, which is det X / prod of the
+    others: that one can cancel to 0.0 in floats.
 
     Multiplicative independence is the one numerical decision (see
     `mult_independence`).  A ValueError from that float pass, which a
@@ -584,18 +537,15 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
     checks["diagonalized"] = True
     try:
         indep = mult_independence(p, units)
-        spectra = indep["values"]
-        for row, chi in zip(spectra, chars):
-            # the smallest conjugate can cancel to 0.0: take it from the norm
-            k = _smallest(row)
-            others = row[:k] + row[k + 1:]
-            row[k] = chi.a0 / (others[0] * others[1] * others[2])
-        V = [[1.0, x, x * x, x * x * x] for x in indep["roots"]]
-        checks["diag_residual"] = _diag_residual(V, mats, spectra)
     except ValueError as exc:
         cert.reason = f"floating-point pass failed: {exc}"
         return cert
-    cert.roots, cert.vandermonde, cert.spectra = indep["roots"], V, spectra
+    for row, chi in zip(indep["values"], chars):
+        # the smallest conjugate can cancel to 0.0: take it from the norm
+        k = _smallest(row)
+        others = row[:k] + row[k + 1:]
+        row[k] = chi.a0 / (others[0] * others[1] * others[2])
+    cert.roots, cert.spectra = indep["roots"], indep["values"]
     checks["independent"] = indep["independent"]
     checks["independence_sigma_min"] = indep["sigma_min"]
     cert.verdict = all(checks[k] for k in _REQUIRED)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import diag_residual
 from g2solv import numberlat
 from g2solv.config import TOL
 from g2solv.numberlat import (
@@ -18,7 +19,6 @@ from g2solv.numberlat import (
     QuarticPoly,
     UnitSpec,
     certify_lattice,
-    companion,
     is_irreducible,
     is_totally_real,
     mult_independence,
@@ -29,6 +29,13 @@ from g2solv.numberlat import (
 
 P15 = BUILTIN_EXAMPLES["kl-2015"]["poly"]
 PS3 = BUILTIN_EXAMPLES["kl-sqrt3"]["poly"]
+
+
+def _companion(p: QuarticPoly):
+    """The companion matrix of p, multiplication by u in the basis 1, u,
+    u^2, u^3, written out from p's coefficients."""
+    a0, a1, a2, a3 = p.coeffs()
+    return [[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]]
 
 
 # -- polynomials ------------------------------------------------------------------
@@ -209,7 +216,7 @@ def _array_polished_roots(p: QuarticPoly, start) -> list:
 def _eigvals_roots(p: QuarticPoly) -> list:
     """The real parts of the companion eigenvalues in descending order,
     Newton-polished as `numberlat._roots` polishes its own estimates."""
-    vals = np.linalg.eigvals(np.array(companion(p), dtype=float))
+    vals = np.linalg.eigvals(np.array(_companion(p), dtype=float))
     return _array_polished_roots(p, sorted(vals.real.tolist(), reverse=True))
 
 
@@ -233,16 +240,17 @@ def test_roots_match_the_polished_companion_eigenvalues():
 
 
 def test_companion_layout():
-    M = companion(P15)
-    assert M == [[0, 0, 0, -1], [1, 0, 0, -4], [0, 1, 0, 4], [0, 0, 1, 1]]
+    # the matrix of u is the companion matrix, in exact ints
+    M = numberlat._mul_matrix(P15, UnitSpec(0, 1, 0, 0))
+    assert M == _companion(P15) == [[0, 0, 0, -1], [1, 0, 0, -4], [0, 1, 0, 4], [0, 0, 1, 1]]
     assert all(isinstance(x, int) for row in M for x in row)
 
 
 def test_companion_does_not_validate():
-    # certify_lattice decides irreducibility and total reality exactly;
-    # companion is the integer layout only, for any monic quartic
-    assert companion(QuarticPoly(-2, 0, 0, 0))[0][3] == 2
-    assert companion(QuarticPoly(6, 0, -5, 0))[2][3] == 5
+    # certify_lattice decides irreducibility and total reality exactly; the
+    # matrix of u is the integer layout only, for any monic quartic
+    for p in (QuarticPoly(-2, 0, 0, 0), QuarticPoly(6, 0, -5, 0)):
+        assert numberlat._mul_matrix(p, UnitSpec(0, 1, 0, 0)) == _companion(p)
 
 
 # -- unit actions -------------------------------------------------------------------
@@ -295,14 +303,12 @@ def test_spectra_are_unit_values_at_the_roots():
 def test_diagonalize_by_root_vandermonde():
     for ex in BUILTIN_EXAMPLES.values():
         cert = certify_lattice(ex["poly"], ex["units"])
-        assert cert.checks["diag_residual"] < 1e-9
+        assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
         u = np.array(cert.roots)
         assert np.abs(u - roots(ex["poly"])).max() < 1e-12
-        assert np.allclose(cert.vandermonde,
-                           np.stack([np.ones(4), u, u**2, u**3], axis=1))
+        V = np.stack([np.ones(4), u, u**2, u**3], axis=1)
         for q, X, D in zip(ex["units"], cert.matrices, cert.spectra):
             assert np.abs(np.array(D) - np.array([q(x) for x in u])).max() < 1e-9
-            V = np.array(cert.vandermonde)
             assert np.abs(V @ np.array(X, dtype=float) - np.diag(D) @ V).max() < 1e-9
             # positive spectra throughout: the units are squares
             assert min(D) > 0
@@ -353,7 +359,7 @@ def test_charpoly_of_the_reference_matrices():
         for X, q in zip(ex["reference"], ex["units"]):
             assert numberlat._charpoly(X, q, T) == _oracle_charpoly(X)
     # t^4 - 1 has the roots +-1, +-i; -I has determinant 1 and spectrum -1
-    assert _oracle_charpoly(companion(QuarticPoly(-1, 0, 0, 0))).coeffs() == (-1, 0, 0, 0)
+    assert _oracle_charpoly(_companion(QuarticPoly(-1, 0, 0, 0))).coeffs() == (-1, 0, 0, 0)
     minus_one = [[-int(i == j) for j in range(4)] for i in range(4)]
     assert _oracle_charpoly(minus_one).coeffs() == (1, 4, 6, 4)
     assert not _oracle_charpoly(minus_one).alternates_in_sign()
@@ -361,10 +367,8 @@ def test_charpoly_of_the_reference_matrices():
 
 def _oracle_unit_matrix(p: QuarticPoly, q: UnitSpec):
     """q(M) by Horner's rule, ((q3 M + q2) M + q1) M + q0, over exact
-    object-dtype matrix products, with M written out from p's coefficients."""
-    a0, a1, a2, a3 = p.coeffs()
-    M = np.array([[0, 0, 0, -a0], [1, 0, 0, -a1], [0, 1, 0, -a2], [0, 0, 1, -a3]],
-                 dtype=object)
+    object-dtype matrix products, with M = `_companion(p)`."""
+    M = np.array(_companion(p), dtype=object)
     eye = np.array([[int(i == j) for j in range(4)] for i in range(4)], dtype=object)
     X = 0 * eye
     for c in reversed(q.coeffs()):
@@ -395,7 +399,7 @@ QUARTICS = st.one_of(
 @given(p=QUARTICS)
 def test_power_sums_are_traces_of_powers_of_the_companion_matrix(p):
     p = QuarticPoly(*p[:0:-1])
-    M = np.array(_oracle_unit_matrix(p, UnitSpec(0, 1, 0, 0)), dtype=object)
+    M = np.array(_companion(p), dtype=object)
     power = np.array(_oracle_unit_matrix(p, UnitSpec(1, 0, 0, 0)), dtype=object)
     T = numberlat._power_sums(p)
     assert len(T) == 7 and all(type(t) is int for t in T)
@@ -531,7 +535,7 @@ def test_certificates_for_builtin_examples():
                     "units_valid", "integral", "det_one", "commute",
                     "diagonalized", "positive_spectra", "independent"):
             assert checks[key], (name, key)
-        assert checks["diag_residual"] < 1e-9
+        assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9, name
 
 
 def test_certificate_serializes_to_json():
@@ -540,6 +544,31 @@ def test_certificate_serializes_to_json():
     assert payload["verdict"] is True
     assert payload["matrices"] == BUILTIN_EXAMPLES["kl-2015"]["reference"]
     assert len(payload["roots"]) == 4
+
+
+_EARLY_CHECKS = {"irreducible", "unit_constant_term", "totally_real", "units_valid"}
+_EXACT_CHECKS = _EARLY_CHECKS | {"integral", "det_one", "commute", "positive_spectra",
+                                 "diagonalized"}
+
+
+@pytest.mark.parametrize("case, checks, reason", [
+    ("certified", _EXACT_CHECKS | {"independent", "independence_sigma_min"}, "certified"),
+    ("not totally real", _EARLY_CHECKS, "polynomial or unit validation failed"),
+    ("beyond the float range", _EXACT_CHECKS,
+     "floating-point pass failed: coefficients beyond the float range"),
+])
+def test_certificate_keys_are_pinned(case, checks, reason):
+    # a field added to or dropped from the report is a deliberate change
+    p, units = {
+        "certified": (P15, BUILTIN_EXAMPLES["kl-2015"]["units"]),
+        "not totally real": (QuarticPoly(1, 1, 1, 1), [UnitSpec(0, 1, 0, 0)] * 3),
+        "beyond the float range": _square_units_field(10**200, 2 * 10**200, 3),
+    }[case]
+    cert = certify_lattice(p, units).to_dict()
+    assert set(cert) == {"poly", "units", "matrices", "roots", "spectra", "checks",
+                         "verdict", "reason"}
+    assert set(cert["checks"]) == checks
+    assert cert["reason"] == reason
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4])
@@ -627,17 +656,17 @@ def test_large_coefficient_field_is_certified():
     cert = certify_lattice(*_square_units_field(1, 2, 10**7))
     assert cert.verdict, cert.checks
     assert cert.checks["positive_spectra"] is True
-    assert cert.checks["diag_residual"] < 1e-9
+    assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
     assert cert.checks["independence_sigma_min"] > 30
 
 
 def test_field_with_roots_sixty_orders_apart_is_certified():
-    # roots near 1.7e-121, 3, 1e60 and 2e60: the residual is taken at unit
-    # scale, where |X|^2 would overflow, and the root 3 is told apart
+    # roots near 1.7e-121, 3, 1e60 and 2e60: the root 3 is told apart, and
+    # the residual is taken in mpmath, where |X|^2 would overflow a float
     cert = certify_lattice(*_square_units_field(10**60, 2 * 10**60, 3))
     assert cert.verdict, cert.checks
     assert cert.roots == pytest.approx([2e60, 1e60, 3.0, 1 / 6e120], rel=1e-13)
-    assert cert.checks["diag_residual"] < 1e-9
+    assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
 
 
 def _field_at_high_precision(p: QuarticPoly, units):
@@ -669,7 +698,7 @@ def test_huge_field_with_a_cancelling_conjugate_is_certified():
     assert 0.0 not in [v for row in cert.spectra for v in row]
     for row, expected in zip(cert.spectra, values):
         assert row == pytest.approx(expected, rel=1e-9)
-    assert cert.checks["diag_residual"] < 1e-9
+    assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
 
 
 def _seeded_fields(count: int, seed: int):
@@ -700,8 +729,8 @@ def test_float_pass_matches_a_high_precision_oracle():
             bound = max(1e-15 * max(1.0, abs(expected)), 8 * 2.0**-52 * cond)
             assert abs(x - expected) <= bound, tag
         assert cert.checks["independence_sigma_min"] == pytest.approx(sigma_min, rel=1e-9), tag
-        # the Vandermonde rows are the float powers of the reported roots
-        assert cert.vandermonde == [[1.0, x, x * x, x * x * x] for x in cert.roots], tag
+        # the root Vandermonde diagonalizes every reported matrix
+        assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9, tag
         for row, expected in zip(cert.spectra, values):
             assert row == pytest.approx(expected, rel=1e-9), tag
 
