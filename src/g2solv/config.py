@@ -2,6 +2,8 @@
 
 All thresholds live on a single mutable instance so that callers can tighten
 or relax them in one place; the command line front end never changes them.
+Lattice certification (`numberlat`) reads none of them: its one float
+verdict compares the units' regulator with a theorem's lower bound.
 """
 
 from dataclasses import dataclass
@@ -18,11 +20,6 @@ class Tolerances:
     eig_imag: float = 1e-9
     # relative singular-value cutoff for rank decisions
     rank_rel: float = 1e-9
-    # smallest singular value of the unit log-embedding matrix that still
-    # certifies multiplicative independence
-    unit_log_sigma: float = 1e-6
-    # convergence target for Newton polishing of polynomial roots
-    newton: float = 1e-12
     # BracketTriple's traceless and commuting checks: on the unit triple, a
     # trace and a commutator entry may reach this
     bracket: float = 1e-10

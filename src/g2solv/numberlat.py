@@ -17,19 +17,20 @@ power sums of the roots of p, taken once per certificate, and q^2 mod p.
 Commutation holds by construction: every unit matrix is a polynomial in M.
 Floating point enters in one pass per certificate, on plain Python floats:
 the roots of p are extracted once, and the values q_i(u_j) feed the
-log-embedding rank test (against `TOL.unit_log_sigma`) and the reported
-spectra.  Each unit's smallest conjugate, which can cancel in floats, is
-taken from its exact norm.  Float sums run left to right, never through
-builtin `sum` (compensated on Python 3.12+), so the bits do not depend on
-the Python version.  Nothing is cached between calls.
+regulator of the units, a 3x3 log determinant, and the reported spectra.
+Independence needs no tolerance: the regulator is exactly 0 or at least
+`_REGULATOR_FLOOR`, a theorem about every number field.  Each unit's
+smallest conjugate, which can cancel in floats, is taken from its exact
+norm.  Float sums run left to right, never through builtin `sum`
+(compensated on Python 3.12+), so the bits do not depend on the Python
+version.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
-
-from .config import TOL
 
 # ---------------------------------------------------------------------------
 # exact integer 4x4 helpers
@@ -115,10 +116,8 @@ class QuarticPoly:
     a3: int
 
     def __post_init__(self):
-        for name in ("a0", "a1", "a2", "a3"):
-            v = getattr(self, name)
-            if not isinstance(v, int):
-                raise ValueError("coefficients must be integers")
+        if not all(isinstance(v, int) for v in self.coeffs()):
+            raise ValueError("coefficients must be integers")
 
     def coeffs(self) -> tuple[int, int, int, int]:
         return (self.a0, self.a1, self.a2, self.a3)
@@ -148,9 +147,8 @@ class UnitSpec:
     q3: int
 
     def __post_init__(self):
-        for name in ("q0", "q1", "q2", "q3"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError("coefficients must be integers")
+        if not all(isinstance(v, int) for v in self.coeffs()):
+            raise ValueError("coefficients must be integers")
 
     def coeffs(self):
         return (self.q0, self.q1, self.q2, self.q3)
@@ -259,18 +257,16 @@ def _laguerre(c, y: float) -> float:
 
 def _root_estimates(p: QuarticPoly) -> list[float]:
     """Estimates of the roots of a totally real p, in descending order, for
-    the Newton polish of `_roots`.
-
-    p is first scaled exactly, t = 2^k y, so that the quartic in y has
-    coefficients of at most 1 and its roots lie in |y| < 2.  Laguerre's
-    iteration from +-(1 + max |c_i|) gives the two extreme roots.  The
-    quadratic cofactor then comes from two deflations, each in its stable
-    direction (Peters and Wilkinson, J. Inst. Maths Applics 8, 1971):
-    backward by the extreme root of larger modulus, then forward by the other
-    when its modulus is at most the geometric mean of the two left's,
-    backward otherwise.  Its roots are the middle two.  Int-by-int division rounds each scaled
-    coefficient correctly, so no coefficient overflows here; a root beyond
-    the float range raises OverflowError.
+    `_polish`.  p is first scaled exactly, t = 2^k y, so that the quartic in
+    y has coefficients of at most 1 and its roots lie in |y| < 2.
+    Laguerre's iteration from +-(1 + max |c_i|) gives the two extreme roots.
+    The quadratic cofactor then comes from two deflations, each in its
+    stable direction (Peters and Wilkinson, J. Inst. Maths Applics 8, 1971):
+    backward by the extreme root of larger modulus, then forward by the
+    other when its modulus is at most the geometric mean of the two left's,
+    backward otherwise.  Its roots are the middle two.  Int-by-int division
+    rounds each scaled coefficient correctly, so no coefficient overflows
+    here; a root beyond the float range raises OverflowError.
     """
     coeffs = p.coeffs()
     k = max((abs(a).bit_length() + 3 - i) // (4 - i) for i, a in enumerate(coeffs))
@@ -297,43 +293,51 @@ def _root_estimates(p: QuarticPoly) -> list[float]:
     return sorted((math.ldexp(y, k) for y in (top, *middle, bottom)), reverse=True)
 
 
-def _roots(p: QuarticPoly) -> list[float]:
-    """The roots of a totally real p in descending order: `_root_estimates`,
-    Newton-polished on p.
+def _polish(p: QuarticPoly, x: float) -> float:
+    """Newton's method on p from x in exact arithmetic: on the dyadic
+    x = n / d, d^4 p(x) and d^3 p'(x) are ints, and each step is one
+    correctly rounded int/int division, so no cancellation in p(x) can
+    overflow or stall it.  Stops when an iterate repeats, where p'(x) = 0,
+    or after 16 steps."""
+    a0, a1, a2, a3 = p.coeffs()
+    seen = set()
+    while x not in seen and len(seen) < 16:
+        seen.add(x)
+        n, d = x.as_integer_ratio()
+        d2, d3 = d * d, d * d * d
+        v = (((n + a3 * d) * n + a2 * d2) * n + a1 * d3) * n + a0 * d2 * d2
+        dv = ((4 * n + 3 * a3 * d) * n + 2 * a2 * d2) * n + a1 * d3
+        if not dv:
+            break
+        x = (n * dv - v) / (d * dv)
+    return x
 
-    Raises ValueError when p or a root is beyond the float range.
-    """
+
+def _roots(p: QuarticPoly) -> list[float]:
+    """The roots of a totally real p in descending order, `_root_estimates`
+    each `_polish`ed on p.  Raises ValueError when a coefficient of p or a
+    root is beyond the float range."""
+    if max(map(abs, p.coeffs())) > sys.float_info.max:
+        raise ValueError("coefficients beyond the float range")
     try:
-        u = _root_estimates(p)
-        for _ in range(8):
-            steps = []
-            for x in u:
-                deriv = p.derivative(x)
-                steps.append(p(x) / deriv if abs(deriv) > 1e-30 else 0.0)
-            u = [x - step for x, step in zip(u, steps)]
-            if all(abs(step) < TOL.newton for step in steps):
-                break
+        return [_polish(p, x) for x in _root_estimates(p)]
     except OverflowError:
-        raise ValueError("coefficients beyond the float range") from None
-    if not all(map(math.isfinite, u)):
-        raise ValueError("roots beyond the float range")
-    return u
+        raise ValueError("roots beyond the float range") from None
 
 
 # Roots closer than this, relative to max(1, largest |root|), are not told
-# apart: double precision resolves a simple root to about 1e-16 of that
-# scale, but a near-double root only to about its square root, 1e-8.
+# apart: `_root_estimates` resolves a near-double root only to about the
+# square root of double precision, and two such estimates may polish to one.
 _ROOT_SEPARATION = 1e-8
 
 
 def roots(p: QuarticPoly) -> list[float]:
     """The roots of p as a list of floats in descending order (`_roots`).
 
-    Raises when the polynomial is not totally real or has a repeated root,
-    both decided exactly by `_sturm`, or when two distinct roots lie within
-    `_ROOT_SEPARATION` of each other, which floats cannot resolve.
-    `certify_lattice` decides separability exactly (irreducible implies
-    separable) and does without this float test.
+    Raises when p is not totally real or has a repeated root, both decided
+    exactly by `_sturm`, or when two distinct roots lie within
+    `_ROOT_SEPARATION`.  `certify_lattice` decides separability exactly
+    (irreducible implies separable) and does without this float test.
     """
     real, distinct = _sturm(p)
     if real != distinct:
@@ -349,12 +353,9 @@ def roots(p: QuarticPoly) -> list[float]:
 
 
 def unit_matrix(p: QuarticPoly, q: UnitSpec):
-    """Exact integer matrix q(M) of multiplication by q(u) on Z[u].
-
-    Raises when |det q(M)| != 1, i.e. when q(u) is not a unit of the order;
-    the determinant is the constant term of `_charpoly`.  p itself is not
-    validated.
-    """
+    """Exact integer matrix q(M) of multiplication by q(u) on Z[u].  Raises
+    when |det q(M)|, the constant term of `_charpoly`, is not 1: q(u) is not
+    a unit of the order.  p itself is not validated."""
     X = _mul_matrix(p, q)
     det = _charpoly(X, q, _power_sums(p)).a0
     if det not in (1, -1):
@@ -375,65 +376,30 @@ def _smallest(row) -> int:
     return magnitudes.index(min(magnitudes))
 
 
-def _singular_values(rows) -> list[float]:
-    """The singular values, in descending order, of the matrix with these
-    rows of length 3.
-
-    One-sided Jacobi rotates pairs of rows until all are orthogonal; their
-    norms are then the singular values (Demmel and Veselic, Jacobi's method
-    is more accurate than QR, SIAM J. Matrix Anal. Appl. 13, 1992), and
-    past three rows all but three norms go to 0.  A pair counts as
-    orthogonal when its cosine is at most 3 times the unit roundoff.
-    Sweeps stop when none rotates, or after 30, where LAPACK's dgesvj stops
-    too.
-    """
-    v = [tuple(row) for row in rows]
-    tol = 3 * 2.0**-53
-    for _ in range(30):
-        rotated = False
-        for i in range(len(v)):
-            for j in range(i + 1, len(v)):
-                (a0, a1, a2), (b0, b1, b2) = v[i], v[j]
-                alpha = a0 * a0 + a1 * a1 + a2 * a2
-                beta = b0 * b0 + b1 * b1 + b2 * b2
-                gamma = a0 * b0 + a1 * b1 + a2 * b2
-                if abs(gamma) <= tol * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                v[i] = (c * a0 - s * b0, c * a1 - s * b1, c * a2 - s * b2)
-                v[j] = (s * a0 + c * b0, s * a1 + c * b1, s * a2 + c * b2)
-        if not rotated:
-            break
-    norms = [math.sqrt(a0 * a0 + a1 * a1 + a2 * a2) for a0, a1, a2 in v]
-    return sorted(norms, reverse=True)[:3]
+# The regulator of three independent units of a totally real quartic field
+# is a positive integer multiple of its regulator R_K, and R_K > 0.2052 for
+# every number field (Friedman, Analytic formulas for the regulator of a
+# number field, Invent. Math. 98, 1989): 0 or at least this.
+_REGULATOR_FLOOR = 0.2052
 
 
 def mult_independence(p: QuarticPoly, units) -> dict:
-    """Rank of the log-embedding matrix L[i, j] = log|q_i(u_j)|.
+    """The regulator of three units, |det L[:, :3]| for the log embedding
+    L[i, j] = log|q_i(u_j)|, and with it their independence.
 
-    The units are multiplicatively independent exactly when L has full row
-    rank; numerically this is sigma_min(L) clearing an absolute threshold.
-    p must be irreducible and totally real, and each q_i(u) a unit,
-    |N(q_i)| = |det q_i(M)| = 1, as `certify_lattice` decides exactly; the
-    roots are taken without the tests of `roots`.  A unit's smallest
-    conjugate can cancel to 0.0 in floats, so each row takes it from the
-    norm instead: |q_i(u_j)| = 1 / prod of the others, and L[i, j] = minus
-    the sum of their logs.  A zero among the others still raises, as does a
-    value beyond the float range.
-
-    Each row of L thus sums to 0, so L has the singular values of L B, where
-    the columns (1,1,-1,-1)/2, (1,-1,1,-1)/2 and (1,-1,-1,1)/2 of B span the
-    complement of (1,1,1,1), and `_singular_values` takes them from the
-    rows of L B.  With four units or more, sigma_min is 0.0: L has rank 3
-    at most.
-    The report also carries, as lists, those roots, L and the float values
-    Q[i, j] = q_i(u_j) by Horner's rule, each row's smallest included
-    (`certify_lattice` reports that one from the exact norm).
+    Each row of L sums to 0 (the norm is +-1), so any three columns give
+    the same |det|: 0 exactly when the units are dependent, and otherwise at
+    least `_REGULATOR_FLOOR`.  The float value is compared with half the
+    floor, so no error below 0.1 changes the verdict.  Raises ValueError
+    unless there are three units.  p must be irreducible and totally real
+    and each q_i(u) a unit, as `certify_lattice` decides exactly.  A unit's
+    smallest conjugate can cancel to 0.0 in floats, so its log is minus the
+    sum of the others'; a zero among those raises, as does a value beyond
+    the float range.  The report also carries, as lists, the roots, L and
+    the float values Q[i, j] = q_i(u_j), each row's smallest included.
     """
+    if len(units) != 3:
+        raise ValueError(f"independence needs three units, got {len(units)}")
     u = _roots(p)
     try:
         Q = [[q(x) for x in u] for q in units]
@@ -449,14 +415,12 @@ def mult_independence(p: QuarticPoly, units) -> dict:
         logs = [0.0 if j == k else math.log(abs(v)) for j, v in enumerate(row)]
         logs[k] = -(((logs[0] + logs[1]) + logs[2]) + logs[3])
         L.append(logs)
-    LB = [[0.5 * ((l0 + l1) - (l2 + l3)), 0.5 * ((l0 - l1) + (l2 - l3)),
-           0.5 * ((l0 - l1) - (l2 - l3))] for l0, l1, l2, l3 in L]
-    sigma = _singular_values(LB)
-    sigma_min = sigma[-1] if len(units) <= 3 else 0.0
+    (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _) = L
+    regulator = abs(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                    + a2 * (b0 * c1 - b1 * c0))
     return {
-        "independent": sigma_min > TOL.unit_log_sigma,
-        "rank": sum(s > TOL.unit_log_sigma for s in sigma),
-        "sigma_min": sigma_min,
+        "independent": regulator > _REGULATOR_FLOOR / 2,
+        "regulator": regulator,
         "log_matrix": L,
         "roots": u,
         "values": Q,
@@ -485,29 +449,25 @@ _REQUIRED = ("irreducible", "unit_constant_term", "totally_real", "units_valid",
 
 
 def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
-    """Certify p with exactly three units (ValueError otherwise); failed
-    checks are recorded.
-
-    Exact checks: p irreducible and totally real with unit constant term; for
-    each unit matrix X = q(M), from the characteristic polynomial of X
-    (`_charpoly`, on the power sums of p computed once), |det X| = 1 (q(u)
-    is a unit), det X = +1 and a positive spectrum (the coefficients
-    alternate in sign).
+    """Certify p with exactly three units (ValueError otherwise), recording
+    failed checks.  Exact checks: p irreducible and totally real with unit
+    constant term; for each unit matrix X = q(M), from the characteristic
+    polynomial of X (`_charpoly`, on the power sums of p computed once),
+    |det X| = 1 (q(u) is a unit), det X = +1 and a positive spectrum (the
+    coefficients alternate in sign).
 
     `integral`, `commute` and `diagonalized` hold by construction: each X
     is an integer polynomial in the one companion matrix M, so the X commute
     exactly, and the eigenvalues of M are distinct (irreducible implies
     separable) and real, so the root Vandermonde V, rows (1, u_j, u_j^2,
-    u_j^3), diagonalizes every X: V X = diag(q(u)) V (Cohen, 4.1).  No float
-    residual of that identity is reported; the tests recompute it from
-    `roots`, `matrices` and `spectra`.  Each row of `spectra` holds the
-    float values q(u_j), except its smallest, which is det X / prod of the
-    others: that one can cancel to 0.0 in floats.
+    u_j^3), diagonalizes every X: V X = diag(q(u)) V (Cohen, 4.1); the tests
+    recompute that residual from `roots`, `matrices` and `spectra`.  Each
+    row of `spectra` holds the float values q(u_j), its smallest taken as
+    det X / prod of the others, since it can cancel to 0.0 in floats.
 
-    Multiplicative independence is the one numerical decision (see
-    `mult_independence`).  A ValueError from that float pass, which a
-    coefficient, root or value beyond the float range raises too, fails the
-    certificate with its message as the reason; other errors propagate.
+    Multiplicative independence is the one float decision, on the units'
+    `regulator` (`mult_independence`).  A ValueError from that pass fails
+    the certificate with its message as the reason; others propagate.
     """
     if len(units) != 3:
         raise ValueError(f"a lattice needs three units, got {len(units)}")
@@ -547,7 +507,7 @@ def certify_lattice(p: QuarticPoly, units) -> LatticeCertificate:
         row[k] = chi.a0 / (others[0] * others[1] * others[2])
     cert.roots, cert.spectra = indep["roots"], indep["values"]
     checks["independent"] = indep["independent"]
-    checks["independence_sigma_min"] = indep["sigma_min"]
+    checks["regulator"] = indep["regulator"]
     cert.verdict = all(checks[k] for k in _REQUIRED)
     cert.reason = "certified" if cert.verdict else "checks failed"
     return cert

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 import random
 import time
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 
 from lattice_oracle import diag_residual
 from g2solv import numberlat
-from g2solv.config import TOL
 from g2solv.numberlat import (
     BUILTIN_EXAMPLES,
     QuarticPoly,
@@ -200,35 +201,41 @@ def test_roots_decide_total_reality_by_the_sturm_chain(p):
 
 
 def _array_polished_roots(p: QuarticPoly, start) -> list:
-    """The Newton polish of `numberlat._roots` from the estimates `start`,
-    written on a numpy array, as the reference for the loop over Python
-    floats."""
+    """Newton's method in floats from `start`, on a numpy array, stopped
+    after 8 steps or once every step is below 1e-12."""
     u = np.array(start)
     for _ in range(8):
         deriv = p.derivative(u)
         step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
         u = u - step
-        if np.abs(step).max() < TOL.newton:
+        if np.abs(step).max() < 1e-12:
             break
     return u.tolist()
 
 
 def _eigvals_roots(p: QuarticPoly) -> list:
     """The real parts of the companion eigenvalues in descending order,
-    Newton-polished as `numberlat._roots` polishes its own estimates."""
+    Newton-polished in floats (`_array_polished_roots`)."""
     vals = np.linalg.eigvals(np.array(_companion(p), dtype=float))
     return _array_polished_roots(p, sorted(vals.real.tolist(), reverse=True))
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=st.one_of(
-    st.tuples(*[SMALL] * 4).map(lambda c: QuarticPoly(*c)),
-    st.lists(st.integers(-10**9, 10**9), min_size=3, max_size=3, unique=True).map(
-        lambda r: _square_units_field(*r)[0])))
-def test_float_polish_equals_the_array_polish_bit_for_bit(p):
-    # the same IEEE operations in the same order, so the same bits
-    assume(is_totally_real(p))
-    assert numberlat._roots(p) == _array_polished_roots(p, numberlat._root_estimates(p))
+def _brackets_a_root(p: QuarticPoly, x: float) -> bool:
+    """Whether p changes sign, exactly, between the two floats next to x."""
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    return p(Fraction(below)) * p(Fraction(above)) < 0
+
+
+def test_polished_roots_bracket_a_sign_change_of_p():
+    # the exact polish ends within one ulp of each root, on small fields and
+    # on fields whose roots span up to 450 orders of magnitude
+    fields = [p for p, _, _ in _seeded_fields(60, seed=36)]
+    fields += [_square_units_field(a, 2 * a, 3)[0] for a in (10**60, 10**95, 10**150)]
+    fields.append(_square_units_field(1, 2, 10**9)[0])
+    for p in fields:
+        u = numberlat._roots(p)
+        assert u == sorted(u, reverse=True), p.coeffs()
+        assert all(_brackets_a_root(p, x) for x in u), p.coeffs()
 
 
 def test_roots_match_the_polished_companion_eigenvalues():
@@ -490,10 +497,19 @@ def test_exact_spectrum_sign_and_determinant_match_floats(near_roots, shift, q):
 def test_builtin_units_are_independent_of_rank_three():
     for ex in BUILTIN_EXAMPLES.values():
         rep = mult_independence(ex["poly"], ex["units"])
-        assert rep["independent"]
-        assert rep["rank"] == 3
-        assert rep["sigma_min"] > 1e-6
+        assert rep["independent"] is True
+        assert rep["regulator"] >= numberlat._REGULATOR_FLOOR
         assert np.shape(rep["log_matrix"]) == (3, 4)
+
+
+def test_builtin_regulators_match_an_mpmath_determinant():
+    # |det log|q_i(u_j)|| over three embeddings, at 60 digits
+    for name, expected in (("kl-2015", 18.6473), ("kl-sqrt3", 21.2872)):
+        ex = BUILTIN_EXAMPLES[name]
+        regulator = _field_at_high_precision(ex["poly"], ex["units"])[3]
+        assert regulator == pytest.approx(expected, abs=1e-4), name
+        rep = mult_independence(ex["poly"], ex["units"])
+        assert rep["regulator"] == pytest.approx(regulator, rel=1e-12), name
 
 
 def test_powers_of_one_unit_are_dependent():
@@ -501,24 +517,32 @@ def test_powers_of_one_unit_are_dependent():
     q2 = poly_square_mod(q1, P15)
     q4 = poly_square_mod(q2, P15)
     rep = mult_independence(P15, [q1, q2, q4])
-    assert not rep["independent"]
-    assert rep["rank"] == 1
+    assert rep["independent"] is False
+    assert rep["regulator"] < 1e-12
 
 
-@pytest.mark.parametrize("n, independent, rank", [
-    (1, True, 1), (2, True, 2), (3, True, 3), (4, False, 3), (6, False, 3)])
-def test_independence_of_any_number_of_units(n, independent, rank):
+def test_certified_regulators_clear_the_least_regulator_of_any_field():
+    # the float regulator agrees with the theorem behind the verdict: no
+    # certified field reads below 0.2052
+    for p, _, cert in _seeded_fields(60, seed=36):
+        if cert.verdict:
+            assert cert.checks["regulator"] >= numberlat._REGULATOR_FLOOR, p.coeffs()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_mult_independence_takes_exactly_three_units(n):
     units = (BUILTIN_EXAMPLES["kl-2015"]["units"] * 2)[:n]
+    if n != 3:
+        with pytest.raises(ValueError, match=f"independence needs three units, got {n}"):
+            mult_independence(P15, units)
+        return
     rep = mult_independence(P15, units)
-    assert rep["independent"] is independent
-    assert rep["rank"] == rank
-    assert np.shape(rep["log_matrix"]) == (n, 4)
-    if n <= 3:
-        expected = np.linalg.svd(np.array(rep["log_matrix"]), compute_uv=False)[-1]
-        assert rep["sigma_min"] == pytest.approx(expected, rel=1e-12)
-    else:
-        # four or more rows of a rank-3 matrix
-        assert rep["sigma_min"] <= 1e-12
+    assert np.shape(rep["log_matrix"]) == (3, 4)
+    # each row sums to 0, so every choice of three columns gives one |det|
+    L = np.array(rep["log_matrix"])
+    for columns in itertools.combinations(range(4), 3):
+        expected = abs(np.linalg.det(L[:, columns]))
+        assert rep["regulator"] == pytest.approx(expected, rel=1e-12), columns
 
 
 # -- certification ----------------------------------------------------------------------
@@ -552,7 +576,7 @@ _EXACT_CHECKS = _EARLY_CHECKS | {"integral", "det_one", "commute", "positive_spe
 
 
 @pytest.mark.parametrize("case, checks, reason", [
-    ("certified", _EXACT_CHECKS | {"independent", "independence_sigma_min"}, "certified"),
+    ("certified", _EXACT_CHECKS | {"independent", "regulator"}, "certified"),
     ("not totally real", _EARLY_CHECKS, "polynomial or unit validation failed"),
     ("beyond the float range", _EXACT_CHECKS,
      "floating-point pass failed: coefficients beyond the float range"),
@@ -657,7 +681,8 @@ def test_large_coefficient_field_is_certified():
     assert cert.verdict, cert.checks
     assert cert.checks["positive_spectra"] is True
     assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
-    assert cert.checks["independence_sigma_min"] > 30
+    regulator = _field_at_high_precision(*_square_units_field(1, 2, 10**7))[3]
+    assert cert.checks["regulator"] == pytest.approx(regulator, rel=1e-9)
 
 
 def test_field_with_roots_sixty_orders_apart_is_certified():
@@ -669,19 +694,32 @@ def test_field_with_roots_sixty_orders_apart_is_certified():
     assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9
 
 
+def test_fields_with_roots_far_apart_certify_at_every_scale():
+    # t (t-a)(t-2a)(t-3) + 1 with a = 10^k: Horner's p(x) in floats cancels
+    # inexactly near the root 2a, which the exact polish does not; the roots
+    # lie within 1.2e-16 of 2a, a, 3 and 1/(6 a^2), relative, at every k
+    for k in range(60, 151, 5):
+        a = 10**k
+        cert = certify_lattice(*_square_units_field(a, 2 * a, 3))
+        assert cert.verdict, (k, cert.reason)
+        near = (Fraction(2 * a), Fraction(a), Fraction(3), Fraction(1, 6 * a * a))
+        for x, y in zip(cert.roots, near):
+            assert abs(Fraction(x) - y) <= Fraction(12, 10**17) * y, k
+
+
 def _field_at_high_precision(p: QuarticPoly, units):
     """The roots of p in descending order, Q[i, j] = q_i(u_j), L[i, j] =
-    log|q_i(u_j)| and sigma_min of L, all at 60 digits, then rounded to
-    floats."""
+    log|q_i(u_j)| and the regulator |det L[:, :3]|, all at 60 digits, then
+    rounded to floats."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         u = sorted((mpmath.re(r) for r in mpmath.polyroots(
             [1, p.a3, p.a2, p.a1, p.a0], maxsteps=200, extraprec=200)), reverse=True)
         Q = [[q(x) for x in u] for q in units]
         L = mpmath.matrix([[mpmath.log(abs(v)) for v in row] for row in Q])
-        sigma_min = min(mpmath.svd_r(L, compute_uv=False))
+        regulator = abs(mpmath.det(L[:, :3]))
         return ([float(x) for x in u], [[float(v) for v in row] for row in Q],
-                np.array(L.tolist(), dtype=float), float(sigma_min))
+                np.array(L.tolist(), dtype=float), float(regulator))
 
 
 def test_huge_field_with_a_cancelling_conjugate_is_certified():
@@ -692,8 +730,8 @@ def test_huge_field_with_a_cancelling_conjugate_is_certified():
     assert 0.0 in np.array([q(np.array(cert.roots)) for q in units])
     assert cert.verdict, cert.checks
     assert cert.reason == "certified"
-    _, values, _, sigma_min = _field_at_high_precision(p, units)
-    assert cert.checks["independence_sigma_min"] == pytest.approx(sigma_min, rel=1e-9)
+    _, values, _, regulator = _field_at_high_precision(p, units)
+    assert cert.checks["regulator"] == pytest.approx(regulator, rel=1e-9)
     # the reported spectra hold those conjugates too, about 2.5e-19
     assert 0.0 not in [v for row in cert.spectra for v in row]
     for row, expected in zip(cert.spectra, values):
@@ -716,19 +754,14 @@ def _seeded_fields(count: int, seed: int):
 
 def test_float_pass_matches_a_high_precision_oracle():
     for p, units, cert in _seeded_fields(30, seed=26):
-        u, values, L, sigma_min = _field_at_high_precision(p, units)
+        u, values, L, regulator = _field_at_high_precision(p, units)
         tag = p.coeffs()
         assert np.abs(mult_independence(p, units)["log_matrix"] - L).max() < 1e-9, tag
         for x, expected in zip(cert.roots, u):
-            # Newton stops where rounding in p(x) hides p: within eps times
-            # the root's condition number sum |a_k| |u|^k / |p'(u)|, which
-            # exceeds 1e-15 |u| for some roots (6.4e-14 at u = -10.97 of
-            # t^4 + 37 t^3 + 454 t^2 + 1848 t + 1)
-            size = sum(abs(a) * abs(expected) ** k for k, a in enumerate((*p.coeffs(), 1)))
-            cond = size / abs(p.derivative(expected))
-            bound = max(1e-15 * max(1.0, abs(expected)), 8 * 2.0**-52 * cond)
-            assert abs(x - expected) <= bound, tag
-        assert cert.checks["independence_sigma_min"] == pytest.approx(sigma_min, rel=1e-9), tag
+            # the exact polish ends within one ulp of the root, whatever its
+            # condition number
+            assert abs(x - expected) <= math.ulp(expected), tag
+        assert cert.checks["regulator"] == pytest.approx(regulator, rel=1e-9), tag
         # the root Vandermonde diagonalizes every reported matrix
         assert diag_residual(cert.roots, cert.matrices, cert.spectra) < 1e-9, tag
         for row, expected in zip(cert.spectra, values):
