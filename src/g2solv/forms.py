@@ -157,14 +157,6 @@ class KForm:
         return format_form(self)
 
 
-def monomial(indices, coeff: float = 1.0) -> KForm:
-    """Single basis monomial coeff * e^{indices}; indices need not be sorted."""
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        return zero_form(len(idx))
-    return KForm(len(idx), {tuple(sorted(idx)): _sign(idx) * float(coeff)})
-
-
 def zero_form(degree: int) -> KForm:
     return KForm(degree)
 

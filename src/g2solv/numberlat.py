@@ -16,8 +16,10 @@ and its characteristic polynomial comes from the trace form of Z[u]: the
 power sums of the roots of p, taken once per certificate, and q^2 mod p.
 Commutation holds by construction: every unit matrix is a polynomial in M.
 Floating point enters in one pass per certificate, on plain Python floats:
-the roots of p are extracted once, and the values q_i(u_j) feed the
-regulator of the units, a 3x3 log determinant, and the reported spectra.
+the roots of p are extracted once, each proven to be p's root rounded to
+nearest by exact sign changes of p (`_polish`), and the values q_i(u_j)
+feed the regulator of the units, a 3x3 log determinant, and the reported
+spectra.  Roots that floats cannot resolve or separate fail the pass.
 Independence needs no tolerance: the regulator is exactly 0 or at least
 `_REGULATOR_FLOOR`, a theorem about every number field.  Each unit's
 smallest conjugate, which can cancel in floats, is taken from its exact
@@ -125,10 +127,6 @@ class QuarticPoly:
     def __call__(self, x):
         a0, a1, a2, a3 = self.coeffs()
         return (((x + a3) * x + a2) * x + a1) * x + a0
-
-    def derivative(self, x):
-        a0, a1, a2, a3 = self.coeffs()
-        return ((4 * x + 3 * a3) * x + 2 * a2) * x + a1
 
     def alternates_in_sign(self) -> bool:
         """Whether 1, a3, a2, a1, a0 strictly alternate in sign.  For a
@@ -293,63 +291,93 @@ def _root_estimates(p: QuarticPoly) -> list[float]:
     return sorted((math.ldexp(y, k) for y in (top, *middle, bottom)), reverse=True)
 
 
-def _polish(p: QuarticPoly, x: float) -> float:
-    """Newton's method on p from x in exact arithmetic: on the dyadic
-    x = n / d, d^4 p(x) and d^3 p'(x) are ints, and each step is one
-    correctly rounded int/int division, so no cancellation in p(x) can
-    overflow or stall it.  Stops when an iterate repeats, where p'(x) = 0,
-    or after 16 steps."""
+def _value(p: QuarticPoly, n: int, d: int) -> int:
+    """d^4 p(n / d) for ints n and d > 0: an int with the sign of p at n/d."""
     a0, a1, a2, a3 = p.coeffs()
+    d2 = d * d
+    return (((n + a3 * d) * n + a2 * d2) * n + a1 * d2 * d) * n + a0 * d2 * d2
+
+
+def _polish(p: QuarticPoly, x: float) -> float:
+    """p's root rounded to nearest, from an estimate x, or ValueError.
+
+    Newton's method runs in exact arithmetic: on the dyadic x = n / d,
+    d^4 p(x) and d^3 p'(x) are ints, and each step is one correctly rounded
+    int/int division, so no cancellation in p(x) can overflow or stall it.
+    It returns x where p(x) = 0, and otherwise stops where p'(x) = 0, when
+    an iterate repeats, or after 64 steps.  Then a proof, on ints too: let
+    y be x's float neighbour on the side that Newton's step from x points
+    to, and m the dyadic midpoint of x and y.  A sign change of p between x
+    and m puts a root strictly nearer to x than to any other float, so x is
+    that root rounded to nearest; one between y and m (or p(y) = 0) proves
+    y the same way.  Otherwise it raises "a root that floats cannot
+    resolve": two roots, or none, lie within the half-ulp, or Newton
+    stopped short.
+    """
+    _, a1, a2, a3 = p.coeffs()
     seen = set()
-    while x not in seen and len(seen) < 16:
-        seen.add(x)
+    while True:
         n, d = x.as_integer_ratio()
-        d2, d3 = d * d, d * d * d
-        v = (((n + a3 * d) * n + a2 * d2) * n + a1 * d3) * n + a0 * d2 * d2
-        dv = ((4 * n + 3 * a3 * d) * n + 2 * a2 * d2) * n + a1 * d3
+        v = _value(p, n, d)
+        if not v:
+            return x
+        d2 = d * d
+        dv = ((4 * n + 3 * a3 * d) * n + 2 * a2 * d2) * n + a1 * d2 * d
         if not dv:
             break
-        x = (n * dv - v) / (d * dv)
-    return x
+        seen.add(x)
+        step = (n * dv - v) / (d * dv)
+        if step in seen or len(seen) == 64:
+            break
+        x = step
+    y = math.nextafter(x, math.inf if (v < 0) == (dv > 0) else -math.inf)
+    m, e = y.as_integer_ratio()
+    if e > d:
+        n, d = n * (e // d), e
+    else:
+        m *= d // e
+    mid = _value(p, n + m, 2 * d)  # the sign of p at (x + y) / 2
+    if mid and (mid > 0) != (v > 0):
+        return x
+    w = _value(p, m, d)
+    if not w or mid and (mid > 0) != (w > 0):
+        return y
+    raise ValueError("a root that floats cannot resolve")
 
 
 def _roots(p: QuarticPoly) -> list[float]:
-    """The roots of a totally real p in descending order, `_root_estimates`
-    each `_polish`ed on p.  Raises ValueError when a coefficient of p or a
-    root is beyond the float range."""
+    """The four roots of a totally real p, each rounded to nearest, in
+    strictly decreasing order: `_root_estimates` each `_polish`ed on p.  A
+    call that returns has proved four distinct real roots.  Raises
+    ValueError when a coefficient of p or a root is beyond the float range,
+    when `_polish` cannot prove a root, or when two proven roots are the
+    same float ("distinct roots that floats cannot separate")."""
     if max(map(abs, p.coeffs())) > sys.float_info.max:
         raise ValueError("coefficients beyond the float range")
     try:
-        return [_polish(p, x) for x in _root_estimates(p)]
+        u = [_polish(p, x) for x in _root_estimates(p)]
     except OverflowError:
         raise ValueError("roots beyond the float range") from None
-
-
-# Roots closer than this, relative to max(1, largest |root|), are not told
-# apart: `_root_estimates` resolves a near-double root only to about the
-# square root of double precision, and two such estimates may polish to one.
-_ROOT_SEPARATION = 1e-8
+    if not u[0] > u[1] > u[2] > u[3]:
+        raise ValueError("distinct roots that floats cannot separate")
+    return u
 
 
 def roots(p: QuarticPoly) -> list[float]:
-    """The roots of p as a list of floats in descending order (`_roots`).
+    """The roots of p, each rounded to nearest, in decreasing order
+    (`_roots`).
 
     Raises when p is not totally real or has a repeated root, both decided
-    exactly by `_sturm`, or when two distinct roots lie within
-    `_ROOT_SEPARATION`.  `certify_lattice` decides separability exactly
-    (irreducible implies separable) and does without this float test.
+    exactly by `_sturm`, and when `_roots` cannot prove four distinct float
+    roots.  `certify_lattice` decides separability exactly (irreducible
+    implies separable) and calls `_roots` directly.
     """
     real, distinct = _sturm(p)
     if real != distinct:
         raise ValueError("polynomial is not totally real (complex roots)")
     if distinct < 4:
         raise ValueError("repeated roots")
-    u = _roots(p)
-    scale = max(1.0, *map(abs, u))
-    ascending = sorted(u)
-    if min(b - a for a, b in zip(ascending, ascending[1:])) < _ROOT_SEPARATION * scale:
-        raise ValueError("repeated roots within tolerance")
-    return u
+    return _roots(p)
 
 
 def unit_matrix(p: QuarticPoly, q: UnitSpec):
@@ -392,11 +420,13 @@ def mult_independence(p: QuarticPoly, units) -> dict:
     least `_REGULATOR_FLOOR`.  The float value is compared with half the
     floor, so no error below 0.1 changes the verdict.  Raises ValueError
     unless there are three units.  p must be irreducible and totally real
-    and each q_i(u) a unit, as `certify_lattice` decides exactly.  A unit's
-    smallest conjugate can cancel to 0.0 in floats, so its log is minus the
-    sum of the others'; a zero among those raises, as does a value beyond
-    the float range.  The report also carries, as lists, the roots, L and
-    the float values Q[i, j] = q_i(u_j), each row's smallest included.
+    and each q_i(u) a unit, as `certify_lattice` decides exactly.  The roots
+    are `_roots`, each proven to be p's root rounded to nearest; a root that
+    floats cannot resolve or separate raises ValueError.  A unit's smallest
+    conjugate can cancel to 0.0 in floats, so its log is minus the sum of
+    the others'; a zero among those raises, as does a value beyond the
+    float range.  The report also carries, as lists, the roots, L and the
+    float values Q[i, j] = q_i(u_j), each row's smallest included.
     """
     if len(units) != 3:
         raise ValueError(f"independence needs three units, got {len(units)}")

@@ -9,9 +9,11 @@ for the coflow parameter ODE, and `compatible` the oracle for
 `liealg.check_compatible`.
 """
 
+import itertools
+
 import numpy as np
 
-from g2solv.forms import KForm, monomial, theta, wedge
+from g2solv.forms import KForm, theta, wedge
 
 # omega_7/1/2 span the self-dual 2-forms on the nilpotent directions e_3..e_6
 # that enter phi; the barred ones span the anti-self-dual complement and show
@@ -23,6 +25,17 @@ OMEGA2 = KForm(2, {(3, 6): -1.0, (4, 5): -1.0})
 OMEGA7_BAR = KForm(2, {(3, 4): 1.0, (5, 6): -1.0})
 OMEGA1_BAR = KForm(2, {(3, 5): 1.0, (4, 6): 1.0})
 OMEGA2_BAR = KForm(2, {(3, 6): -1.0, (4, 5): 1.0})
+
+
+def monomial(indices, coeff: float = 1.0) -> KForm:
+    """coeff e^{i1} ^ ... ^ e^{ik}, written out: the basis monomial of the
+    sorted indices times the sign of the sorting permutation, and the zero
+    k-form when an index repeats."""
+    idx = tuple(indices)
+    if len(set(idx)) != len(idx):
+        return KForm(len(idx))
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return KForm(len(idx), {tuple(sorted(idx)): (-1.0) ** inversions * coeff})
 
 
 def _e(*idx):

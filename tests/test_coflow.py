@@ -15,6 +15,7 @@ from reference_formulas import (
     bracket_flow_rhs,
     coclosed_coefficients,
     coclosed_lap_psi,
+    monomial,
 )
 from g2solv import coflow, forms, g2core, tables
 from g2solv.coflow import (
@@ -29,7 +30,7 @@ from g2solv.coflow import (
     soliton_residual,
     soliton_solve,
 )
-from g2solv.forms import monomial, theta, wedge
+from g2solv.forms import theta, wedge
 from g2solv.g2core import closed_triple, laplacians
 from g2solv.liealg import BracketTriple, ce_differential, homothety_invariant
 

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dz
-from reference_formulas import OMEGA1, OMEGA1_BAR, OMEGA2, OMEGA2_BAR, OMEGA7, OMEGA7_BAR
+from reference_formulas import (
+    OMEGA1,
+    OMEGA1_BAR,
+    OMEGA2,
+    OMEGA2_BAR,
+    OMEGA7,
+    OMEGA7_BAR,
+    monomial,
+)
 from g2solv import forms
 from g2solv.coflow import CoclosedParams
 from g2solv.g2core import torsion_forms
@@ -24,7 +32,6 @@ from g2solv.forms import (
     format_form,
     hodge,
     inner,
-    monomial,
     theta,
     wedge,
     zero_form,
@@ -53,15 +60,27 @@ def matrices(draw, n):
 # -- construction and arithmetic ---------------------------------------------
 
 
+def _covector_wedge(indices) -> KForm:
+    """e^{i1} ^ ... ^ e^{ik} by the package's wedge."""
+    out = KForm(0, {(): 1.0})
+    for i in indices:
+        out = wedge(out, KForm(1, {(i,): 1.0}))
+    return out
+
+
 def test_monomial_sorts_indices_with_sign():
+    # the written-out monomials of the tests agree with the package's wedge
     assert monomial((2, 1)).coeffs == {(1, 2): -1.0}
     assert monomial((3, 1, 2)).coeffs == {(1, 2, 3): 1.0}
     assert monomial((1, 3, 2), 2.0).coeffs == {(1, 2, 3): -2.0}
+    for idx in itertools.permutations((1, 4, 6)):
+        assert monomial(idx).coeffs == _covector_wedge(idx).coeffs
 
 
 def test_monomial_repeated_index_vanishes():
     assert monomial((1, 1)).coeffs == {}
     assert monomial((2, 5, 2)).coeffs == {}
+    assert _covector_wedge((2, 5, 2)).coeffs == {}
 
 
 def test_kform_requires_increasing_keys():

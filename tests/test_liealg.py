@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import dense_oracle as dz
 import reference_formulas as rf
+from reference_formulas import monomial
 from g2solv.coflow import CoclosedParams, FlowTrajectory
 from g2solv.config import TOL
-from g2solv.forms import BASIS, KForm, PHI, PSI, monomial, wedge
+from g2solv.forms import BASIS, KForm, PHI, PSI, wedge
 from g2solv.g2core import closed_triple
 from g2solv.liealg import (
     BracketTriple,

@@ -49,6 +49,12 @@ def test_poly_rejects_non_integer_coefficients():
         UnitSpec(0, 0.5, 0, 0)
 
 
+def _derivative(p: QuarticPoly, x):
+    """p'(x) by Horner's rule, for a number or a numpy array x."""
+    _, a1, a2, a3 = p.coeffs()
+    return ((4 * x + 3 * a3) * x + 2 * a2) * x + a1
+
+
 def test_poly_evaluation_and_derivative():
     p = QuarticPoly(1, 4, -4, -1)
     # t^4 - t^3 - 4 t^2 + 4 t + 1 at small integers, exactly
@@ -59,7 +65,7 @@ def test_poly_evaluation_and_derivative():
     x = 0.37
     h = 1e-6
     num = (p(x + h) - p(x - h)) / (2 * h)
-    assert p.derivative(x) == pytest.approx(num, rel=1e-8)
+    assert _derivative(p, x) == pytest.approx(num, rel=1e-8)
 
 
 def test_unit_evaluation():
@@ -180,12 +186,17 @@ def test_roots_reject_every_exact_double_root():
 
 
 def test_roots_reject_distinct_roots_floats_cannot_separate():
-    # t^4 - 2 (10^4 t - 1)^2 has four distinct real roots, two of them near
-    # 1e-4 and about 1.4e-12 apart
+    # t^4 - 2 (10^k t - 1)^2 has four distinct real roots, two of them near
+    # 10^-k and about 1.4 10^-3k apart: 1.4e-12 at k = 4, which floats
+    # resolve, and within about one ulp at k = 8 and 9, which they cannot
     p = QuarticPoly(-2, 4 * 10**4, -2 * 10**8, 0)
     assert is_totally_real(p) and is_irreducible(p)
-    with pytest.raises(ValueError, match="repeated roots within tolerance"):
-        roots(p)
+    assert roots(p) == _nearest_roots(p)
+    for k in (8, 9):
+        p = QuarticPoly(-2, 4 * 10**k, -2 * 10**(2 * k), 0)
+        assert is_totally_real(p) and is_irreducible(p)
+        with pytest.raises(ValueError, match="floats cannot"):
+            roots(p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -205,7 +216,7 @@ def _array_polished_roots(p: QuarticPoly, start) -> list:
     after 8 steps or once every step is below 1e-12."""
     u = np.array(start)
     for _ in range(8):
-        deriv = p.derivative(u)
+        deriv = _derivative(p, u)
         step = np.where(np.abs(deriv) > 1e-30, p(u) / np.where(deriv == 0, 1, deriv), 0.0)
         u = u - step
         if np.abs(step).max() < 1e-12:
@@ -220,6 +231,26 @@ def _eigvals_roots(p: QuarticPoly) -> list:
     return _array_polished_roots(p, sorted(vals.real.tolist(), reverse=True))
 
 
+def _rounded(x) -> float:
+    """An mpmath real rounded to the nearest float, once, through its
+    exact value: mpmath's own float() rounds to 53 bits before scaling, so
+    it can round twice below the normal range."""
+    man, exp = x.man_exp
+    y = float(Fraction(man) * Fraction(2) ** exp)
+    return -y if x < 0 else y
+
+
+def _nearest_roots(p: QuarticPoly) -> list:
+    """The roots of p rounded to nearest, in descending order: mpmath's
+    roots at 60 digits plus three per digit of p's largest coefficient,
+    enough to place roots that span hundreds of orders of magnitude."""
+    mpmath = pytest.importorskip("mpmath")
+    dps = 60 + 3 * max(len(str(abs(a))) for a in p.coeffs())
+    with mpmath.workdps(dps):
+        u = mpmath.polyroots([1, p.a3, p.a2, p.a1, p.a0], maxsteps=400, extraprec=2 * dps)
+        return sorted((_rounded(mpmath.re(x)) for x in u), reverse=True)
+
+
 def _brackets_a_root(p: QuarticPoly, x: float) -> bool:
     """Whether p changes sign, exactly, between the two floats next to x."""
     below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
@@ -227,15 +258,17 @@ def _brackets_a_root(p: QuarticPoly, x: float) -> bool:
 
 
 def test_polished_roots_bracket_a_sign_change_of_p():
-    # the exact polish ends within one ulp of each root, on small fields and
-    # on fields whose roots span up to 450 orders of magnitude
+    # each root is p's root rounded to nearest, on small fields and on
+    # fields whose roots span up to 450 orders of magnitude: t (t-a)(t-2a)
+    # (t-3) + 1 with a = 10^k, k = 60, 65, ..., 150
     fields = [p for p, _, _ in _seeded_fields(60, seed=36)]
-    fields += [_square_units_field(a, 2 * a, 3)[0] for a in (10**60, 10**95, 10**150)]
+    fields += [_square_units_field(10**k, 2 * 10**k, 3)[0] for k in range(60, 151, 5)]
     fields.append(_square_units_field(1, 2, 10**9)[0])
     for p in fields:
         u = numberlat._roots(p)
-        assert u == sorted(u, reverse=True), p.coeffs()
+        assert u[0] > u[1] > u[2] > u[3], p.coeffs()
         assert all(_brackets_a_root(p, x) for x in u), p.coeffs()
+        assert u == _nearest_roots(p), p.coeffs()
 
 
 def test_roots_match_the_polished_companion_eigenvalues():
@@ -705,6 +738,25 @@ def test_fields_with_roots_far_apart_certify_at_every_scale():
         near = (Fraction(2 * a), Fraction(a), Fraction(3), Fraction(1, 6 * a * a))
         for x, y in zip(cert.roots, near):
             assert abs(Fraction(x) - y) <= Fraction(12, 10**17) * y, k
+
+
+def test_certificate_roots_are_proven_next_to_a_near_double_pair():
+    # (t^2 - M t + 1)^2 - 2 t^2 has roots near M +- sqrt(2) and 1/(M -+
+    # sqrt(2)); with the unit u three times the certificate fails on
+    # independence, after its float pass.  At M = 10^16 the pair near M is
+    # about 1.4 ulps apart and each root is reported rounded to nearest; at
+    # M = 10^17 it lies within one ulp, and the float pass fails instead
+    u = UnitSpec(0, 1, 0, 0)
+    M = 10**16
+    p = QuarticPoly(1, -2 * M, M * M, -2 * M)
+    cert = certify_lattice(p, [u] * 3)
+    assert cert.reason == "checks failed" and cert.checks["independent"] is False
+    assert cert.roots == _nearest_roots(p) == [
+        1.0000000000000002e16, 9999999999999998.0, 1.0000000000000001e-16, 9.999999999999999e-17]
+    M = 10**17
+    cert = certify_lattice(QuarticPoly(1, -2 * M, M * M, -2 * M), [u] * 3)
+    assert cert.reason.startswith("floating-point pass failed: "), cert.reason
+    assert cert.roots == [] and "independent" not in cert.checks
 
 
 def _field_at_high_precision(p: QuarticPoly, units):
