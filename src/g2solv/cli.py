@@ -23,11 +23,14 @@ entries; '@path' reads the literal from a file.
 
 Each handler imports the modules it runs when it runs, so that a command
 loads only its own: verify-lattice needs neither numpy nor the form engine.
+The parser is built once per process, on the first run, and each run looks
+up the subcommand's handler when it dispatches.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -359,7 +362,9 @@ def _add_global_options(p: argparse.ArgumentParser, top_level: bool):
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `run`."""
     ap = argparse.ArgumentParser(prog="g2solv", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap._negative_number_matcher = _NEGATIVE_VALUE
@@ -381,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--unit", action="append",
                     help="q0,q1,q2,q3, with --poly; a lattice needs exactly three "
                          "(repeat the option)")
-    vl.set_defaults(func=_cmd_verify_lattice)
 
     def add_triple_args(p, closed_only=False):
         source = p.add_mutually_exclusive_group(required=True)
@@ -393,20 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     to = add_parser("torsion", formats=("json", "text"), help="torsion forms, class and curvature")
     add_triple_args(to)
-    to.set_defaults(func=_cmd_torsion)
 
     ec = add_parser("erp-check", help="extremal-pinching residual (closed case)")
     add_triple_args(ec, closed_only=True)
     ec.add_argument("--tol", type=_finite_float, default=1e-9,
                     help="pinched when the relative residual |residual| / |tau|^2 "
                          "is at most this (default 1e-9)")
-    ec.set_defaults(func=_cmd_erp_check)
 
     so = add_parser("soliton", help="solve the coclosed soliton equations")
     so.add_argument("--base", required=True, help="a1,a2,b1,b2")
     so.add_argument("--modified-m", type=_finite_float, default=None,
                     help="also report the modified-flow residual at this nonzero m")
-    so.set_defaults(func=_cmd_soliton)
 
     fl = add_parser("flow", formats=("csv", "json"), help="integrate the coflow parameter ODE")
     source = fl.add_mutually_exclusive_group(required=True)
@@ -414,24 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep", help="file with one 6-tuple start per line")
     fl.add_argument("--t-max", type=_finite_float, default=50.0)
     fl.add_argument("--samples", type=int, default=501)
-    fl.set_defaults(func=_cmd_flow)
 
-    au = add_parser("audit", help="re-derive source claims and report agreement")
-    au.set_defaults(func=_cmd_audit)
+    add_parser("audit", help="re-derive source claims and report agreement")
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if args.format not in (None, *args.formats):
             raise ValueError(f"{args.command} writes {' or '.join(args.formats)}, "
                              f"not {args.format}")
-        return int(args.func(args))
+        # looked up at each call, so that a handler replaced later is the one run
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        return int(handler(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,13 @@ suite rather than assumed.  `integrate` solves it with an in-module
 Dormand-Prince 5(4) stepper (the RK45 method of Hairer, Norsett & Wanner,
 Solving ODEs I, II.4), and the per-sample reports (N, F, r, s, t) are array
 expressions over the whole trajectory.  The stepper rounds as scipy's RK45
-does, step for step: the products scipy leaves to BLAS stay numpy products,
-and the arithmetic between them runs on Python floats, with the rate taking
-a list of 6 floats and returning a 6-tuple (see `_rk45`).
+does, step for step: the products scipy leaves to BLAS stay numpy products
+(the stage sums K[:s]^T a_s, the solution sum K[:6]^T b, the error sum
+K^T e, the squared error norm x.dot(x) and the dense-output K^T P), and the
+arithmetic between them runs on Python floats.  One rate function serves
+the stepper, the drift and the audit: `_rate(y)` at the state y, or
+`_rate(y, d, h)` at the stage state y + h d, which it forms itself; each
+takes lists of 6 floats and returns a 6-tuple (see `_rk45`).
 
 Sign convention: the derivation representation entering the soliton equation
 
@@ -93,17 +97,26 @@ class CoclosedParams:
         return self._triple
 
 
-def _rate(y) -> tuple:
+def _rate(y, d=None, h=0.0) -> tuple:
     """Velocity of the parameter ODE induced by the coflow at the 6 floats y,
     as a 6-tuple, in plain float arithmetic (`_rk45` calls it six times a
-    step).  Derived from the bracket flow mu' = theta_plus(Q) mu: each of A, B, C is
+    step).  With a stage d (6 floats) and a step h it is the velocity at the
+    stage state y + h d, formed entry by entry as yi + di h, so that `_rk45`
+    passes each stage sum here rather than building the state itself.
+    Derived from the bracket flow mu' = theta_plus(Q) mu: each of A, B, C is
     scaled by minus the a-slot of Q acting on its direction, giving
 
         ai' = (-(a1^2+a2^2) + 2 b1 b2 + 2 c1 c2) ai
         bi' = (-(b1^2+b2^2) + 2 a1 a2 - 2 c1 c2) bi
         ci' = (-(c1^2+c2^2) - 2 a1 a2 - 2 b1 b2) ci.
     """
-    a1, a2, b1, b2, c1, c2 = y
+    if d is None:
+        a1, a2, b1, b2, c1, c2 = y
+    else:
+        y1, y2, y3, y4, y5, y6 = y
+        d1, d2, d3, d4, d5, d6 = d
+        a1, a2, b1, b2, c1, c2 = (y1 + d1 * h, y2 + d2 * h, y3 + d3 * h,
+                                  y4 + d4 * h, y5 + d5 * h, y6 + d6 * h)
     ab, bb, cc = 2.0 * a1 * a2, 2.0 * b1 * b2, 2.0 * c1 * c2
     ka = -(a1 * a1 + a2 * a2) + bb + cc
     kb = -(b1 * b1 + b2 * b2) + ab - cc
@@ -170,12 +183,17 @@ def _rk45(rate, y0, t_end, t_eval):
     right after a rejection, and a rejected one by max(0.2, 0.9 err^(-1/5)).
     Integration fails early only when the step drops below 10 ulp of t.
 
-    `rate` takes a list of floats and returns a sequence of as many.  The
-    products that scipy's RK45 hands to BLAS stay numpy products: the stage
-    sums K[:s]^T a_s, the solution sum K[:6]^T b, the error sum K^T e and
-    the squared norm x.dot(x) of the scaled error (as `np.linalg.norm` takes
-    it).  OpenBLAS rounds them with FMA and blocking, not as a sequential
-    sum would, and the error estimate is a difference of nearly equal sums,
+    `rate(y)` takes a list of floats and returns a sequence of as many, the
+    rate at y; `rate(y, d, h)` takes the step's start y, a stage sum d and
+    the step h as floats and returns the rate at the stage state whose
+    entries are yi + di h.  Stages 1-5 call the second form, so the stage
+    state is formed inside the one rate call, with the same float operations
+    as a list built here.  The products that scipy's RK45 hands to BLAS stay
+    numpy products: the stage sums K[:s]^T a_s, the solution sum K[:6]^T b,
+    the error sum K^T e, the squared norm x.dot(x) of the scaled error (as
+    `np.linalg.norm` takes it) and the dense-output coefficients K^T P.
+    OpenBLAS rounds them with FMA and blocking, not as a sequential sum
+    would, and the error estimate is a difference of nearly equal sums,
     with relative rounding noise of about 1e-6 at rtol = 1e-10:
     accept/reject decisions near err = 1 follow those last bits.  Everything
     between the products (the stage states, the error scale and its
@@ -206,11 +224,13 @@ def _rk45(rate, y0, t_end, t_eval):
             t_new = min(t + h_abs, t_end)
             h_abs = h = t_new - t
             for s, (Ks, a) in enumerate(stages, 1):
-                K[s] = rate([yi + di * h for yi, di in zip(y, Ks.dot(a).tolist())])
+                K[s] = rate(y, Ks.dot(a).tolist(), h)
             y_new = [yi + h * di for yi, di in zip(y, K6T.dot(_B).tolist())]
             K[6] = rate(y_new)
-            x = np.array([ei * h / (_ATOL + max(abs(yi), abs(zi)) * _RTOL)
-                          for ei, yi, zi in zip(KT.dot(_E).tolist(), y, y_new)])
+            # the scale's max(|yi|, |zi|) as an inline test, not a call
+            x = np.array([ei * h / (_ATOL + (ay if ay >= az else az) * _RTOL)
+                          for ei, ay, az in zip(KT.dot(_E).tolist(),
+                                                map(abs, y), map(abs, y_new))])
             err = math.sqrt(x.dot(x)) / root_n
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** (-1 / 5))

@@ -831,6 +831,8 @@ def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):
     def broken(args):
         raise KeyError("missing")
 
+    # the parser exists before the patch: the handler is looked up at dispatch
+    assert cli.run(["audit"]) == 0
     monkeypatch.setattr(cli, "_cmd_audit", broken)
     with pytest.raises(KeyError):
         cli.run(["audit"])
@@ -839,13 +841,45 @@ def test_a_program_fault_is_not_reported_as_an_input_error(monkeypatch):
 # -- import cost ----------------------------------------------------------------------
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's g2solv."""
+    src = os.path.dirname(os.path.dirname(g2solv.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's g2solv."""
-    src = os.path.dirname(os.path.dirname(g2solv.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=120)
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(tmp_path):
+    # one process runs a usage error and three reports through its one
+    # parser; each prints the bytes and exits with the code of a fresh
+    # `python -m g2solv`
+    starts = tmp_path / "starts.txt"
+    starts.write_text("1,1,2,2,1,1\n0.3,-1.2,0.7,1.1,-0.4,0.9\n-0.5,1,1,-1,1,1\n")
+    argvs = [["flow", "--t-max", "2"],
+             ["flow", "--sweep", str(starts), "--t-max", "2", "--samples", "5"],
+             ["torsion", "--closed", "1,1,1"],
+             ["verify-lattice", "--example", "kl-2015"]]
+    code = ("import contextlib, io, json, sys; from g2solv import cli\n"
+            "runs = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        runs.append([cli.run(argv), out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(runs))")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    reused = json.loads(proc.stdout)
+    assert [run[0] for run in reused] == [2, 0, 0, 0]
+    for argv, (code, out, err) in zip(argvs, reused):
+        fresh = subprocess.run([sys.executable, "-m", "g2solv", *argv], env=_env(),
+                               capture_output=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+            code, out.encode(), err.encode()), argv
 
 
 def test_lattice_and_torsion_commands_do_not_import_scipy(tmp_path):

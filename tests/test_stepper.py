@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from reference_formulas import bracket_flow_rhs
+from g2solv import coflow
 from g2solv.coflow import (
     _DRIFT_TOL,
     CoclosedParams,
@@ -60,6 +61,15 @@ def coflow_rate(y):
     return np.array(_rate(y))
 
 
+def staged(f):
+    """A rate of `_rk45`'s protocol, rate(y) or rate(y, d, h) at the stage
+    state y + h d, from the one-argument rate f: the stage state is built as
+    a list, yi + di h entry by entry, and passed to f."""
+    def rate(y, d=None, h=0.0):
+        return f(y if d is None else [yi + di * h for yi, di in zip(y, d)])
+    return rate
+
+
 def assert_matches_oracle(p0, t_max, samples):
     traj = integrate(p0, t_max, FlowOptions(samples=samples))
     sol = oracle(coflow_rate, p0.as_array(), t_max, samples)
@@ -70,9 +80,9 @@ def assert_matches_oracle(p0, t_max, samples):
     # tolerance above but would not evaluate the rate as often
     calls = []
 
-    def counted(y):
+    def counted(y, d=None, h=0.0):
         calls.append(None)
-        return coflow_rate(y)
+        return np.array(_rate(y, d, h))
 
     _rk45(counted, p0.as_array(), t_max, traj.times)
     assert len(calls) == sol.nfev
@@ -110,18 +120,20 @@ def test_stiff_runs_take_the_documented_rate_calls(start, t_end, calls):
     # decisions near err = 1, where a changed last bit would show
     counted = []
 
-    def rate(y):
+    def rate(y, d=None, h=0.0):
         counted.append(None)
-        return _rate(y)
+        return _rate(y, d, h)
 
     _rk45(rate, np.full(6, start), t_end, np.array([t_end]))
     assert len(counted) == calls
 
 
+@staged
 def _square(y):
     return np.square(y)
 
 
+@staged
 def _inverse_sqrt_drop(y):
     return -0.5 / np.asarray(y)
 
@@ -135,9 +147,9 @@ def test_stepper_follows_a_fast_growth_to_the_end():
     t_eval = np.linspace(0.0, t_end, 501)
     calls = []
 
-    def counted(y):
+    def counted(y, d=None, h=0.0):
         calls.append(None)
-        return _square(y)
+        return _square(y, d, h)
 
     ys, _, ok = _rk45(counted, y0, t_end, t_eval)
     sol = oracle(_square, y0, t_end, 501, events=None)
@@ -158,3 +170,38 @@ def test_stepper_fails_when_the_step_size_collapses():
     assert not ok
     assert len(ys) == len(sol.t) < len(t_eval)
     assert np.abs(ys - sol.y.T).max() <= 1e-9 * np.abs(sol.y).max()
+
+
+@pytest.mark.parametrize("p0", [*seeded_starts(), CoclosedParams(-0.0, 0.7, 0.0, -0.0, -0.4, 1.1),
+                                CoclosedParams(*[1.0] * 6)])
+def test_the_stage_formed_inside_the_rate_changes_no_bit(p0, monkeypatch):
+    # the reference forms each stage state as a list and calls one-argument
+    # `_rate`; integrate's samples, end state and status equal its run bit
+    # for bit, signed zeros included
+    t_eval = np.linspace(0.0, 50.0, 101)
+    fused = integrate(p0, 50.0, FlowOptions(samples=101))
+    _, fused_end, fused_ok = _rk45(_rate, p0.as_array(), 50.0, t_eval)
+    monkeypatch.setattr(coflow, "_rate", staged(_rate))
+    reference = integrate(p0, 50.0, FlowOptions(samples=101))
+    _, reference_end, reference_ok = _rk45(coflow._rate, p0.as_array(), 50.0, t_eval)
+    assert fused.times.tobytes() == reference.times.tobytes()
+    assert fused.params.tobytes() == reference.params.tobytes()
+    assert fused.status == reference.status
+    assert np.array(fused_end).tobytes() == np.array(reference_end).tobytes()
+    assert fused_ok == reference_ok
+
+
+def test_integrate_runs_the_one_rate_function(monkeypatch):
+    # with `_rate` negated, integrate runs the flow backwards: the trajectory
+    # changes, and the forward flow from its end comes back to the start,
+    # which a stage with a copy of the formula of its own would not allow
+    # (its steps would shrink to about 1e-8: hence the short run)
+    p0, t_max = CoclosedParams(0.3, -0.2, 0.25, 0.1, -0.15, 0.2), 1e-3
+    forward = integrate(p0, t_max)
+    rate = coflow._rate
+    with monkeypatch.context() as m:
+        m.setattr(coflow, "_rate", lambda y, d=None, h=0.0: tuple(-v for v in rate(y, d, h)))
+        backward = integrate(p0, t_max)
+    assert np.abs(forward.params[-1] - backward.params[-1]).max() > 1e-5
+    back = integrate(CoclosedParams(*backward.params[-1]), t_max)
+    assert np.abs(back.params[-1] - p0.as_array()).max() <= 1e-12
