@@ -16,15 +16,11 @@ one input source (in parentheses in its usage), --unit only with --poly.
 Numbers must be finite; a sweep file must hold a start; flow takes at least
 2 --samples.  JSON writes an undefined F as null.  Verdicts are decided on
 the triple scaled by a power of two to unit size, so they do not depend on
-its scale, and a reported value beyond the float range is an input error.
-erp-check pinches when |residual| / |tau|^2 is at most --tol, which must
-not be negative.  Matrix literals use ';' between rows and ',' between
-entries; '@path' reads the literal from a file.
-
-Each handler imports the modules it runs when it runs, so that a command
-loads only its own: verify-lattice needs neither numpy nor the form engine.
-The parser is built once per process, on the first run, and each run looks
-up the subcommand's handler when it dispatches.
+its scale, except `compatible`: simultaneous diagonalizability is still
+read at the given scale.  A reported value beyond the float range is an
+input error.  erp-check pinches when |residual| / |tau|^2 is at most
+--tol, which must not be negative.  Matrix literals use ';' between rows
+and ',' between entries; '@path' reads the literal from a file.
 """
 
 from __future__ import annotations
@@ -40,6 +36,12 @@ import signal
 import sys
 
 from .numberlat import BUILTIN_EXAMPLES, QuarticPoly, UnitSpec, certify_lattice
+
+# Each handler imports the modules it runs when it runs, so that a command
+# loads only its own: verify-lattice needs neither numpy nor the form engine.
+# The parser is built once per process, on the first run, and each run looks
+# up the subcommand's handler when it dispatches.  The module docstring is
+# the help text of `g2solv --help`.
 
 
 def _parse_matrix(text: str):

@@ -8,12 +8,16 @@ units with totally positive squares produce the commuting positive matrices
 that exponentiate to a cocompact lattice in the ambient solvable group.
 
 `certify_lattice` decides in exact integer arithmetic everything except
-multiplicative independence: irreducibility, total reality (a Sturm chain),
-and, from the integer characteristic polynomial of each unit matrix, the
-unit property, det = 1 and the positivity of the spectrum.  Each unit
-matrix is built column by column from shifts mod p (column j is u^j q(u)),
-and its characteristic polynomial comes from the trace form of Z[u]: the
-power sums of the roots of p, taken once per certificate, and q^2 mod p.
+multiplicative independence: irreducibility, total reality and, from the
+integer characteristic polynomial of each unit matrix, the unit property,
+det = 1 and the positivity of the spectrum.  Total reality takes three
+integer signs when the discriminant is nonzero: the discriminant's, and
+when it is positive those of P and D (Rees 1922, Lazard 1988;
+`_real_roots`); a repeated root, discriminant 0, is left to a Sturm chain.
+Each unit matrix is built column by column from shifts mod p (column j is
+u^j q(u)), and its characteristic polynomial comes from the trace form of
+Z[u]: the power sums of the roots of p, taken once per certificate, and
+q^2 mod p.
 Commutation holds by construction: every unit matrix is a polynomial in M.
 Floating point enters in one pass per certificate, on plain Python floats:
 the roots of p are extracted once, each proven to be p's root rounded to
@@ -219,10 +223,37 @@ def _sturm(p: QuarticPoly) -> tuple[int, int]:
     return sign_changes(True) - sign_changes(False), 5 - len(chain[-1])
 
 
+def _real_roots(p: QuarticPoly) -> tuple[int, int]:
+    """(distinct real roots, distinct roots) of p, exactly.
+
+    Write p = t^4 + b t^3 + c t^2 + d t + e.  When its discriminant disc is
+    nonzero the roots are distinct, and three integer signs count the real
+    ones: two when disc < 0, and when disc > 0 four if P = 8 c - 3 b^2 < 0
+    and D = 64 e - 16 c^2 + 16 b^2 c - 16 b d - 3 b^4 < 0, none otherwise
+    (Rees, Amer. Math. Monthly 29, 1922; Lazard, J. Symbolic Comput. 5,
+    1988).  disc takes its sign from 27 disc = 4 I^3 - J^2, with I and J
+    the invariants of p.  disc = 0, a repeated root, is left to the Sturm
+    chain (`_sturm`).
+    """
+    e, d, c, b = p.coeffs()
+    I = c * c - 3 * b * d + 12 * e
+    J = (2 * c * c - 9 * b * d - 72 * e) * c + 27 * (b * b * e + d * d)
+    disc = 4 * I**3 - J * J
+    if disc < 0:
+        return 2, 4
+    if disc > 0:
+        bb = b * b
+        P = 8 * c - 3 * bb
+        D = 64 * e - 16 * c * c + 16 * bb * c - 16 * b * d - 3 * bb * bb
+        return (4 if P < 0 and D < 0 else 0), 4
+    return _sturm(p)
+
+
 def is_totally_real(p: QuarticPoly) -> bool:
     """Whether every root of p is real, repeated roots included; exact
-    (`_sturm`)."""
-    real, distinct = _sturm(p)
+    (`_real_roots`: three integer signs when the discriminant is nonzero,
+    the Sturm chain when p has a repeated root)."""
+    real, distinct = _real_roots(p)
     return real == distinct
 
 
@@ -368,11 +399,13 @@ def roots(p: QuarticPoly) -> list[float]:
     (`_roots`).
 
     Raises when p is not totally real or has a repeated root, both decided
-    exactly by `_sturm`, and when `_roots` cannot prove four distinct float
-    roots.  `certify_lattice` decides separability exactly (irreducible
-    implies separable) and calls `_roots` directly.
+    exactly by `_real_roots` (the signs of the discriminant, P and D, or
+    the Sturm chain when the discriminant is 0), and when `_roots` cannot
+    prove four distinct float roots.  `certify_lattice` decides
+    separability exactly (irreducible implies separable) and calls `_roots`
+    directly.
     """
-    real, distinct = _sturm(p)
+    real, distinct = _real_roots(p)
     if real != distinct:
         raise ValueError("polynomial is not totally real (complex roots)")
     if distinct < 4:

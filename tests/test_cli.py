@@ -32,6 +32,20 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# -- help ---------------------------------------------------------------------------
+
+
+def test_help_prints_only_what_a_user_needs(capsys):
+    assert cli.run(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 success / verdict true" in out
+    # compatibility is the one verdict not yet decided on the unit triple
+    assert ("except `compatible`: simultaneous diagonalizability is still read "
+            "at the given scale") in out
+    for note in ("imports the modules it runs", "parser is built once", "handler"):
+        assert note not in out
+
+
 # -- verify-lattice -----------------------------------------------------------------
 
 

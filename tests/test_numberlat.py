@@ -211,6 +211,105 @@ def test_roots_decide_total_reality_by_the_sturm_chain(p):
     assert ("not totally real" in message) == (not is_totally_real(p))
 
 
+def _from_list(coeffs: list) -> QuarticPoly:
+    """The monic quartic with the coefficient list `coeffs`, leading term
+    first."""
+    assert coeffs[0] == 1 and len(coeffs) == 5
+    return QuarticPoly(*coeffs[:0:-1])
+
+
+def _quadratic_roots(b: int, c: int) -> tuple[int, int]:
+    """(distinct real roots, distinct roots) of t^2 + b t + c."""
+    disc = b * b - 4 * c
+    return (2 if disc > 0 else int(disc == 0)), (2 if disc else 1)
+
+
+def _structured_quartics() -> dict:
+    """Quartics on both sides of the closed form, each with its (distinct
+    real roots, distinct roots): squares, double roots times a quadratic,
+    t^4, the 5th cyclotomic polynomial, near-double pairs and huge fields."""
+    cases = {}
+    for b, c in itertools.product(range(-4, 5), repeat=2):
+        cases[_from_list(_times([1, b, c], [1, b, c]))] = _quadratic_roots(b, c)
+    for r, b, c in itertools.product(range(-2, 3), range(-3, 4), range(-3, 4)):
+        # (t - r)^2 (t^2 + b t + c): r counts once when it is a root of both
+        real, count = _quadratic_roots(b, c)
+        shared = r * r + b * r + c == 0
+        cases[_from_list(_times([1, -2 * r, r * r], [1, b, c]))] = (
+            1 + real - shared, 1 + count - shared)
+    cases[QuarticPoly(0, 0, 0, 0)] = (1, 1)  # t^4
+    cases[QuarticPoly(1, 1, 1, 1)] = (0, 4)  # 5th cyclotomic
+    for k in (4, 8, 9, 16, 17):
+        # (t^2 - M t + 1)^2 - 2 t^2, a pair of roots near M and near 1/M
+        M = 10**k
+        cases[_from_list([1, -2 * M, M * M, -2 * M, 1])] = (4, 4)
+    for a in (10**95, 10**150):
+        # t (t - a)(t - 2a)(t - 3) + 1
+        cases[QuarticPoly(1, -6 * a * a, 2 * a * a + 9 * a, -3 * a - 3)] = (4, 4)
+    return cases
+
+
+def test_real_roots_match_sympy_on_every_small_quartic():
+    # all 2401 monic quartics with coefficients in [-3, 3], 81 of them with
+    # a repeated root: sympy counts the real roots of the squarefree part
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    repeated = 0
+    for coeffs in itertools.product(range(-3, 4), repeat=4):
+        p = QuarticPoly(*coeffs)
+        part = sympy.Poly([1, p.a3, p.a2, p.a1, p.a0], t).sqf_part()
+        assert numberlat._real_roots(p) == (part.count_roots(), part.degree()), p
+        repeated += part.degree() < 4
+    assert repeated == 81
+
+
+HUGE = st.integers(-10**40, 10**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(
+    st.tuples(*[HUGE] * 4).map(lambda c: QuarticPoly(*c)),
+    st.tuples(*[HUGE] * 4).map(lambda c: _from_list(_times([1, c[0], c[1]], [1, c[2], c[3]]))),
+    st.tuples(*[HUGE] * 3).map(lambda c: _from_list(
+        _times(_times([1, c[0]], [1, c[0]]), [1, c[1], c[2]])))))
+def test_real_roots_match_the_sturm_chain(p):
+    # random quartics, products of two quadratics and double roots times a
+    # quadratic, with coefficients up to 10^40
+    assert numberlat._real_roots(p) == numberlat._sturm(p)
+
+
+def test_real_roots_of_structured_quartics():
+    for p, expected in _structured_quartics().items():
+        assert numberlat._real_roots(p) == expected, p
+        assert numberlat._sturm(p) == expected, p
+
+
+def test_distinct_roots_are_counted_without_the_sturm_chain(monkeypatch):
+    # every input with a nonzero discriminant takes the closed form, so a
+    # later change cannot route them back through `_sturm` unnoticed
+    small = {QuarticPoly(*c): numberlat._sturm(QuarticPoly(*c))
+             for c in itertools.product(range(-3, 4), repeat=4)}
+    cases = {**small, **_structured_quartics()}
+
+    def unreachable(p):
+        raise AssertionError("the Sturm chain ran")
+
+    monkeypatch.setattr(numberlat, "_sturm", unreachable)
+    distinct = 0
+    for p, (real, count) in cases.items():
+        if count < 4:
+            with pytest.raises(AssertionError, match="Sturm chain ran"):
+                numberlat._real_roots(p)
+            continue
+        distinct += 1
+        assert numberlat._real_roots(p) == (real, count), p
+        assert is_totally_real(p) == (real == 4), p
+        if real < 4:
+            with pytest.raises(ValueError, match=r"^polynomial is not totally real \(complex roots\)$"):
+                roots(p)
+    assert distinct == 2401 - 81 + 7
+
+
 def _array_polished_roots(p: QuarticPoly, start) -> list:
     """Newton's method in floats from `start`, on a numpy array, stopped
     after 8 steps or once every step is below 1e-12."""
